@@ -52,7 +52,7 @@ from .simgen import (
     simulate_dataset,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BalanceBasis",

@@ -29,10 +29,6 @@ class OneSidedLoading(BalanceError):
     """A loading vector has entries of one sign only, so no contrast exists."""
 
 
-class DegenerateSubcomposition(BalanceError):
-    """A part subset whose clr representation is numerically constant."""
-
-
 class Collinear(BalanceError):
     """The regression design matrix is rank deficient."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coda import ClrMatrix, CompositionMatrix, center_columns, clr
-from .errors import ConstantResponse, DimensionMismatch, RankDeficient
+from .errors import BalanceError, ConstantResponse, DimensionMismatch, RankDeficient
 
 KIND_PLS = "PLS"
 KIND_PCA = "PCA"
@@ -144,6 +144,8 @@ def pls_fit(
     n, d = X.shape
     if y.shape != (n,):
         raise DimensionMismatch(f"response length {y.shape} does not match {n} rows")
+    if not np.all(np.isfinite(y)):
+        raise BalanceError("response values must be finite")
     if np.ptp(y) == 0.0:
         raise ConstantResponse("response has zero variance")
     max_k = min(d - 1, n - 1)
@@ -249,6 +251,8 @@ def pls_regression(X: CompositionMatrix, y, k: int) -> LatentModel:
     y = np.asarray(y, dtype=float)
     if y.shape != (X.n_samples,):
         raise DimensionMismatch("response length must match the sample count")
+    if not np.all(np.isfinite(y)):
+        raise BalanceError("response values must be finite")
     raw = clr(X)
     x_mean = raw.values.mean(axis=0)
     y_mean = float(y.mean())

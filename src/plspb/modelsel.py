@@ -15,6 +15,7 @@ import numpy as np
 
 from .coda import BalanceBasis, CompositionMatrix
 from .errors import (
+    BalanceError,
     Collinear,
     EmptyInput,
     NonBinary,
@@ -250,6 +251,8 @@ def cross_validate(
     are bit-reproducible for a fixed (inputs, seed) pair.
     """
     y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise BalanceError("response values must be finite")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if metric not in (METRIC_RMSEP, METRIC_ME):

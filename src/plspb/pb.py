@@ -1,12 +1,19 @@
 """Supervised and unsupervised principal balance construction.
 
-Both builders grow a sequential binary partition of the parts. At every
-node a one-component latent fit of the node's subcomposition supplies a
-loading vector, the loading is turned into a nested family of candidate
-sign patterns, and the candidate whose balance values score best is kept
-(largest |cov| with the response for the supervised build, largest
-variance for the unsupervised one). The recursion then descends into the
-parts left out of the chosen balance, its numerator and its denominator.
+Both builders grow a sequential binary partition of the parts. Every choice
+depends on the data only through statistics computed once per build: with
+Lc the column-centred log data, G = Lc'Lc / (n-1) and, for pls-pb,
+g = Lc'(y - mean y) / (n-1). A node over the parts idx, with H the centring
+projector on them, takes as loading H g[idx] (the one-component SIMPLS
+direction of its subcomposition) for pls-pb, or the top eigenvector of
+H G[idx, idx] H (its first principal direction) for pca-pb. The loading
+yields d-1 nested candidates (see ``candidate_signs``), scored by |c'g[idx]|
+or c'G[idx, idx]c; the best wins, and ties within a relative 1e-12 go to
+the fewest active parts. The recursion descends into the parts left out of
+the chosen balance, its numerator and its denominator.
+
+A node without usable signal (constant subcomposition, zero H g[idx], or a
+SIMPLS fit at its rank boundary) keeps its first part against its last, scored 0.
 
 When a chosen balance leaves parts out, the subtree below the node would
 only yield d-2 balances; the basis is completed with a connecting balance
@@ -23,22 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import (
-    BalanceBasis,
-    BalanceCoefficients,
-    ClrMatrix,
-    CompositionMatrix,
-    SignVector,
-    clr,
-    signs_to_coefficients,
-)
-from .errors import ConstantResponse, OneSidedLoading, RankDeficient
-from .latent import pca_fit, pls_fit
+from .coda import BalanceBasis, BalanceCoefficients, CompositionMatrix, SignVector
+from .errors import BalanceError, ConstantResponse, OneSidedLoading
+from .latent import _flip_to_positive_max
 
-_TIE_TOL = 1e-12
-
-MODE_COVARIANCE = "covariance"
-MODE_VARIANCE = "variance"
+_TIE_RTOL = 1e-12
+# Relative thresholds of the no-signal fallbacks.
+_CONSTANT_TOL = 1e-12
+_RANK_TOL = 1e-10
+# Rounding in G can move tr(H G[idx, idx] H) by about n * eps * tr(G[idx, idx]);
+# below this share of tr(G[idx, idx]) the constant check reads the data.
+_GRAM_NOISE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -62,20 +64,17 @@ class PartitionNode:
         """JSON-ready view of the subtree, labeling parts by name."""
         names = [part_names[i] for i in self.part_indices]
         payload: dict = {"parts": names}
-        if self.chosen_balance is not None:
-            signs = self.chosen_balance.sign_vector.signs
-            payload["balance"] = {
-                "numerator": [part_names[i] for i in np.flatnonzero(signs == 1)],
-                "denominator": [part_names[i] for i in np.flatnonzero(signs == -1)],
-                "value": self.chosen_value,
-            }
-        if self.connecting_balance is not None:
-            signs = self.connecting_balance.sign_vector.signs
-            payload["connecting"] = {
-                "numerator": [part_names[i] for i in np.flatnonzero(signs == 1)],
-                "denominator": [part_names[i] for i in np.flatnonzero(signs == -1)],
-                "value": self.connecting_value,
-            }
+        for key, balance, value in (
+            ("balance", self.chosen_balance, self.chosen_value),
+            ("connecting", self.connecting_balance, self.connecting_value),
+        ):
+            if balance is not None:
+                signs = balance.sign_vector.signs
+                payload[key] = {
+                    "numerator": [part_names[i] for i in np.flatnonzero(signs == 1)],
+                    "denominator": [part_names[i] for i in np.flatnonzero(signs == -1)],
+                    "value": value,
+                }
         children = {}
         for key, child in (
             ("zero", self.zero_child),
@@ -87,6 +86,19 @@ class PartitionNode:
         if children:
             payload["children"] = children
         return payload
+
+
+def _sign_matrix(p: np.ndarray) -> np.ndarray:
+    """Columns are the d-1 nested candidates of a two-sided loading, in the
+    activation order of ``candidate_signs``."""
+    d = p.shape[0]
+    i_max = int(np.argmax(p))
+    i_min = int(np.argmin(p))
+    order = np.argsort(-np.abs(p), kind="stable")
+    step = np.zeros(d, dtype=int)
+    step[order[(order != i_max) & (order != i_min)]] = np.arange(1, d - 1)
+    signs = np.where(p >= 0, 1, -1)
+    return np.where(step[:, None] <= np.arange(d - 1), signs[:, None], 0)
 
 
 def candidate_signs(p) -> list[SignVector]:
@@ -109,20 +121,7 @@ def candidate_signs(p) -> list[SignVector]:
         raise ValueError("loading must be a 1-d vector with at least 2 entries")
     if not (np.any(p > 0) and np.any(p < 0)):
         raise OneSidedLoading("loading entries all share one sign")
-    d = p.shape[0]
-    signs = np.zeros(d, dtype=int)
-    i_max = int(np.argmax(p))
-    i_min = int(np.argmin(p))
-    signs[i_max] = 1
-    signs[i_min] = -1
-    candidates = [SignVector(signs.copy())]
-    order = np.argsort(-np.abs(p), kind="stable")
-    for idx in order:
-        if signs[idx] != 0:
-            continue
-        signs[idx] = 1 if p[idx] >= 0 else -1
-        candidates.append(SignVector(signs.copy()))
-    return candidates
+    return [SignVector(col) for col in _sign_matrix(p).T]
 
 
 def _coefficients_for_candidates(sign_matrix: np.ndarray) -> np.ndarray:
@@ -134,27 +133,37 @@ def _coefficients_for_candidates(sign_matrix: np.ndarray) -> np.ndarray:
     return np.where(sign_matrix == 1, pos, 0.0) + np.where(sign_matrix == -1, neg, 0.0)
 
 
-def _select_candidate(log_values, y, candidates, mode):
-    """Score every candidate and pick the winner.
+def _scores(coeffs: np.ndarray, gram: np.ndarray, cross) -> np.ndarray:
+    """Score of each coefficient column: |cov| with the response when the
+    cross-products are given, else the variance of the balance values."""
+    if cross is not None:
+        return np.abs(coeffs.T @ cross)
+    return np.einsum("ij,ij->j", coeffs, gram @ coeffs)
 
-    Returns (index, score). Ties within 1e-12 go to the candidate with the
-    fewest active parts, then to the lowest index.
-    """
-    sign_matrix = np.stack([c.signs for c in candidates], axis=1)
-    coeff_matrix = _coefficients_for_candidates(sign_matrix)
-    values = log_values @ coeff_matrix
-    centered = values - values.mean(axis=0)
-    n = values.shape[0]
-    if mode == MODE_COVARIANCE:
-        yc = y - y.mean()
-        scores = np.abs(centered.T @ yc) / (n - 1)
-    else:
-        scores = (centered * centered).sum(axis=0) / (n - 1)
-    best = scores.max()
-    tied = np.flatnonzero(scores >= best - _TIE_TOL)
-    active_counts = np.abs(sign_matrix[:, tied]).sum(axis=0)
-    winner = int(tied[np.argmin(active_counts)])
-    return winner, float(scores[winner])
+
+def _winner(scores: np.ndarray, sign_matrix: np.ndarray) -> int:
+    """Index of the best score; ties within a relative 1e-12 go to the
+    fewest active parts, then to the lowest index."""
+    tied = np.flatnonzero(scores >= scores.max() * (1 - _TIE_RTOL))
+    return int(tied[np.argmin(np.abs(sign_matrix[:, tied]).sum(axis=0))])
+
+
+@dataclass(frozen=True)
+class _Statistics:
+    """Everything the recursion reads from the data, computed once per build."""
+
+    log: np.ndarray  # ln X, read only by the exact constant-subcomposition check
+    log_sq: np.ndarray  # per-part sum over samples of ln^2 X: the log scale
+    gram: np.ndarray  # G = Lc'Lc / (n-1)
+    cross: np.ndarray | None  # g = Lc'(y - mean y) / (n-1), supervised only
+
+
+def _statistics(X: CompositionMatrix, y) -> _Statistics:
+    log = np.log(X.values)
+    centred = log - log.mean(axis=0)
+    n = X.n_samples
+    cross = None if y is None else centred.T @ (y - y.mean()) / (n - 1)
+    return _Statistics(log, (log * log).sum(axis=0), centred.T @ centred / (n - 1), cross)
 
 
 def best_balance(
@@ -162,75 +171,64 @@ def best_balance(
 ) -> tuple[BalanceCoefficients, float]:
     """Pick the candidate balance with the largest |cov| against y.
 
-    Covariance uses the n-1 divisor. Ties within 1e-12 are broken by the
-    fewest active parts, then the lowest candidate index.
+    Covariance uses the n-1 divisor. Ties within a relative 1e-12 of the
+    largest |cov| are broken by the fewest active parts, then the lowest
+    candidate index.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
     y = np.asarray(y, dtype=float)
     if y.shape != (Xsub.n_samples,):
         raise ValueError("response length must match the sample count")
-    winner, score = _select_candidate(
-        np.log(Xsub.values), y, candidates, MODE_COVARIANCE
-    )
-    return signs_to_coefficients(candidates[winner]), score
+    sign_matrix = np.stack([c.signs for c in candidates], axis=1)
+    stats = _statistics(Xsub, y)
+    scores = _scores(_coefficients_for_candidates(sign_matrix), stats.gram, stats.cross)
+    winner = _winner(scores, sign_matrix)
+    chosen = _balance(sign_matrix[:, winner], np.arange(Xsub.n_parts), Xsub.n_parts)
+    return chosen, float(scores[winner])
 
 
-def _fallback_loading(d: int) -> np.ndarray:
-    """Deterministic two-sided loading for nodes without usable signal."""
-    return np.linspace(1.0, -1.0, d)
+def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross):
+    """Oriented loading of a node, or None when the node has no usable signal."""
+    n = stats.log.shape[0]
+    col_means = gram.mean(axis=0)
+    energy = float(np.trace(gram) - col_means.sum())  # tr(H G[idx, idx] H)
+    # Constant subcomposition: the centred clr block, of squared norm (n-1) *
+    # energy, is at most 1e-12 of its log scale; near zero the block decides.
+    scale_sq = max(1.0, float(stats.log_sq[indices].sum()))
+    if (n - 1) * energy <= _CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * np.trace(gram):
+        block = stats.log[:, indices]
+        block = block - block.mean(axis=1, keepdims=True)
+        if np.linalg.norm(block - block.mean(axis=0)) <= _CONSTANT_TOL * np.sqrt(scale_sq):
+            return None
+    if cross is None:
+        centred_gram = gram - col_means[:, None] - col_means + col_means.mean()
+        p = np.linalg.eigh(centred_gram)[1][:, -1]
+    else:
+        p = cross - cross.mean()
+        # SIMPLS rank boundary: the score t = Xc p / ||p|| and the x-loading
+        # Xc't / ||t|| must stay above 1e-10 of ||Xc||, where Xc'Xc is
+        # (n-1) H G[idx, idx] H and ||Xc||^2 is (n-1) * energy.
+        gp = gram @ p
+        gp -= gp.mean()
+        t_sq = float(p @ gp)
+        tol = _RANK_TOL**2 * energy
+        if t_sq <= tol * float(p @ p) or float(gp @ gp) <= tol * t_sq:
+            return None
+    if not (p.max() > 0 > p.min()):
+        return None
+    _flip_to_positive_max(p[:, None])
+    return p
 
 
-def _node_loading(Xsub: CompositionMatrix, y, mode) -> np.ndarray:
-    """One-component latent direction of a subcomposition.
-
-    Falls back to a deterministic index-based split when the subcomposition
-    is numerically constant relative to its log scale, or when the response
-    carries no signal for it; every candidate scores zero in those cases.
-    """
-    raw = clr(Xsub)
-    centered_values = raw.values - raw.values.mean(axis=0)
-    log_scale = max(1.0, float(np.linalg.norm(np.log(Xsub.values))))
-    if np.linalg.norm(centered_values) <= 1e-12 * log_scale:
-        return _fallback_loading(Xsub.n_parts)
-    centered = ClrMatrix(centered_values, centered=True)
-    try:
-        if mode == MODE_COVARIANCE:
-            model = pls_fit(centered, y, 1)
-        else:
-            model = pca_fit(centered, 1)
-        return model.weights[:, 0]
-    except RankDeficient:
-        return _fallback_loading(Xsub.n_parts)
+def _balance(signs: np.ndarray, indices: np.ndarray, n_parts: int) -> BalanceCoefficients:
+    """The one validated BalanceCoefficients of a kept balance, in full part space."""
+    coeffs = np.zeros(n_parts)
+    coeffs[indices] = _coefficients_for_candidates(signs[:, None])[:, 0]
+    return BalanceCoefficients(coeffs, int(np.sum(signs == 1)), int(np.sum(signs == -1)))
 
 
-def _candidates_from_loading(p: np.ndarray) -> list[SignVector]:
-    try:
-        return candidate_signs(p)
-    except OneSidedLoading:
-        centered = p - p.mean()
-        if np.max(np.abs(centered)) <= _TIE_TOL * max(1.0, np.max(np.abs(p))):
-            centered = _fallback_loading(p.shape[0])
-        return candidate_signs(centered)
-
-
-def _connecting_score(log_values, y, coeffs, mode):
-    values = log_values @ coeffs
-    centered = values - values.mean()
-    n = values.shape[0]
-    if mode == MODE_COVARIANCE:
-        yc = y - y.mean()
-        return float(abs(centered @ yc) / (n - 1))
-    return float(centered @ centered / (n - 1))
-
-
-def _embed(coeffs: BalanceCoefficients, indices: np.ndarray, n_parts: int) -> BalanceCoefficients:
-    full = np.zeros(n_parts)
-    full[indices] = coeffs.coeffs
-    return BalanceCoefficients(full, coeffs.numerator_count, coeffs.denominator_count)
-
-
-def _build_partition(X: CompositionMatrix, y, mode, indices: np.ndarray, collected: list):
+def _build_partition(stats: _Statistics, indices: np.ndarray, collected: list):
     """Recursive sequential binary partition over ``indices``.
 
     Appends (embedded BalanceCoefficients, score) pairs to ``collected`` and
@@ -239,32 +237,32 @@ def _build_partition(X: CompositionMatrix, y, mode, indices: np.ndarray, collect
     d = indices.shape[0]
     if d < 2:
         return None
-    Xsub = X.take_parts(indices)
-    log_values = np.log(Xsub.values)
-    loading = _node_loading(Xsub, y, mode)
-    candidates = _candidates_from_loading(loading)
-    winner, score = _select_candidate(log_values, y, candidates, mode)
-    local = signs_to_coefficients(candidates[winner])
-    chosen = _embed(local, indices, X.n_parts)
+    n_parts = stats.gram.shape[0]
+    gram = stats.gram[np.ix_(indices, indices)]
+    cross = None if stats.cross is None else stats.cross[indices]
+    loading = _loading(stats, indices, gram, cross)
+    if loading is None:
+        signs = np.zeros(d, dtype=int)
+        signs[0], signs[-1] = 1, -1
+        score = 0.0
+    else:
+        sign_matrix = _sign_matrix(loading)
+        scores = _scores(_coefficients_for_candidates(sign_matrix), gram, cross)
+        winner = _winner(scores, sign_matrix)
+        signs, score = sign_matrix[:, winner], float(scores[winner])
+    chosen = _balance(signs, indices, n_parts)
     collected.append((chosen, score))
 
-    signs = candidates[winner].signs
-    zero_idx = indices[signs == 0]
-    num_idx = indices[signs == 1]
-    den_idx = indices[signs == -1]
-
-    connecting = None
-    connecting_score = None
-    if zero_idx.shape[0] > 0:
-        link_signs = np.where(signs == 0, 1, -1)
-        link_local = signs_to_coefficients(SignVector(link_signs))
-        connecting = _embed(link_local, indices, X.n_parts)
-        connecting_score = _connecting_score(log_values, y, link_local.coeffs, mode)
+    connecting = connecting_score = None
+    if np.any(signs == 0):
+        connecting = _balance(np.where(signs == 0, 1, -1), indices, n_parts)
+        link = connecting.coeffs[indices, None]
+        connecting_score = 0.0 if loading is None else float(_scores(link, gram, cross)[0])
         collected.append((connecting, connecting_score))
 
-    zero_child = _build_partition(X, y, mode, zero_idx, collected)
-    numerator_child = _build_partition(X, y, mode, num_idx, collected)
-    denominator_child = _build_partition(X, y, mode, den_idx, collected)
+    zero_child = _build_partition(stats, indices[signs == 0], collected)
+    numerator_child = _build_partition(stats, indices[signs == 1], collected)
+    denominator_child = _build_partition(stats, indices[signs == -1], collected)
     return PartitionNode(
         part_indices=tuple(int(i) for i in indices),
         chosen_balance=chosen,
@@ -277,18 +275,14 @@ def _build_partition(X: CompositionMatrix, y, mode, indices: np.ndarray, collect
     )
 
 
-def _assemble_basis(X: CompositionMatrix, collected, mode) -> BalanceBasis:
+def _assemble_basis(X: CompositionMatrix, collected, label: str) -> BalanceBasis:
+    """Sort the kept balances by score; ``label`` names the ordering values."""
     coeffs = np.stack([c.coeffs for c, _ in collected], axis=1)
     values = np.array([v for _, v in collected])
     order = np.argsort(-values, kind="stable")
     coeffs = coeffs[:, order]
-    values = values[order]
     signs = np.sign(coeffs).astype(int)
-    if mode == MODE_COVARIANCE:
-        return BalanceBasis(
-            coeffs, signs, covariances=values, part_names=X.part_names
-        )
-    return BalanceBasis(coeffs, signs, variances=values, part_names=X.part_names)
+    return BalanceBasis(coeffs, signs, part_names=X.part_names, **{label: values[order]})
 
 
 def pls_pb(X: CompositionMatrix, y, return_tree: bool = False):
@@ -298,19 +292,20 @@ def pls_pb(X: CompositionMatrix, y, return_tree: bool = False):
     with the response, non-increasing. With ``return_tree=True`` also
     returns the PartitionNode tree describing the recursion.
 
-    The response is centered once, globally; node fits reuse it unchanged.
+    The response is centered once, globally; every node reuses it.
     """
     y = np.asarray(y, dtype=float)
     if X.n_samples < 3:
         raise ValueError("need at least 3 samples")
     if y.shape != (X.n_samples,):
         raise ValueError("response length must match the sample count")
+    if not np.all(np.isfinite(y)):
+        raise BalanceError("response values must be finite")
     if np.ptp(y) == 0.0:
         raise ConstantResponse("response has zero variance")
-    yc = y - y.mean()
     collected: list = []
-    tree = _build_partition(X, yc, MODE_COVARIANCE, np.arange(X.n_parts), collected)
-    basis = _assemble_basis(X, collected, MODE_COVARIANCE)
+    tree = _build_partition(_statistics(X, y), np.arange(X.n_parts), collected)
+    basis = _assemble_basis(X, collected, "covariances")
     return (basis, tree) if return_tree else basis
 
 
@@ -325,8 +320,8 @@ def pca_pb(X: CompositionMatrix, return_tree: bool = False):
     if X.n_samples < 3:
         raise ValueError("need at least 3 samples")
     collected: list = []
-    tree = _build_partition(X, None, MODE_VARIANCE, np.arange(X.n_parts), collected)
-    basis = _assemble_basis(X, collected, MODE_VARIANCE)
+    tree = _build_partition(_statistics(X, None), np.arange(X.n_parts), collected)
+    basis = _assemble_basis(X, collected, "variances")
     return (basis, tree) if return_tree else basis
 
 

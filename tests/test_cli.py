@@ -123,6 +123,18 @@ class TestFit:
         )
         assert code == 2
 
+    def test_non_finite_response_errors(self, tmp_path, rng, capsys):
+        X, y = random_instance(rng, 10, 4)
+        y[3] = np.nan
+        write_composition_csv(tmp_path / "X.csv", X)
+        write_response_csv(tmp_path / "y.csv", y)
+        code = run_cli(
+            "fit", "--data", tmp_path / "X.csv", "--response-file", tmp_path / "y.csv",
+            "--method", "pls-pb", "--out", tmp_path / "fit",
+        )
+        assert code == 2
+        assert "response values must be finite" in capsys.readouterr().err
+
     def test_pca_pb_without_response(self, tmp_path, rng):
         X, _ = random_instance(rng, 10, 4)
         write_composition_csv(tmp_path / "X.csv", X)

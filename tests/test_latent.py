@@ -16,7 +16,7 @@ from plspb import (
     pls_regression,
     predict_components,
 )
-from plspb.errors import ConstantResponse, DimensionMismatch, RankDeficient
+from plspb.errors import BalanceError, ConstantResponse, DimensionMismatch, RankDeficient
 
 from conftest import random_composition, random_instance
 
@@ -112,6 +112,16 @@ class TestPlsFit:
         X = random_composition(rng, 10, 4)
         with pytest.raises(ConstantResponse):
             pls_regression(X, np.ones(10), k=1)
+
+    def test_non_finite_response_rejected(self, rng):
+        X, y = random_instance(rng, 10, 4)
+        for bad in (np.nan, np.inf):
+            y_bad = y.copy()
+            y_bad[2] = bad
+            with pytest.raises(BalanceError, match="finite"):
+                pls_regression(X, y_bad, k=1)
+            with pytest.raises(BalanceError, match="finite"):
+                pls_fit(centered_clr(X), y_bad, k=1)
 
     def test_excess_components_rejected(self, rng):
         X, y = random_instance(rng, 10, 4)

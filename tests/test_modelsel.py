@@ -16,7 +16,7 @@ from plspb import (
     rmsep,
 )
 from plspb.modelsel import PCA_PB, PLS_PB, PLS_RAW, aggregate_error_runs
-from plspb.errors import Collinear, EmptyInput, NonBinary, TooFewSamples
+from plspb.errors import BalanceError, Collinear, EmptyInput, NonBinary, TooFewSamples
 
 from conftest import loo_oracle, random_composition, random_instance
 
@@ -193,6 +193,13 @@ class TestCrossValidate:
         X, y = random_instance(rng, 4, 4)
         with pytest.raises(TooFewSamples):
             cross_validate(X, y, PLS_PB, max_k=2, folds=5)
+
+    def test_non_finite_response_rejected(self, rng):
+        X, y = random_instance(rng, 12, 5)
+        y[4] = np.nan
+        for method in (PLS_PB, PCA_PB, PLS_RAW):
+            with pytest.raises(BalanceError, match="finite"):
+                cross_validate(X, y, method, max_k=2, folds=4)
 
     def test_max_k_bounds_checked(self, rng):
         X, y = random_instance(rng, 12, 5)

@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from plspb import (
     CompositionMatrix,
     SignVector,
+    SimScenario,
     balance_values,
     best_balance,
     candidate_signs,
@@ -16,8 +19,9 @@ from plspb import (
     pca_pb,
     pls_pb,
     signs_to_coefficients,
+    simulate_dataset,
 )
-from plspb.errors import ConstantResponse, OneSidedLoading
+from plspb.errors import BalanceError, ConstantResponse, OneSidedLoading
 from plspb.pb import nested_or_disjoint
 
 from conftest import random_composition, random_instance
@@ -158,10 +162,35 @@ class TestPlsPb:
                 cand_cov = abs(tc @ yc) / (X.n_samples - 1)
                 assert basis.covariances[0] >= cand_cov - 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 40),
+        d=st.integers(2, 20),
+    )
+    def test_response_scale_keeps_signs(self, seed, n, d):
+        # ties are relative to the best score, so rescaling y moves nothing
+        X, y = random_instance(np.random.default_rng(seed), n, d)
+        signs = pls_pb(X, y).sign_matrix
+        for c in (1e-14, 1e6):
+            assert np.array_equal(pls_pb(X, c * y).sign_matrix, signs)
+
+    def test_tiny_response_scale_on_simulated_data(self):
+        data = simulate_dataset(SimScenario(case="same-blocks", n=100, D=100, seed=3))
+        signs = pls_pb(data.X, data.y).sign_matrix
+        assert np.array_equal(pls_pb(data.X, 1e-14 * data.y).sign_matrix, signs)
+
     def test_constant_response_rejected(self, rng):
         X = random_composition(rng, 10, 5)
         with pytest.raises(ConstantResponse):
             pls_pb(X, np.full(10, 3.3))
+
+    def test_non_finite_response_rejected(self, rng):
+        X, y = random_instance(rng, 10, 5)
+        for bad in (np.nan, -np.inf):
+            y[1] = bad
+            with pytest.raises(BalanceError, match="finite"):
+                pls_pb(X, y)
 
     def test_degenerate_composition_falls_back_deterministically(self):
         # proportional rows carry no relative information at all; the
