@@ -61,6 +61,14 @@ def _write_manifest(out_dir: Path, command: str, config: dict, extra: dict | Non
     return manifest
 
 
+def _map_runs(run, tasks, jobs: int) -> list:
+    """``run`` over every task, in a process pool when ``jobs`` > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(run, tasks))
+    return [run(task) for task in tasks]
+
+
 def _prepare_out(config: dict) -> Path:
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -146,11 +154,7 @@ def run_fit(config: dict) -> Path:
         model = pls_regression(X, y, k)
         yc = y - y.mean()
         covariances = np.abs(model.scores.T @ yc) / (X.n_samples - 1)
-        header = "part," + ",".join(repr(float(c)) for c in covariances)
-        lines = [header]
-        for name, row in zip(X.part_names, model.weights):
-            lines.append(name + "," + ",".join(repr(float(v)) for v in row))
-        (out_dir / "weights.csv").write_text("\n".join(lines) + "\n")
+        fileio.write_matrix_csv(out_dir / "weights.csv", X.part_names, model.weights, covariances)
         fileio.write_json(
             out_dir / "model.json",
             {
@@ -219,11 +223,7 @@ def run_cv(config: dict) -> Path:
         runs = config["runs"]
         run_seeds = spawn_seeds(config["seed"], runs)
         tasks = [(config, seed, methods) for seed in run_seeds]
-        if config.get("jobs", 1) > 1:
-            with ProcessPoolExecutor(max_workers=config["jobs"]) as pool:
-                results = list(pool.map(_cv_fresh_run, tasks))
-        else:
-            results = [_cv_fresh_run(task) for task in tasks]
+        results = _map_runs(_cv_fresh_run, tasks, config.get("jobs", 1))
         for method in methods:
             errors = np.stack([res[method] for res in results])
             summary = aggregate_error_runs(
@@ -262,11 +262,7 @@ def run_recover(config: dict) -> Path:
     runs = config["runs"]
     run_seeds = spawn_seeds(config["seed"], runs)
     tasks = [(config, seed, methods) for seed in run_seeds]
-    if config.get("jobs", 1) > 1:
-        with ProcessPoolExecutor(max_workers=config["jobs"]) as pool:
-            results = list(pool.map(_recover_run, tasks))
-    else:
-        results = [_recover_run(task) for task in tasks]
+    results = _map_runs(_recover_run, tasks, config.get("jobs", 1))
     scenario = _scenario_from_config(config)
     part_names = tuple(f"V{j}" for j in range(1, scenario.D + 1))
     counts = {

@@ -156,6 +156,36 @@ class SignVector:
         return int(np.sum(self.signs == -1))
 
 
+def signs_to_coefficient_matrix(sign_matrix) -> np.ndarray:
+    """Balance coefficients of every column of a sign matrix.
+
+    With r parts coded +1 and s parts coded -1 in a column, its positive
+    entries become sqrt(s / ((r + s) * r)) and its negative entries
+    -sqrt(r / ((r + s) * s)); zeros stay zero. Columns need both groups
+    nonempty. The result is not validated; ``_check_balances`` does that.
+    """
+    signs = np.asarray(sign_matrix)
+    r = (signs == 1).sum(axis=0)
+    s = (signs == -1).sum(axis=0)
+    pos = np.sqrt(s / ((r + s) * r))
+    neg = -np.sqrt(r / ((r + s) * s))
+    return np.where(signs == 1, pos, 0.0) + np.where(signs == -1, neg, 0.0)
+
+
+def _check_balances(coeffs: np.ndarray, signs: np.ndarray) -> None:
+    """Validate balance columns against their sign patterns: both groups
+    nonempty, entries on the balance formula (NaN is not), zero sum and
+    unit norm."""
+    if not (np.all(np.any(signs == 1, axis=0)) and np.all(np.any(signs == -1, axis=0))):
+        raise DegenerateSplit("balance needs nonempty numerator and denominator")
+    if not np.all(np.abs(coeffs - signs_to_coefficient_matrix(signs)) <= ALGEBRA_TOL):
+        raise ValueError("balance entries deviate from the balance formula")
+    if np.max(np.abs(coeffs.sum(axis=0)), initial=0.0) > ALGEBRA_TOL:
+        raise ValueError("balance coefficients must sum to zero")
+    if np.max(np.abs(np.einsum("ij,ij->j", coeffs, coeffs) - 1.0), initial=0.0) > ALGEBRA_TOL:
+        raise ValueError("balance coefficients must have unit norm")
+
+
 @dataclass(frozen=True)
 class BalanceCoefficients:
     """Unit-norm, zero-sum logcontrast weights of a single balance.
@@ -176,20 +206,10 @@ class BalanceCoefficients:
         r, s = int(self.numerator_count), int(self.denominator_count)
         if r < 1 or s < 1:
             raise DegenerateSplit("balance needs nonempty numerator and denominator")
-        pos = c > 0
-        neg = c < 0
-        if int(pos.sum()) != r or int(neg.sum()) != s:
+        signs = (c > 0).astype(int) - (c < 0)
+        if int(np.sum(signs == 1)) != r or int(np.sum(signs == -1)) != s:
             raise ValueError("sign pattern disagrees with the stated group sizes")
-        pos_val = np.sqrt(s / ((r + s) * r))
-        neg_val = -np.sqrt(r / ((r + s) * s))
-        if np.max(np.abs(c[pos] - pos_val), initial=0.0) > ALGEBRA_TOL:
-            raise ValueError("positive entries deviate from the balance formula")
-        if np.max(np.abs(c[neg] - neg_val), initial=0.0) > ALGEBRA_TOL:
-            raise ValueError("negative entries deviate from the balance formula")
-        if abs(c.sum()) > ALGEBRA_TOL:
-            raise ValueError("balance coefficients must sum to zero")
-        if abs(c @ c - 1.0) > ALGEBRA_TOL:
-            raise ValueError("balance coefficients must have unit norm")
+        _check_balances(c[:, None], signs[:, None])
         object.__setattr__(self, "coeffs", _readonly(c))
         object.__setattr__(self, "numerator_count", r)
         object.__setattr__(self, "denominator_count", s)
@@ -227,10 +247,7 @@ class BalanceBasis:
             raise ValueError("balance columns are not orthonormal")
         if np.any(np.sign(b).astype(int) != s):
             raise ValueError("sign matrix disagrees with coefficient signs")
-        for j in range(d - 1):
-            BalanceCoefficients(
-                b[:, j], int(np.sum(s[:, j] == 1)), int(np.sum(s[:, j] == -1))
-            )
+        _check_balances(b, s)
         names = self.part_names
         if names is None:
             names = default_part_names(d)
@@ -327,11 +344,8 @@ def center_columns(M: ClrMatrix) -> ClrMatrix:
 
 
 def signs_to_coefficients(signs) -> BalanceCoefficients:
-    """Turn a three-valued sign pattern into normalized balance coefficients.
-
-    With r parts coded +1 and s parts coded -1, positive entries become
-    sqrt(s / ((r + s) * r)) and negative entries -sqrt(r / ((r + s) * s)),
-    which makes the vector zero-sum with unit Euclidean norm.
+    """Turn a three-valued sign pattern into validated balance coefficients,
+    zero-sum with unit norm (formula: ``signs_to_coefficient_matrix``).
 
     Raises
     ------
@@ -339,12 +353,8 @@ def signs_to_coefficients(signs) -> BalanceCoefficients:
         If either group is empty.
     """
     sv = signs if isinstance(signs, SignVector) else SignVector(signs)
-    r = sv.numerator_count
-    s = sv.denominator_count
-    coeffs = np.zeros(sv.signs.shape[0])
-    coeffs[sv.signs == 1] = np.sqrt(s / ((r + s) * r))
-    coeffs[sv.signs == -1] = -np.sqrt(r / ((r + s) * s))
-    return BalanceCoefficients(coeffs, r, s)
+    coeffs = signs_to_coefficient_matrix(sv.signs[:, None])[:, 0]
+    return BalanceCoefficients(coeffs, sv.numerator_count, sv.denominator_count)
 
 
 def balance_values(X: CompositionMatrix, b: BalanceCoefficients) -> np.ndarray:

@@ -74,14 +74,19 @@ def write_response_csv(path, y, name: str = RESPONSE_COLUMN) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def write_matrix_csv(path, part_names, matrix, column_values) -> None:
+    """Float matrix with parts as rows; the header row carries one value
+    per column (a score such as |cov| or variance)."""
+    lines = ["part," + ",".join(_fmt(v) for v in column_values)]
+    for name, row in zip(part_names, matrix):
+        lines.append(name + "," + ",".join(_fmt(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_basis_csv(path, basis: BalanceBasis) -> None:
     """Coefficient matrix, parts as rows; the header row carries the
     ordering values (|cov| or variance) of each balance."""
-    header = "part," + ",".join(_fmt(v) for v in basis.ordering_values)
-    lines = [header]
-    for name, row in zip(basis.part_names, basis.coefficient_matrix):
-        lines.append(name + "," + ",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_matrix_csv(path, basis.part_names, basis.coefficient_matrix, basis.ordering_values)
 
 
 def write_sign_csv(path, basis: BalanceBasis) -> None:

@@ -176,18 +176,14 @@ def _fit_fold_models(X, y_train, train_idx, method, max_k):
     so callers slice out the held-out entries afterwards.
     """
     X_train = X.take_samples(train_idx)
-    if method == PLS_PB:
-        basis = pls_pb(X_train, y_train)
-        models = [fit_on_balances(X_train, y_train, basis, k) for k in range(1, max_k + 1)]
-        return lambda X_full, k: models[k - 1].predict(X_full)
-    if method == PCA_PB:
-        basis = pca_pb(X_train)
-        models = [fit_on_balances(X_train, y_train, basis, k) for k in range(1, max_k + 1)]
-        return lambda X_full, k: models[k - 1].predict(X_full)
     if method == PLS_RAW:
         model = pls_regression(X_train, y_train, max_k)
         return lambda X_full, k: predict_components(model, X_full, k)
-    raise ValueError(f"unknown method {method!r}")
+    if method not in (PLS_PB, PCA_PB):
+        raise ValueError(f"unknown method {method!r}")
+    basis = pls_pb(X_train, y_train) if method == PLS_PB else pca_pb(X_train)
+    models = [fit_on_balances(X_train, y_train, basis, k) for k in range(1, max_k + 1)]
+    return lambda X_full, k: models[k - 1].predict(X_full)
 
 
 def _repeat_errors(X, y, method, max_k, folds, metric, rng):

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coda import BalanceBasis, BalanceCoefficients, CompositionMatrix, SignVector
+from .coda import signs_to_coefficient_matrix, signs_to_coefficients
 from .errors import BalanceError, ConstantResponse, OneSidedLoading
 from .latent import _flip_to_positive_max
 
@@ -47,14 +48,14 @@ _GRAM_NOISE = 1e-8
 class PartitionNode:
     """One node of the sequential binary partition tree.
 
-    ``chosen_balance`` and ``connecting_balance`` are embedded in the full
-    D-part coefficient space; leaves (single parts) carry neither.
+    ``chosen_signs`` and ``connecting_signs`` are read-only sign vectors over
+    all D parts; ``connecting_signs`` is None when the chosen balance uses every part.
     """
 
     part_indices: tuple[int, ...]
-    chosen_balance: BalanceCoefficients | None
-    chosen_value: float | None
-    connecting_balance: BalanceCoefficients | None
+    chosen_signs: np.ndarray
+    chosen_value: float
+    connecting_signs: np.ndarray | None
     connecting_value: float | None
     zero_child: "PartitionNode | None"
     numerator_child: "PartitionNode | None"
@@ -64,12 +65,11 @@ class PartitionNode:
         """JSON-ready view of the subtree, labeling parts by name."""
         names = [part_names[i] for i in self.part_indices]
         payload: dict = {"parts": names}
-        for key, balance, value in (
-            ("balance", self.chosen_balance, self.chosen_value),
-            ("connecting", self.connecting_balance, self.connecting_value),
+        for key, signs, value in (
+            ("balance", self.chosen_signs, self.chosen_value),
+            ("connecting", self.connecting_signs, self.connecting_value),
         ):
-            if balance is not None:
-                signs = balance.sign_vector.signs
+            if signs is not None:
                 payload[key] = {
                     "numerator": [part_names[i] for i in np.flatnonzero(signs == 1)],
                     "denominator": [part_names[i] for i in np.flatnonzero(signs == -1)],
@@ -124,15 +124,6 @@ def candidate_signs(p) -> list[SignVector]:
     return [SignVector(col) for col in _sign_matrix(p).T]
 
 
-def _coefficients_for_candidates(sign_matrix: np.ndarray) -> np.ndarray:
-    """Vectorized sign-to-coefficient conversion, one candidate per column."""
-    r = (sign_matrix == 1).sum(axis=0)
-    s = (sign_matrix == -1).sum(axis=0)
-    pos = np.sqrt(s / ((r + s) * r))
-    neg = -np.sqrt(r / ((r + s) * s))
-    return np.where(sign_matrix == 1, pos, 0.0) + np.where(sign_matrix == -1, neg, 0.0)
-
-
 def _scores(coeffs: np.ndarray, gram: np.ndarray, cross) -> np.ndarray:
     """Score of each coefficient column: |cov| with the response when the
     cross-products are given, else the variance of the balance values."""
@@ -182,10 +173,9 @@ def best_balance(
         raise ValueError("response length must match the sample count")
     sign_matrix = np.stack([c.signs for c in candidates], axis=1)
     stats = _statistics(Xsub, y)
-    scores = _scores(_coefficients_for_candidates(sign_matrix), stats.gram, stats.cross)
+    scores = _scores(signs_to_coefficient_matrix(sign_matrix), stats.gram, stats.cross)
     winner = _winner(scores, sign_matrix)
-    chosen = _balance(sign_matrix[:, winner], np.arange(Xsub.n_parts), Xsub.n_parts)
-    return chosen, float(scores[winner])
+    return signs_to_coefficients(sign_matrix[:, winner]), float(scores[winner])
 
 
 def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross):
@@ -221,17 +211,18 @@ def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross):
     return p
 
 
-def _balance(signs: np.ndarray, indices: np.ndarray, n_parts: int) -> BalanceCoefficients:
-    """The one validated BalanceCoefficients of a kept balance, in full part space."""
-    coeffs = np.zeros(n_parts)
-    coeffs[indices] = _coefficients_for_candidates(signs[:, None])[:, 0]
-    return BalanceCoefficients(coeffs, int(np.sum(signs == 1)), int(np.sum(signs == -1)))
+def _embed(signs: np.ndarray, indices: np.ndarray, n_parts: int) -> np.ndarray:
+    """A node's sign pattern as a read-only vector over all parts."""
+    full = np.zeros(n_parts, dtype=int)
+    full[indices] = signs
+    full.setflags(write=False)
+    return full
 
 
 def _build_partition(stats: _Statistics, indices: np.ndarray, collected: list):
     """Recursive sequential binary partition over ``indices``.
 
-    Appends (embedded BalanceCoefficients, score) pairs to ``collected`` and
+    Appends (full-space sign vector, score) pairs to ``collected`` and
     returns the PartitionNode for this subset, or None for single parts.
     """
     d = indices.shape[0]
@@ -247,17 +238,18 @@ def _build_partition(stats: _Statistics, indices: np.ndarray, collected: list):
         score = 0.0
     else:
         sign_matrix = _sign_matrix(loading)
-        scores = _scores(_coefficients_for_candidates(sign_matrix), gram, cross)
+        scores = _scores(signs_to_coefficient_matrix(sign_matrix), gram, cross)
         winner = _winner(scores, sign_matrix)
         signs, score = sign_matrix[:, winner], float(scores[winner])
-    chosen = _balance(signs, indices, n_parts)
+    chosen = _embed(signs, indices, n_parts)
     collected.append((chosen, score))
 
     connecting = connecting_score = None
     if np.any(signs == 0):
-        connecting = _balance(np.where(signs == 0, 1, -1), indices, n_parts)
-        link = connecting.coeffs[indices, None]
-        connecting_score = 0.0 if loading is None else float(_scores(link, gram, cross)[0])
+        link = np.where(signs == 0, 1, -1)
+        connecting = _embed(link, indices, n_parts)
+        link_coeffs = signs_to_coefficient_matrix(link[:, None])
+        connecting_score = 0.0 if loading is None else float(_scores(link_coeffs, gram, cross)[0])
         collected.append((connecting, connecting_score))
 
     zero_child = _build_partition(stats, indices[signs == 0], collected)
@@ -265,9 +257,9 @@ def _build_partition(stats: _Statistics, indices: np.ndarray, collected: list):
     denominator_child = _build_partition(stats, indices[signs == -1], collected)
     return PartitionNode(
         part_indices=tuple(int(i) for i in indices),
-        chosen_balance=chosen,
+        chosen_signs=chosen,
         chosen_value=score,
-        connecting_balance=connecting,
+        connecting_signs=connecting,
         connecting_value=connecting_score,
         zero_child=zero_child,
         numerator_child=numerator_child,
@@ -276,12 +268,12 @@ def _build_partition(stats: _Statistics, indices: np.ndarray, collected: list):
 
 
 def _assemble_basis(X: CompositionMatrix, collected, label: str) -> BalanceBasis:
-    """Sort the kept balances by score; ``label`` names the ordering values."""
-    coeffs = np.stack([c.coeffs for c, _ in collected], axis=1)
+    """Sort the kept sign patterns by score and turn them into coefficients;
+    ``label`` names the ordering values. ``BalanceBasis`` validates them."""
     values = np.array([v for _, v in collected])
     order = np.argsort(-values, kind="stable")
-    coeffs = coeffs[:, order]
-    signs = np.sign(coeffs).astype(int)
+    signs = np.stack([collected[j][0] for j in order], axis=1)
+    coeffs = signs_to_coefficient_matrix(signs)
     return BalanceBasis(coeffs, signs, part_names=X.part_names, **{label: values[order]})
 
 

@@ -7,6 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from plspb import (
+    BalanceBasis,
+    BalanceCoefficients,
     ClrMatrix,
     CompositionMatrix,
     balance_values,
@@ -16,11 +18,12 @@ from plspb import (
     inverse_pivot,
     pivot_basis,
     pivot_coordinates,
+    pls_pb,
     signs_to_coefficients,
 )
 from plspb.errors import DegenerateSplit, DimensionMismatch, ZeroPart
 
-from conftest import random_composition
+from conftest import random_composition, random_instance
 
 
 class TestClosure:
@@ -165,6 +168,42 @@ class TestSignsToCoefficients:
         other = signs_to_coefficients(np.array([0, 0, 1, -1, 0]))
         assert abs(parent.coeffs @ other.coeffs) < 1e-12
         assert abs(child.coeffs @ other.coeffs) < 1e-12
+
+
+class TestBalanceChecks:
+    def test_rotated_columns_rejected(self, rng):
+        # a small rotation of two columns keeps them orthonormal and zero-sum
+        # and keeps the sign of every nonzero entry (zeros fill in), but the
+        # values leave the balance formula
+        X, y = random_instance(rng, 20, 6)
+        basis = pls_pb(X, y)
+        B = basis.coefficient_matrix.copy()
+        theta = 1e-3
+        b0, b1 = B[:, 0].copy(), B[:, 1].copy()
+        B[:, 0] = np.cos(theta) * b0 + np.sin(theta) * b1
+        B[:, 1] = -np.sin(theta) * b0 + np.cos(theta) * b1
+        assert np.max(np.abs(B.T @ B - np.eye(5))) < 1e-12
+        signs = np.sign(B).astype(int)
+        nonzero = basis.sign_matrix != 0
+        assert np.array_equal(signs[nonzero], basis.sign_matrix[nonzero])
+        with pytest.raises(ValueError, match="formula"):
+            BalanceBasis(B, signs, covariances=basis.covariances)
+
+    def test_basis_with_one_sided_columns_rejected(self):
+        with pytest.raises(DegenerateSplit):
+            BalanceBasis(np.eye(3)[:, :2], np.eye(3, dtype=int)[:, :2], variances=[1.0, 0.5])
+
+    def test_wrong_group_sizes_rejected(self):
+        coeffs = signs_to_coefficients(np.array([1, 1, -1])).coeffs
+        with pytest.raises(ValueError, match="group sizes"):
+            BalanceCoefficients(coeffs, 1, 2)
+
+    @pytest.mark.parametrize("index, change", [(1, 1e-9), (3, np.nan)])
+    def test_entry_off_the_formula_rejected(self, index, change):
+        coeffs = signs_to_coefficients(np.array([1, -1, -1, 0])).coeffs.copy()
+        coeffs[index] += change
+        with pytest.raises(ValueError, match="formula"):
+            BalanceCoefficients(coeffs, 1, 2)
 
 
 class TestBalanceValues:

@@ -264,20 +264,21 @@ class TestPartitionTree:
         def walk(node):
             if node is None:
                 return
-            collected.append(node.chosen_balance.coeffs)
-            if node.connecting_balance is not None:
-                collected.append(node.connecting_balance.coeffs)
+            collected.append(node.chosen_signs)
+            if node.connecting_signs is not None:
+                collected.append(node.connecting_signs)
             walk(node.zero_child)
             walk(node.numerator_child)
             walk(node.denominator_child)
 
         walk(tree)
         assert len(collected) == X.n_parts - 1
-        stacked = np.stack(collected, axis=1)
+        assert all(not signs.flags.writeable for signs in collected)
         # same columns as the basis, up to the final sort
-        got = {tuple(np.round(col, 12)) for col in stacked.T}
-        want = {tuple(np.round(col, 12)) for col in basis.coefficient_matrix.T}
+        got = {tuple(signs_to_coefficients(signs).coeffs) for signs in collected}
+        want = {tuple(col) for col in basis.coefficient_matrix.T}
         assert got == want
+        assert {tuple(s) for s in collected} == {tuple(s) for s in basis.sign_matrix.T}
 
     def test_children_partition_the_node(self, rng):
         X, y = random_instance(rng, 15, 8)
@@ -286,7 +287,7 @@ class TestPartitionTree:
         def walk(node):
             if node is None:
                 return
-            signs = node.chosen_balance.sign_vector.signs
+            signs = node.chosen_signs
             num = {int(i) for i in np.flatnonzero(signs == 1)}
             den = {int(i) for i in np.flatnonzero(signs == -1)}
             rest = set(node.part_indices) - num - den
