@@ -11,10 +11,8 @@ file-based workflow.
 
 from .coda import (
     BalanceBasis,
-    BalanceCoefficients,
     ClrMatrix,
     CompositionMatrix,
-    SignVector,
     balance_values,
     center_columns,
     closure,
@@ -52,17 +50,15 @@ from .simgen import (
     simulate_dataset,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BalanceBasis",
-    "BalanceCoefficients",
     "ClrMatrix",
     "CompositionMatrix",
     "CvResult",
     "LatentModel",
     "PartitionNode",
-    "SignVector",
     "SimScenario",
     "SimulatedDataset",
     "balance_values",

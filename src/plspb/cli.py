@@ -289,6 +289,10 @@ _RUNNERS = {
 def run_rerun(manifest_path: str, out: str) -> bool:
     """Replay a recorded command into ``out`` and compare output hashes."""
     manifest = fileio.read_json(manifest_path)
+    if not (isinstance(manifest, dict) and {"command", "config", "outputs"} <= manifest.keys()):
+        raise ValueError(f"{manifest_path}: a manifest needs command, config and outputs")
+    if not isinstance(manifest["command"], str) or manifest["command"] not in _RUNNERS:
+        raise ValueError(f"{manifest_path}: unknown command {manifest['command']!r}")
     config = dict(manifest["config"])
     config["out"] = out
     out_dir = _RUNNERS[manifest["command"]](config)

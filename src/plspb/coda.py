@@ -6,7 +6,8 @@ This module provides the container types used throughout the package and
 the log-ratio machinery built on them:
 
 - centered log-ratio (clr) coordinates and column centering,
-- balance coefficient vectors derived from sign patterns,
+- balance coefficients derived from sign patterns: a sign vector or a
+  parts x balances sign matrix with entries in {-1, 0, +1},
 - the pivot coordinate system and its inverse.
 
 All functions are pure; returned arrays are read-only so values can be
@@ -112,13 +113,10 @@ class ClrMatrix:
         v = np.array(self.values, dtype=float)
         if v.ndim != 2:
             raise ValueError("clr values must be a 2-d matrix")
-        row_sums = v.sum(axis=1)
-        if np.max(np.abs(row_sums), initial=0.0) > ORTHONORMAL_TOL:
+        if not np.all(np.abs(v.sum(axis=1)) <= ORTHONORMAL_TOL):
             raise ValueError("clr rows must sum to zero")
-        if self.centered:
-            col_means = v.mean(axis=0)
-            if np.max(np.abs(col_means), initial=0.0) > ORTHONORMAL_TOL:
-                raise ValueError("centered clr columns must have zero mean")
+        if self.centered and not np.all(np.abs(v.mean(axis=0)) <= ORTHONORMAL_TOL):
+            raise ValueError("centered clr columns must have zero mean")
         object.__setattr__(self, "values", _readonly(v))
 
     @property
@@ -130,39 +128,15 @@ class ClrMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """Three-valued code assigning parts to numerator (+1), denominator (-1)
-    or neither (0). Both groups must be nonempty."""
-
-    signs: np.ndarray
-
-    def __post_init__(self):
-        s = np.array(self.signs, dtype=int)
-        if s.ndim != 1:
-            raise ValueError("signs must be a 1-d vector")
-        if not np.all(np.isin(s, (-1, 0, 1))):
-            raise ValueError("sign entries must be in {-1, 0, +1}")
-        if not np.any(s == 1) or not np.any(s == -1):
-            raise DegenerateSplit("sign vector needs at least one +1 and one -1")
-        object.__setattr__(self, "signs", _readonly(s))
-
-    @property
-    def numerator_count(self) -> int:
-        return int(np.sum(self.signs == 1))
-
-    @property
-    def denominator_count(self) -> int:
-        return int(np.sum(self.signs == -1))
-
-
 def signs_to_coefficient_matrix(sign_matrix) -> np.ndarray:
-    """Balance coefficients of every column of a sign matrix.
+    """Balance coefficients of a sign vector, or of every column of a sign
+    matrix.
 
     With r parts coded +1 and s parts coded -1 in a column, its positive
     entries become sqrt(s / ((r + s) * r)) and its negative entries
     -sqrt(r / ((r + s) * s)); zeros stay zero. Columns need both groups
-    nonempty. The result is not validated; ``_check_balances`` does that.
+    nonempty. Neither input nor result is checked here: public callers
+    check the signs with ``_check_signs``, ``BalanceBasis`` the result.
     """
     signs = np.asarray(sign_matrix)
     r = (signs == 1).sum(axis=0)
@@ -172,51 +146,25 @@ def signs_to_coefficient_matrix(sign_matrix) -> np.ndarray:
     return np.where(signs == 1, pos, 0.0) + np.where(signs == -1, neg, 0.0)
 
 
-def _check_balances(coeffs: np.ndarray, signs: np.ndarray) -> None:
-    """Validate balance columns against their sign patterns: both groups
-    nonempty, entries on the balance formula (NaN is not), zero sum and
-    unit norm."""
+def _check_signs(signs: np.ndarray) -> None:
+    """Entries in {-1, 0, +1}, and both groups nonempty in the vector or in
+    every column of the matrix."""
+    if not np.all(np.isin(signs, (-1, 0, 1))):
+        raise ValueError("sign entries must be in {-1, 0, +1}")
     if not (np.all(np.any(signs == 1, axis=0)) and np.all(np.any(signs == -1, axis=0))):
         raise DegenerateSplit("balance needs nonempty numerator and denominator")
+
+
+def _check_balances(coeffs: np.ndarray, signs: np.ndarray) -> None:
+    """Validate balance columns against their sign patterns: valid signs,
+    entries on the balance formula (NaN is not), zero sum and unit norm."""
+    _check_signs(signs)
     if not np.all(np.abs(coeffs - signs_to_coefficient_matrix(signs)) <= ALGEBRA_TOL):
         raise ValueError("balance entries deviate from the balance formula")
-    if np.max(np.abs(coeffs.sum(axis=0)), initial=0.0) > ALGEBRA_TOL:
+    if not np.all(np.abs(coeffs.sum(axis=0)) <= ALGEBRA_TOL):
         raise ValueError("balance coefficients must sum to zero")
-    if np.max(np.abs(np.einsum("ij,ij->j", coeffs, coeffs) - 1.0), initial=0.0) > ALGEBRA_TOL:
+    if not np.all(np.abs(np.einsum("ij,ij->j", coeffs, coeffs) - 1.0) <= ALGEBRA_TOL):
         raise ValueError("balance coefficients must have unit norm")
-
-
-@dataclass(frozen=True)
-class BalanceCoefficients:
-    """Unit-norm, zero-sum logcontrast weights of a single balance.
-
-    Positive entries all equal sqrt(s / ((r + s) * r)) and negative entries
-    all equal -sqrt(r / ((r + s) * s)), where r parts sit in the numerator
-    and s parts in the denominator; remaining entries are zero.
-    """
-
-    coeffs: np.ndarray
-    numerator_count: int
-    denominator_count: int
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("coefficients must be a 1-d vector")
-        r, s = int(self.numerator_count), int(self.denominator_count)
-        if r < 1 or s < 1:
-            raise DegenerateSplit("balance needs nonempty numerator and denominator")
-        signs = (c > 0).astype(int) - (c < 0)
-        if int(np.sum(signs == 1)) != r or int(np.sum(signs == -1)) != s:
-            raise ValueError("sign pattern disagrees with the stated group sizes")
-        _check_balances(c[:, None], signs[:, None])
-        object.__setattr__(self, "coeffs", _readonly(c))
-        object.__setattr__(self, "numerator_count", r)
-        object.__setattr__(self, "denominator_count", s)
-
-    @property
-    def sign_vector(self) -> SignVector:
-        return SignVector(np.sign(self.coeffs).astype(int))
 
 
 @dataclass(frozen=True)
@@ -242,12 +190,12 @@ class BalanceBasis:
         if s.shape != b.shape:
             raise DimensionMismatch("sign matrix shape must match coefficients")
         d = b.shape[0]
-        gram = b.T @ b
-        if np.max(np.abs(gram - np.eye(d - 1))) > ORTHONORMAL_TOL:
-            raise ValueError("balance columns are not orthonormal")
-        if np.any(np.sign(b).astype(int) != s):
-            raise ValueError("sign matrix disagrees with coefficient signs")
+        # The formula check first: it rejects NaN before the sign comparison.
         _check_balances(b, s)
+        if not np.all(np.abs(b.T @ b - np.eye(d - 1)) <= ORTHONORMAL_TOL):
+            raise ValueError("balance columns are not orthonormal")
+        if np.any(np.sign(b) != s):
+            raise ValueError("sign matrix disagrees with coefficient signs")
         names = self.part_names
         if names is None:
             names = default_part_names(d)
@@ -261,7 +209,7 @@ class BalanceBasis:
             vals = np.array(vals, dtype=float)
             if vals.shape != (d - 1,):
                 raise DimensionMismatch(f"{label} must have length D-1")
-            if np.any(np.diff(vals) > ALGEBRA_TOL):
+            if not np.all(np.diff(vals) <= ALGEBRA_TOL):
                 raise ValueError(f"{label} must be non-increasing")
             object.__setattr__(self, label, _readonly(vals))
         object.__setattr__(self, "coefficient_matrix", _readonly(b))
@@ -343,31 +291,37 @@ def center_columns(M: ClrMatrix) -> ClrMatrix:
     return ClrMatrix(M.values - M.values.mean(axis=0), centered=True)
 
 
-def signs_to_coefficients(signs) -> BalanceCoefficients:
-    """Turn a three-valued sign pattern into validated balance coefficients,
+def signs_to_coefficients(signs) -> np.ndarray:
+    """Read-only coefficient vector of one balance, given its sign vector:
     zero-sum with unit norm (formula: ``signs_to_coefficient_matrix``).
 
     Raises
     ------
+    ValueError
+        If ``signs`` is not a 1-d vector with entries in {-1, 0, +1}.
     DegenerateSplit
         If either group is empty.
     """
-    sv = signs if isinstance(signs, SignVector) else SignVector(signs)
-    coeffs = signs_to_coefficient_matrix(sv.signs[:, None])[:, 0]
-    return BalanceCoefficients(coeffs, sv.numerator_count, sv.denominator_count)
+    signs = np.asarray(signs)
+    if signs.ndim != 1:
+        raise ValueError("signs must be a 1-d vector")
+    _check_signs(signs)
+    return _readonly(signs_to_coefficient_matrix(signs))
 
 
-def balance_values(X: CompositionMatrix, b: BalanceCoefficients) -> np.ndarray:
-    """Evaluate one balance on every sample: ln(X) @ b.
+def balance_values(X: CompositionMatrix, b) -> np.ndarray:
+    """Evaluate one balance, given its coefficient vector, on every sample:
+    ln(X) @ b.
 
     Because the coefficients sum to zero this equals clr(X) @ b, so the
     values are invariant to per-row rescaling of X.
     """
-    if X.n_parts != b.coeffs.shape[0]:
+    b = np.asarray(b, dtype=float)
+    if b.shape != (X.n_parts,):
         raise DimensionMismatch(
-            f"balance has {b.coeffs.shape[0]} coefficients, data has {X.n_parts} parts"
+            f"balance has coefficient shape {b.shape}, data has {X.n_parts} parts"
         )
-    return np.log(X.values) @ b.coeffs
+    return np.log(X.values) @ b
 
 
 def pivot_basis(n_parts: int) -> np.ndarray:
@@ -397,14 +351,8 @@ def pivot_coordinates(X: CompositionMatrix) -> np.ndarray:
 
     so the first coordinate carries all relative information on part 1.
     """
-    logs = np.log(X.values)
-    d = X.n_parts
-    # suffix_sums[:, j] = sum of logs over columns j..D-1
-    suffix_sums = np.cumsum(logs[:, ::-1], axis=1)[:, ::-1]
-    tails = d - 1 - np.arange(d - 1)
-    scales = np.sqrt(tails / (tails + 1.0))
-    tail_means = suffix_sums[:, 1:] / tails
-    return scales * (logs[:, :-1] - tail_means)
+    # clr first: the row level cancels once, before the sums over D parts
+    return clr(X).values @ pivot_basis(X.n_parts)
 
 
 def inverse_pivot(Z, total: float = 1.0, part_names=None) -> CompositionMatrix:

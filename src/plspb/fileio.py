@@ -23,6 +23,29 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
+    """Header cells and float body of a CSV file. Blank lines are skipped;
+    every other row must be as wide as the header."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need a header row and at least one sample")
+    header = rows[0][1]
+    data = np.empty((len(rows) - 1, len(header)))
+    for i, (line, row) in enumerate(rows[1:]):
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: ragged rows: line {line} has {len(row)} cells, "
+                f"the header has {len(header)}"
+            )
+        try:
+            data[i] = [float(cell) for cell in row]
+        except ValueError as exc:
+            raise ValueError(f"{path}: non-numeric cell on line {line} ({exc})") from exc
+    return header, data
+
+
 def read_composition_csv(path, response_col=None):
     """Load a samples-by-parts table; first row holds the part names.
 
@@ -30,17 +53,8 @@ def read_composition_csv(path, response_col=None):
     names a column it is split off as the response vector.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need a header row and at least one sample")
-    header = [name.strip() for name in rows[0]]
-    try:
-        data = np.array([[float(cell) for cell in row] for row in rows[1:]])
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric cell ({exc})") from exc
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: ragged rows")
+    header, data = _read_table(path)
+    header = [name.strip() for name in header]
     response = None
     if response_col is not None:
         if response_col not in header:
@@ -55,11 +69,10 @@ def read_composition_csv(path, response_col=None):
 def read_response_csv(path) -> np.ndarray:
     """Load a single-column response file written by ``write_response_csv``."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2 or len(rows[0]) != 1:
+    header, data = _read_table(path)
+    if len(header) != 1:
         raise ValueError(f"{path}: expected one header cell and one value per row")
-    return np.array([float(row[0]) for row in rows[1:]])
+    return data[:, 0]
 
 
 def write_composition_csv(path, X: CompositionMatrix) -> None:

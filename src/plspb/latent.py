@@ -63,12 +63,12 @@ class LatentModel:
                 f"{k} components not representable for {n} samples x {d} parts"
             )
         col_scale = np.maximum(1.0, np.abs(w).max(axis=0))
-        if np.max(np.abs(w.sum(axis=0)) / col_scale) > _WEIGHT_SUM_TOL:
+        if not np.all(np.abs(w.sum(axis=0)) / col_scale <= _WEIGHT_SUM_TOL):
             raise ValueError("weight columns must sum to zero (clr hyperplane)")
         if self.kind == KIND_PLS:
             gram = t.T @ t
             off = gram - np.diag(np.diag(gram))
-            if np.max(np.abs(off), initial=0.0) > _SCORE_ORTHO_TOL:
+            if not np.all(np.abs(off) <= _SCORE_ORTHO_TOL):
                 raise ValueError("PLS score vectors must be mutually orthogonal")
         x_mean = np.array(self.x_mean, dtype=float)
         if x_mean.shape != (d,):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import BalanceBasis, BalanceCoefficients, CompositionMatrix, SignVector
+from .coda import BalanceBasis, CompositionMatrix, _check_signs, _readonly
 from .coda import signs_to_coefficient_matrix, signs_to_coefficients
 from .errors import BalanceError, ConstantResponse, OneSidedLoading
 from .latent import _flip_to_positive_max
@@ -101,8 +101,9 @@ def _sign_matrix(p: np.ndarray) -> np.ndarray:
     return np.where(step[:, None] <= np.arange(d - 1), signs[:, None], 0)
 
 
-def candidate_signs(p) -> list[SignVector]:
-    """Derive the d-1 nested candidate sign patterns from a loading vector.
+def candidate_signs(p) -> np.ndarray:
+    """Derive the d-1 nested candidate sign patterns from a loading vector,
+    as the columns of a read-only d x (d-1) int sign matrix.
 
     The first candidate marks only the extremes: +1 at the largest entry
     of p, -1 at the smallest. Each following candidate copies the previous
@@ -121,7 +122,7 @@ def candidate_signs(p) -> list[SignVector]:
         raise ValueError("loading must be a 1-d vector with at least 2 entries")
     if not (np.any(p > 0) and np.any(p < 0)):
         raise OneSidedLoading("loading entries all share one sign")
-    return [SignVector(col) for col in _sign_matrix(p).T]
+    return _readonly(_sign_matrix(p))
 
 
 def _scores(coeffs: np.ndarray, gram: np.ndarray, cross) -> np.ndarray:
@@ -157,21 +158,22 @@ def _statistics(X: CompositionMatrix, y) -> _Statistics:
     return _Statistics(log, (log * log).sum(axis=0), centred.T @ centred / (n - 1), cross)
 
 
-def best_balance(
-    Xsub: CompositionMatrix, y, candidates: list[SignVector]
-) -> tuple[BalanceCoefficients, float]:
+def best_balance(Xsub: CompositionMatrix, y, sign_matrix) -> tuple[np.ndarray, float]:
     """Pick the candidate balance with the largest |cov| against y.
 
+    ``sign_matrix`` holds one candidate per column, over the parts of
+    ``Xsub``. Returns the winner's coefficient vector and its |cov|.
     Covariance uses the n-1 divisor. Ties within a relative 1e-12 of the
     largest |cov| are broken by the fewest active parts, then the lowest
     candidate index.
     """
-    if not candidates:
-        raise ValueError("candidate list is empty")
+    sign_matrix = np.asarray(sign_matrix)
+    if sign_matrix.ndim != 2 or sign_matrix.shape[0] != Xsub.n_parts or sign_matrix.size == 0:
+        raise ValueError("sign matrix must be parts x candidates, with a candidate")
+    _check_signs(sign_matrix)
     y = np.asarray(y, dtype=float)
     if y.shape != (Xsub.n_samples,):
         raise ValueError("response length must match the sample count")
-    sign_matrix = np.stack([c.signs for c in candidates], axis=1)
     stats = _statistics(Xsub, y)
     scores = _scores(signs_to_coefficient_matrix(sign_matrix), stats.gram, stats.cross)
     winner = _winner(scores, sign_matrix)
@@ -207,6 +209,10 @@ def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross):
             return None
     if not (p.max() > 0 > p.min()):
         return None
+    if p.shape[0] == 2:
+        # +-(1, -1): an exact tie, so the first part stays positive; rounding in
+        # G and g grows with the rows' log level past the tie tolerance.
+        return np.array([1.0, -1.0])
     _flip_to_positive_max(p[:, None])
     return p
 

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import (
-    BalanceBasis,
-    BalanceCoefficients,
-    CompositionMatrix,
-    inverse_pivot,
-)
+from .coda import BalanceBasis, CompositionMatrix, inverse_pivot
 from .errors import NotPositiveDefinite
 
 CASE_ONE_BLOCK = "one-block"
@@ -243,15 +238,13 @@ def simulate_dataset(scenario: SimScenario) -> SimulatedDataset:
 def marker_recovery(basis_or_balance, marker_mask) -> RecoveryResult:
     """Score how well a balance covers the marker parts.
 
-    For a basis the first (top-ranked) balance is inspected. A part counts
-    as included when its coefficient is nonzero.
+    For a basis the first (top-ranked) balance is inspected; any other
+    argument is read as one balance's coefficient or sign vector. A part
+    counts as included when its entry is nonzero.
     """
     if isinstance(basis_or_balance, BalanceBasis):
-        included = basis_or_balance.sign_matrix[:, 0] != 0
-    elif isinstance(basis_or_balance, BalanceCoefficients):
-        included = basis_or_balance.coeffs != 0
-    else:
-        raise TypeError("expected a BalanceBasis or BalanceCoefficients")
+        basis_or_balance = basis_or_balance.sign_matrix[:, 0]
+    included = np.asarray(basis_or_balance) != 0
     marker_mask = np.asarray(marker_mask, dtype=bool)
     if marker_mask.shape != included.shape:
         raise ValueError("marker mask length must match the part count")

@@ -120,7 +120,7 @@ def test_criterion_3_full_rank_pls_least_squares():
 def test_criterion_4_candidate_walkthrough():
     started = time.time()
     cands = candidate_signs(np.array([0.9, 0.1, -0.2, -0.8]))
-    signs_ok = [list(c.signs) for c in cands] == [
+    signs_ok = cands.T.tolist() == [
         [1, 0, 0, -1],
         [1, 0, -1, -1],
         [1, 1, -1, -1],
@@ -131,8 +131,8 @@ def test_criterion_4_candidate_walkthrough():
         np.array([0.5, 0.5, -0.5, -0.5]),
     ]
     worst = max(
-        np.max(np.abs(signs_to_coefficients(c).coeffs - e))
-        for c, e in zip(cands, expected)
+        np.max(np.abs(signs_to_coefficients(c) - e))
+        for c, e in zip(cands.T, expected)
     )
     report(
         4,

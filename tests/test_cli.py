@@ -325,6 +325,25 @@ class TestRerun:
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r") == 1
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.pop("command"),
+            lambda m: m.pop("config"),
+            lambda m: m.pop("outputs"),
+            lambda m: m.update(command="train"),
+        ],
+        ids=["no-command", "no-config", "no-outputs", "unknown-command"],
+    )
+    def test_bad_manifest_errors(self, tmp_path, capsys, edit):
+        out = tmp_path / "orig"
+        run_cli("simulate", "--n", 20, "--d", 8, "--blocks", "4", "--out", out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        edit(manifest)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestIngestion:
     def test_response_column_inside_data(self, tmp_path, rng):
@@ -354,6 +373,28 @@ class TestIngestion:
         )
         after = sha256_file(tmp_path / "X.csv"), sha256_file(tmp_path / "y.csv")
         assert before == after
+
+    def test_blank_lines_skipped(self, tmp_path):
+        (tmp_path / "X.csv").write_text("a,b\n1,2\n\n3,4\n\n")
+        (tmp_path / "y.csv").write_text("y\n1.5\n\n2.5\n")
+        X, _ = read_composition_csv(tmp_path / "X.csv")
+        assert np.array_equal(X.values, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(read_response_csv(tmp_path / "y.csv"), [1.5, 2.5])
+
+    @pytest.mark.parametrize(
+        "reader, text",
+        [
+            (read_composition_csv, "a,b\n1,2\n\n3\n"),
+            (read_composition_csv, "a,b\n1,2\n\n3,4,5\n"),
+            (read_response_csv, "y\n1.5\n\n2.5,3.5\n"),
+        ],
+        ids=["short", "long", "response"],
+    )
+    def test_ragged_row_named(self, tmp_path, reader, text):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="ragged rows: line 4 has"):
+            reader(path)
 
 
 class TestSelfChecks:

@@ -8,9 +8,9 @@ from numpy.testing import assert_allclose
 
 from plspb import (
     BalanceBasis,
-    BalanceCoefficients,
     ClrMatrix,
     CompositionMatrix,
+    LatentModel,
     balance_values,
     center_columns,
     closure,
@@ -128,25 +128,38 @@ class TestCenterColumns:
 class TestSignsToCoefficients:
     def test_one_vs_one(self):
         b = signs_to_coefficients(np.array([1, -1, 0]))
-        assert_allclose(b.coeffs, [1 / np.sqrt(2), -1 / np.sqrt(2), 0.0], atol=1e-15)
+        assert_allclose(b, [1 / np.sqrt(2), -1 / np.sqrt(2), 0.0], atol=1e-15)
 
     def test_one_vs_two(self):
         b = signs_to_coefficients(np.array([1, -1, -1]))
         assert_allclose(
-            b.coeffs,
+            b,
             [np.sqrt(2.0 / 3.0), -1 / np.sqrt(6), -1 / np.sqrt(6)],
             atol=1e-15,
         )
 
     def test_two_vs_two(self):
         b = signs_to_coefficients(np.array([1, 1, -1, -1]))
-        assert_allclose(b.coeffs, [0.5, 0.5, -0.5, -0.5], atol=1e-15)
+        assert_allclose(b, [0.5, 0.5, -0.5, -0.5], atol=1e-15)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateSplit):
             signs_to_coefficients(np.array([1, 1, 0]))
         with pytest.raises(DegenerateSplit):
             signs_to_coefficients(np.array([0, -1, -1]))
+
+    @pytest.mark.parametrize(
+        "signs",
+        [[1, 2, -1], [1, 0.5, -1], [1, np.nan, -1], [[1, -1], [-1, 1]], 1],
+        ids=["two", "half", "nan", "matrix", "scalar"],
+    )
+    def test_malformed_signs_rejected(self, signs):
+        with pytest.raises(ValueError):
+            signs_to_coefficients(np.array(signs))
+
+    def test_read_only(self):
+        b = signs_to_coefficients([1, -1, 0])
+        assert not b.flags.writeable
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_exhaustive_invariants(self, d):
@@ -156,18 +169,18 @@ class TestSignsToCoefficients:
             if not (np.any(signs == 1) and np.any(signs == -1)):
                 continue
             b = signs_to_coefficients(signs)
-            assert abs(b.coeffs.sum()) < 1e-12
-            assert abs(b.coeffs @ b.coeffs - 1.0) < 1e-12
-            assert np.array_equal(np.sign(b.coeffs).astype(int), signs)
+            assert abs(b.sum()) < 1e-12
+            assert abs(b @ b - 1.0) < 1e-12
+            assert np.array_equal(np.sign(b).astype(int), signs)
 
     def test_nested_split_orthogonal(self):
         # a balance refined inside one group of its parent is orthogonal to it
         parent = signs_to_coefficients(np.array([1, 1, -1, -1, 0]))
         child = signs_to_coefficients(np.array([1, -1, 0, 0, 0]))
-        assert abs(parent.coeffs @ child.coeffs) < 1e-12
+        assert abs(parent @ child) < 1e-12
         other = signs_to_coefficients(np.array([0, 0, 1, -1, 0]))
-        assert abs(parent.coeffs @ other.coeffs) < 1e-12
-        assert abs(child.coeffs @ other.coeffs) < 1e-12
+        assert abs(parent @ other) < 1e-12
+        assert abs(child @ other) < 1e-12
 
 
 class TestBalanceChecks:
@@ -193,17 +206,52 @@ class TestBalanceChecks:
         with pytest.raises(DegenerateSplit):
             BalanceBasis(np.eye(3)[:, :2], np.eye(3, dtype=int)[:, :2], variances=[1.0, 0.5])
 
-    def test_wrong_group_sizes_rejected(self):
-        coeffs = signs_to_coefficients(np.array([1, 1, -1])).coeffs
-        with pytest.raises(ValueError, match="group sizes"):
-            BalanceCoefficients(coeffs, 1, 2)
-
     @pytest.mark.parametrize("index, change", [(1, 1e-9), (3, np.nan)])
     def test_entry_off_the_formula_rejected(self, index, change):
-        coeffs = signs_to_coefficients(np.array([1, -1, -1, 0])).coeffs.copy()
-        coeffs[index] += change
+        # a valid basis whose first column is [1, -1, -1, 0]; one entry moves
+        signs = np.array([[1, 0, -1], [-1, 1, -1], [-1, -1, -1], [0, 0, 1]])
+        coeffs = np.column_stack([signs_to_coefficients(col) for col in signs.T])
+        BalanceBasis(coeffs, signs, variances=[3.0, 2.0, 1.0])
+        coeffs[index, 0] += change
         with pytest.raises(ValueError, match="formula"):
-            BalanceCoefficients(coeffs, 1, 2)
+            BalanceBasis(coeffs, signs, variances=[3.0, 2.0, 1.0])
+
+
+def _latent_model(weights, scores):
+    return LatentModel(
+        weights=np.array(weights, dtype=float),
+        scores=np.array(scores, dtype=float),
+        latent_coefficients=np.ones(len(weights[0])),
+        x_mean=np.zeros(len(weights)),
+        y_mean=0.0,
+        n_components=len(weights[0]),
+        kind="PLS",
+    )
+
+
+def _basis_with_covariances(covariances):
+    signs = np.array([[1, 1], [-1, 1], [0, -1]])
+    coeffs = np.column_stack([signs_to_coefficients(col) for col in signs.T])
+    return BalanceBasis(coeffs, signs, covariances=covariances)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ClrMatrix(np.array([[np.nan, 0.0], [1.0, -1.0]])),
+        lambda: _basis_with_covariances([np.nan, 1.0]),
+        lambda: _latent_model([[1.0], [-1.0], [np.nan]], [[1.0], [0.0], [-1.0], [0.0]]),
+        lambda: _latent_model(
+            [[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]],
+            [[1.0, 0.0], [0.0, np.nan], [-1.0, 0.0], [0.0, 1.0]],
+        ),
+    ],
+    ids=["clr", "covariance", "weight", "score"],
+)
+def test_nan_rejected(build):
+    # every check reads "not all(|x| <= tol)", which NaN fails
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestBalanceValues:
@@ -221,7 +269,7 @@ class TestBalanceValues:
     def test_matches_clr_projection(self, rng):
         X = random_composition(rng, 15, 9)
         b = signs_to_coefficients(np.array([1, 1, 1, -1, -1, 0, 0, 0, -1]))
-        assert np.max(np.abs(balance_values(X, b) - clr(X).values @ b.coeffs)) < 1e-12
+        assert np.max(np.abs(balance_values(X, b) - clr(X).values @ b)) < 1e-12
 
     def test_dimension_mismatch(self, rng):
         X = random_composition(rng, 4, 5)

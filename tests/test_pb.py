@@ -4,13 +4,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from plspb import (
     CompositionMatrix,
-    SignVector,
     SimScenario,
     balance_values,
     best_balance,
@@ -21,7 +20,7 @@ from plspb import (
     signs_to_coefficients,
     simulate_dataset,
 )
-from plspb.errors import BalanceError, ConstantResponse, OneSidedLoading
+from plspb.errors import BalanceError, ConstantResponse, DegenerateSplit, OneSidedLoading
 from plspb.pb import nested_or_disjoint
 
 from conftest import random_composition, random_instance
@@ -30,34 +29,32 @@ from conftest import random_composition, random_instance
 class TestCandidateSigns:
     def test_walkthrough(self):
         cands = candidate_signs(np.array([0.9, 0.1, -0.2, -0.8]))
-        assert [list(c.signs) for c in cands] == [
+        assert cands.T.tolist() == [
             [1, 0, 0, -1],
             [1, 0, -1, -1],
             [1, 1, -1, -1],
         ]
+        assert not cands.flags.writeable
 
     def test_two_entries(self):
         cands = candidate_signs(np.array([1.0, -1.0]))
-        assert len(cands) == 1
-        assert list(cands[0].signs) == [1, -1]
+        assert cands.tolist() == [[1], [-1]]
 
     def test_support_grows_by_one(self, rng):
         p = rng.standard_normal(9)
         p[0] = abs(p[0]) + 0.1
         p[1] = -abs(p[1]) - 0.1
         cands = candidate_signs(p)
-        assert len(cands) == 8
-        for j, cand in enumerate(cands):
-            assert int(np.sum(cand.signs != 0)) == j + 2
-        assert np.all(cands[-1].signs != 0)
+        assert cands.shape == (9, 8)
+        assert np.array_equal(np.sum(cands != 0, axis=0), np.arange(2, 10))
 
     def test_nested_supports(self, rng):
         p = rng.standard_normal(7)
         p[0], p[1] = 1.0, -1.0
         cands = candidate_signs(p)
-        for prev, nxt in zip(cands, cands[1:]):
-            active = prev.signs != 0
-            assert np.array_equal(nxt.signs[active], prev.signs[active])
+        for prev, nxt in zip(cands.T, cands.T[1:]):
+            active = prev != 0
+            assert np.array_equal(nxt[active], prev[active])
 
     def test_one_sided_rejected(self):
         with pytest.raises(OneSidedLoading):
@@ -70,9 +67,9 @@ class TestBestBalance:
     def test_single_candidate_returned(self, rng):
         X = random_composition(rng, 10, 4)
         y = rng.standard_normal(10)
-        cand = SignVector(np.array([1, -1, 0, 0]))
-        chosen, value = best_balance(X, y, [cand])
-        assert_allclose(chosen.coeffs, signs_to_coefficients(cand).coeffs)
+        cand = np.array([1, -1, 0, 0])
+        chosen, value = best_balance(X, y, cand[:, None])
+        assert np.array_equal(chosen, signs_to_coefficients(cand))
         yc = y - y.mean()
         t = balance_values(X, chosen)
         tc = t - t.mean()
@@ -80,15 +77,31 @@ class TestBestBalance:
 
     def test_planted_response_selects_its_candidate(self, rng):
         X = random_composition(rng, 20, 5)
-        cands = [
-            SignVector(np.array([1, -1, 0, 0, 0])),
-            SignVector(np.array([1, -1, 1, 0, -1])),
-            SignVector(np.array([0, 1, -1, 1, -1])),
-        ]
-        target = signs_to_coefficients(cands[2])
+        cands = np.array([
+            [1, -1, 0, 0, 0],
+            [1, -1, 1, 0, -1],
+            [0, 1, -1, 1, -1],
+        ]).T
+        target = signs_to_coefficients(cands[:, 2])
         y = 3.0 * balance_values(X, target)
         chosen, _ = best_balance(X, y, cands)
-        assert np.array_equal(chosen.sign_vector.signs, cands[2].signs)
+        assert np.array_equal(chosen, target)
+
+    @pytest.mark.parametrize(
+        "cands, error",
+        [
+            (np.zeros((4, 0), dtype=int), ValueError),
+            (np.array([1, -1, 0, 0]), ValueError),
+            (np.array([[1], [-1], [0]]), ValueError),
+            (np.array([[1], [-1], [2], [0]]), ValueError),
+            (np.array([[1], [1], [0], [0]]), DegenerateSplit),
+        ],
+        ids=["empty", "vector", "short", "entry", "one-sided"],
+    )
+    def test_malformed_candidates_rejected(self, rng, cands, error):
+        X = random_composition(rng, 10, 4)
+        with pytest.raises(error):
+            best_balance(X, rng.standard_normal(10), cands)
 
     def test_winner_dominates(self, rng):
         X = random_composition(rng, 15, 6)
@@ -97,7 +110,7 @@ class TestBestBalance:
         cands = candidate_signs(p)
         _, value = best_balance(X, y, cands)
         yc = y - y.mean()
-        for cand in cands:
+        for cand in cands.T:
             t = balance_values(X, signs_to_coefficients(cand))
             tc = t - t.mean()
             assert value >= abs(tc @ yc) / 14.0 - 1e-12
@@ -156,7 +169,7 @@ class TestPlsPb:
             yc = y - y.mean()
             p = clr(X).values.T @ yc
             p = p - p.mean() if not (np.any(p > 0) and np.any(p < 0)) else p
-            for cand in candidate_signs(p):
+            for cand in candidate_signs(p).T:
                 t = balance_values(X, signs_to_coefficients(cand))
                 tc = t - t.mean()
                 cand_cov = abs(tc @ yc) / (X.n_samples - 1)
@@ -255,6 +268,28 @@ class TestPcaPb:
         assert_allclose(basis.variances, recomputed, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 49),
+    d=st.integers(2, 29),
+)
+@example(seed=3, n=27, d=27)  # a 2-part node whose orientation rounding used to flip
+def test_row_rescaling_keeps_both_bases(seed, n, d):
+    # a composition's rows carry only ratios, so row scales c > 0 from
+    # e^-20 to e^20 move neither sign matrix nor ordering values; the values
+    # are computed from ln X, so their rounding is relative to the largest
+    # value (the data scale), not to each value
+    rng = np.random.default_rng(seed)
+    X, y = random_instance(rng, n, d)
+    scaled = CompositionMatrix(X.values * np.exp(rng.uniform(-20, 20, size=(n, 1))))
+    for build in (lambda Z: pls_pb(Z, y), pca_pb):
+        basis, rescaled = build(X), build(scaled)
+        assert np.array_equal(rescaled.sign_matrix, basis.sign_matrix)
+        scale = basis.ordering_values[0]
+        assert_allclose(rescaled.ordering_values, basis.ordering_values, rtol=0, atol=1e-9 * scale)
+
+
 class TestPartitionTree:
     def test_tree_balances_match_basis(self, rng):
         X, y = random_instance(rng, 20, 10)
@@ -275,7 +310,7 @@ class TestPartitionTree:
         assert len(collected) == X.n_parts - 1
         assert all(not signs.flags.writeable for signs in collected)
         # same columns as the basis, up to the final sort
-        got = {tuple(signs_to_coefficients(signs).coeffs) for signs in collected}
+        got = {tuple(signs_to_coefficients(signs)) for signs in collected}
         want = {tuple(col) for col in basis.coefficient_matrix.T}
         assert got == want
         assert {tuple(s) for s in collected} == {tuple(s) for s in basis.sign_matrix.T}

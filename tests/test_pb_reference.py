@@ -62,14 +62,14 @@ def _reference_node(X, yc, indices, collected):
         except RankDeficient:
             pass
     if loading is None:
-        candidates = candidate_signs(np.linspace(1.0, -1.0, d))[:1]
+        candidates = candidate_signs(np.linspace(1.0, -1.0, d))[:, :1]
         scores = [0.0]
     else:
         candidates = candidate_signs(loading)
-        scores = [_score(logs, yc, signs_to_coefficients(c).coeffs) for c in candidates]
+        scores = [_score(logs, yc, signs_to_coefficients(c)) for c in candidates.T]
     best = max(scores)
     winner = next(j for j, s in enumerate(scores) if s >= best * (1 - 1e-12))
-    signs = candidates[winner].signs
+    signs = candidates[:, winner]
 
     def embed(local):
         full = np.zeros(X.n_parts, dtype=int)
@@ -79,9 +79,7 @@ def _reference_node(X, yc, indices, collected):
     collected.append((embed(signs), scores[winner]))
     if np.any(signs == 0):
         link = np.where(signs == 0, 1, -1)
-        value = 0.0 if loading is None else _score(
-            logs, yc, signs_to_coefficients(link).coeffs
-        )
+        value = 0.0 if loading is None else _score(logs, yc, signs_to_coefficients(link))
         collected.append((embed(link), value))
     for group in (0, 1, -1):
         _reference_node(X, yc, indices[signs == group], collected)

@@ -198,10 +198,13 @@ class TestMarkerRecovery:
         ds = simulate_dataset(SimScenario(CASE_ONE_BLOCK, n=60, D=30, block_sizes=(6,), seed=2))
         basis = pls_pb(ds.X, ds.y)
         rec = marker_recovery(basis, ds.marker_mask)
-        direct = marker_recovery(
-            signs_to_coefficients(basis.sign_matrix[:, 0]), ds.marker_mask
-        )
-        assert np.array_equal(rec.included, direct.included)
+        for top in (basis.coefficient_matrix[:, 0], basis.sign_matrix[:, 0]):
+            direct = marker_recovery(top, ds.marker_mask)
+            assert np.array_equal(rec.included, direct.included)
+
+    def test_mask_length_checked(self):
+        with pytest.raises(ValueError, match="mask length"):
+            marker_recovery(np.array([1, -1, 0]), np.array([True, False]))
 
 
 class TestSpawnSeeds:
