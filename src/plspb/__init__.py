@@ -50,7 +50,7 @@ from .simgen import (
     simulate_dataset,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "BalanceBasis",

@@ -293,8 +293,12 @@ def run_rerun(manifest_path: str, out: str) -> bool:
         raise ValueError(f"{manifest_path}: a manifest needs command, config and outputs")
     if not isinstance(manifest["command"], str) or manifest["command"] not in _RUNNERS:
         raise ValueError(f"{manifest_path}: unknown command {manifest['command']!r}")
-    config = dict(manifest["config"])
-    config["out"] = out
+    if not isinstance(manifest["config"], dict):
+        raise ValueError(f"{manifest_path}: config must be an object")
+    config = dict(manifest["config"], out=out)
+    missing = sorted(_config_keys(manifest["command"]) - config.keys())
+    if missing:
+        raise ValueError(f"{manifest_path}: config lacks {', '.join(missing)}")
     out_dir = _RUNNERS[manifest["command"]](config)
     ok = True
     for name, digest in manifest["outputs"].items():
@@ -387,6 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     return parser
+
+
+def _config_keys(command: str) -> set[str]:
+    """The keys a config of ``command`` holds: its subparser's dests."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    return {a.dest for a in commands.choices[command]._actions} - {"help"}
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:

@@ -1,10 +1,11 @@
 """Balance-count model fitting, prediction error metrics and cross-validation.
 
-Candidate models regress the response on the first k balance coordinates
-(or on k latent components for the plain PLS route). K-fold cross-validation
-with seeded shuffling estimates the prediction error per k, and the final
-size is chosen by the one-standard-error rule: the smallest model whose
-mean error stays within one standard error of the best mean.
+Candidate models regress the response on the first k of max_k zero-sum
+logcontrasts: the leading balance coordinates, or the SIMPLS weights of the
+plain PLS route. K-fold cross-validation with seeded shuffling estimates
+the prediction error per k, and the final size is chosen by the
+one-standard-error rule: the smallest model whose mean error stays within
+one standard error of the best mean.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     RankDeficient,
     TooFewSamples,
 )
-from .latent import pls_regression, predict_components
+from .latent import pls_regression
 from .pb import pca_pb, pls_pb
 
 PLS_PB = "pls-pb"
@@ -34,6 +35,11 @@ METRIC_RMSEP = "rmsep"
 METRIC_ME = "me"
 
 CLASSIFICATION_THRESHOLD = 0.5
+
+# A design column whose residual after the earlier columns (its diagonal
+# entry of R) is at most this fraction of the largest column norm is
+# rounding noise: exact collinearity, e.g. a duplicated part, leaves ~1e-15.
+_COLLINEAR_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,24 @@ def one_se_select(mean_error, sd_error) -> int:
     return int(np.flatnonzero(mean_error <= threshold)[0]) + 1
 
 
+def _least_squares(Z: np.ndarray, y: np.ndarray):
+    """Centred QR least squares of y on the columns of Z: the column means,
+    ȳ, R and Qᵀ(y - ȳ). The fit on the first k columns reads only the
+    leading k x k block of R and the first k entries of Qᵀ(y - ȳ).
+    """
+    n, k = Z.shape
+    if n <= k:
+        raise Collinear(f"{k} coordinates are collinear over {n} samples")
+    col_means = Z.mean(axis=0)
+    y_mean = float(y.mean())
+    centred = Z - col_means
+    q, r = np.linalg.qr(centred)
+    scale = np.max(np.linalg.norm(centred, axis=0))
+    if not np.all(np.abs(np.diag(r)) > _COLLINEAR_RTOL * scale):
+        raise Collinear(f"{k} coordinates are collinear over {n} samples")
+    return col_means, y_mean, r, q.T @ (y - y_mean)
+
+
 def fit_on_balances(
     X: CompositionMatrix, y, basis: BalanceBasis, k: int
 ) -> BalanceModel:
@@ -137,12 +161,8 @@ def fit_on_balances(
         raise ValueError("response length must match the sample count")
     if not 1 <= k <= basis.n_balances:
         raise ValueError(f"k={k} outside 1..{basis.n_balances}")
-    coords = basis.coordinates(X)[:, :k]
-    col_means = coords.mean(axis=0)
-    y_mean = float(y.mean())
-    slope, _, rank, _ = np.linalg.lstsq(coords - col_means, y - y_mean, rcond=None)
-    if rank < k or X.n_samples <= k:
-        raise Collinear(f"{k} coordinates are collinear over {X.n_samples} samples")
+    col_means, y_mean, r, qty = _least_squares(basis.coordinates(X)[:, :k], y)
+    slope = np.linalg.solve(r, qty)
     intercept = y_mean - float(col_means @ slope)
     return BalanceModel(
         basis=basis, n_components=k, coefficients=slope, intercept=intercept
@@ -169,42 +189,31 @@ def fold_indices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarra
     return out
 
 
-def _fit_fold_models(X, y_train, train_idx, method, max_k):
-    """Fit the per-k models of one fold on training rows only.
+def _repeat_errors(X, log_x, y, method, max_k, folds, metric, rng):
+    """One repeat: shuffle folds, fit per fold, pool held-out errors per k.
 
-    Returns a callable mapping (X_full, k) to predictions for every row,
-    so callers slice out the held-out entries afterwards.
+    Every size k of a fold comes from one QR of its training logcontrasts
+    and one triangular solve for its held-out rows.
     """
-    X_train = X.take_samples(train_idx)
-    if method == PLS_RAW:
-        model = pls_regression(X_train, y_train, max_k)
-        return lambda X_full, k: predict_components(model, X_full, k)
-    if method not in (PLS_PB, PCA_PB):
-        raise ValueError(f"unknown method {method!r}")
-    basis = pls_pb(X_train, y_train) if method == PLS_PB else pca_pb(X_train)
-    models = [fit_on_balances(X_train, y_train, basis, k) for k in range(1, max_k + 1)]
-    return lambda X_full, k: models[k - 1].predict(X_full)
-
-
-def _repeat_errors(X, y, method, max_k, folds, metric, rng):
-    """One repeat: shuffle folds, fit per fold, pool held-out errors per k."""
     n = X.n_samples
     predictions = np.empty((n, max_k))
     for test_idx in fold_indices(n, folds, rng):
-        mask = np.ones(n, dtype=bool)
-        mask[test_idx] = False
-        train_idx = np.flatnonzero(mask)
-        predict = _fit_fold_models(X, y[train_idx], train_idx, method, max_k)
-        for k in range(1, max_k + 1):
-            predictions[test_idx, k - 1] = predict(X, k)[test_idx]
-    errors = np.empty(max_k)
-    for k in range(1, max_k + 1):
-        if metric == METRIC_ME:
-            labels = (predictions[:, k - 1] >= CLASSIFICATION_THRESHOLD).astype(int)
-            errors[k - 1] = misclassification_error(y.astype(int), labels)
+        train_idx = np.delete(np.arange(n), test_idx)
+        X_train = X.take_samples(train_idx)
+        y_train = y[train_idx]
+        if method == PLS_RAW:
+            contrasts = pls_regression(X_train, y_train, max_k).weights
         else:
-            errors[k - 1] = rmsep(y, predictions[:, k - 1])
-    return errors
+            basis = pls_pb(X_train, y_train) if method == PLS_PB else pca_pb(X_train)
+            contrasts = basis.coefficient_matrix[:, :max_k]
+        design = log_x @ contrasts
+        col_means, y_mean, r, qty = _least_squares(design[train_idx], y_train)
+        heldout = np.linalg.solve(r.T, (design[test_idx] - col_means).T).T
+        predictions[test_idx] = y_mean + np.cumsum(heldout * qty, axis=1)
+    if metric == METRIC_ME:
+        labels = (predictions >= CLASSIFICATION_THRESHOLD).astype(int)
+        return np.array([misclassification_error(y.astype(int), col) for col in labels.T])
+    return np.array([rmsep(y, col) for col in predictions.T])
 
 
 def aggregate_error_runs(error_matrix, metric, folds, repeats) -> CvResult:
@@ -271,9 +280,10 @@ def cross_validate(
     if metric == METRIC_ME and not np.all(np.isin(y, (0, 1))):
         raise NonBinary("misclassification error needs a 0/1-coded response")
 
+    log_x = np.log(X.values)
     streams = np.random.SeedSequence(seed).spawn(repeats)
     errors = np.empty((repeats, max_k))
     for r in range(repeats):
         rng = np.random.default_rng(streams[r])
-        errors[r] = _repeat_errors(X, y, method, max_k, folds, metric, rng)
+        errors[r] = _repeat_errors(X, log_x, y, method, max_k, folds, metric, rng)
     return aggregate_error_runs(errors, metric, folds, repeats)

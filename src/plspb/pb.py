@@ -114,12 +114,14 @@ def candidate_signs(p) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If p is not a finite 1-d vector with at least 2 entries.
     OneSidedLoading
         If p has no positive or no negative entry, so no contrast exists.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.shape[0] < 2:
-        raise ValueError("loading must be a 1-d vector with at least 2 entries")
+    if p.ndim != 1 or p.shape[0] < 2 or not np.all(np.isfinite(p)):
+        raise ValueError("loading must be a finite 1-d vector with at least 2 entries")
     if not (np.any(p > 0) and np.any(p < 0)):
         raise OneSidedLoading("loading entries all share one sign")
     return _readonly(_sign_matrix(p))

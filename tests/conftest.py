@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from plspb import CompositionMatrix, fit_on_balances, pca_pb, pls_pb, rmsep
+from plspb import CompositionMatrix, fold_indices, pca_pb, pls_pb, rmsep
 from plspb.latent import pls_regression, predict_components
-from plspb.modelsel import PCA_PB, PLS_PB
+from plspb.modelsel import PLS_PB, PLS_RAW
 
 
 def random_composition(rng, n, d, spread=1.0):
@@ -22,25 +22,26 @@ def random_instance(rng, n, d, noise=0.5):
     return X, y
 
 
-def loo_oracle(X, y, method, max_k):
-    """Brute-force leave-one-out cross-validation, one fit per held-out row."""
+def cv_oracle(X, y, method, max_k, folds, seed):
+    """Brute-force one-repeat cross-validation on ``cross_validate``'s folds:
+    one refit per fold, and one least-squares problem per size k."""
     n = X.n_samples
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     predictions = np.empty((n, max_k))
-    for i in range(n):
-        train = np.array([j for j in range(n) if j != i])
+    for test in fold_indices(n, folds, rng):
+        train = np.array([j for j in range(n) if j not in test])
         X_train = X.take_samples(train)
-        if method == PLS_PB:
-            basis = pls_pb(X_train, y[train])
-        elif method == PCA_PB:
-            basis = pca_pb(X_train)
-        else:
+        if method == PLS_RAW:
             model = pls_regression(X_train, y[train], max_k)
             for k in range(1, max_k + 1):
-                predictions[i, k - 1] = predict_components(model, X, k)[i]
+                predictions[test, k - 1] = predict_components(model, X, k)[test]
             continue
+        basis = pls_pb(X_train, y[train]) if method == PLS_PB else pca_pb(X_train)
+        coords = basis.coordinates(X)
         for k in range(1, max_k + 1):
-            fit = fit_on_balances(X_train, y[train], basis, k)
-            predictions[i, k - 1] = fit.predict(X)[i]
+            design = np.column_stack([np.ones(len(train)), coords[train, :k]])
+            coef = np.linalg.lstsq(design, y[train], rcond=None)[0]
+            predictions[test, k - 1] = coef[0] + coords[test, :k] @ coef[1:]
     return np.array([rmsep(y, predictions[:, k - 1]) for k in range(1, max_k + 1)])
 
 

@@ -17,7 +17,7 @@ from plspb.fileio import (
 )
 from plspb.modelsel import PCA_PB, PLS_PB
 
-from conftest import loo_oracle, random_instance
+from conftest import cv_oracle, random_instance
 
 
 def run_cli(*argv):
@@ -169,7 +169,7 @@ class TestCv:
         rows = read_rows(out / "cv.csv")
         assert rows[0] == ["method", "k", "mean_error", "sd_error"]
         got = np.array([float(r[2]) for r in rows[1:]])
-        expected = loo_oracle(X, y, PLS_PB, 3)
+        expected = cv_oracle(X, y, PLS_PB, 3, folds=12, seed=0)
         assert np.max(np.abs(got - expected)) < 1e-10
         assert all(float(r[3]) == 0.0 for r in rows[1:])
 
@@ -326,23 +326,33 @@ class TestRerun:
         assert run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r") == 1
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
-            lambda m: m.pop("command"),
-            lambda m: m.pop("config"),
-            lambda m: m.pop("outputs"),
-            lambda m: m.update(command="train"),
+            (lambda m: m.pop("command"), "needs command, config and outputs"),
+            (lambda m: m.pop("config"), "needs command, config and outputs"),
+            (lambda m: m.pop("outputs"), "needs command, config and outputs"),
+            (lambda m: m.update(command="train"), "unknown command 'train'"),
+            (lambda m: m["config"].pop("seed"), "config lacks seed"),
+            (lambda m: m.update(config=[1]), "config must be an object"),
         ],
-        ids=["no-command", "no-config", "no-outputs", "unknown-command"],
+        ids=[
+            "no-command",
+            "no-config",
+            "no-outputs",
+            "unknown-command",
+            "missing-config-key",
+            "config-not-object",
+        ],
     )
-    def test_bad_manifest_errors(self, tmp_path, capsys, edit):
+    def test_bad_manifest_errors(self, tmp_path, capsys, edit, message):
         out = tmp_path / "orig"
         run_cli("simulate", "--n", 20, "--d", 8, "--blocks", "4", "--out", out)
         manifest = json.loads((out / "manifest.json").read_text())
         edit(manifest)
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r") == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestIngestion:

@@ -16,9 +16,16 @@ from plspb import (
     rmsep,
 )
 from plspb.modelsel import PCA_PB, PLS_PB, PLS_RAW, aggregate_error_runs
-from plspb.errors import BalanceError, Collinear, EmptyInput, NonBinary, TooFewSamples
+from plspb.errors import (
+    BalanceError,
+    Collinear,
+    EmptyInput,
+    NonBinary,
+    RankDeficient,
+    TooFewSamples,
+)
 
-from conftest import loo_oracle, random_composition, random_instance
+from conftest import cv_oracle, random_composition, random_instance
 
 
 class TestRmsep:
@@ -150,11 +157,19 @@ class TestFoldIndices:
 
 
 class TestCrossValidate:
-    @pytest.mark.parametrize("method", [PLS_PB, PCA_PB, PLS_RAW])
-    def test_leave_one_out_matches_oracle(self, rng, method):
+    @pytest.mark.parametrize(
+        "method, folds",
+        [
+            pytest.param(method, folds, id=method if folds == 6 else f"{method}-3folds")
+            for method in (PLS_PB, PCA_PB, PLS_RAW)
+            for folds in (6, 3)
+        ],
+    )
+    def test_leave_one_out_matches_oracle(self, rng, method, folds):
+        # folds == n is leave-one-out; 3 folds hold out two rows each
         X, y = random_instance(rng, 6, 5)
-        result = cross_validate(X, y, method, max_k=3, folds=6, repeats=1, seed=11)
-        expected = loo_oracle(X, y, method, 3)
+        result = cross_validate(X, y, method, max_k=3, folds=folds, repeats=1, seed=11)
+        expected = cv_oracle(X, y, method, 3, folds, seed=11)
         assert np.max(np.abs(result.mean_error - expected)) < 1e-10
 
     def test_deterministic_given_seed(self, rng):
@@ -200,6 +215,18 @@ class TestCrossValidate:
         for method in (PLS_PB, PCA_PB, PLS_RAW):
             with pytest.raises(BalanceError, match="finite"):
                 cross_validate(X, y, method, max_k=2, folds=4)
+
+    def test_collinearity_found_inside_a_fold(self, rng):
+        # a duplicated part leaves clr rank D-2, which only the fold fits see
+        X0 = random_composition(rng, 30, 6)
+        X = CompositionMatrix(np.column_stack([X0.values[:, :5], X0.values[:, 4]]))
+        y = rng.standard_normal(30)
+        for method in (PLS_PB, PCA_PB, PLS_RAW):
+            result = cross_validate(X, y, method, max_k=4, folds=5)
+            assert np.all(np.isfinite(result.mean_error))
+        for method, error in ((PLS_PB, Collinear), (PCA_PB, Collinear), (PLS_RAW, RankDeficient)):
+            with pytest.raises(error):
+                cross_validate(X, y, method, max_k=5, folds=5)
 
     def test_max_k_bounds_checked(self, rng):
         X, y = random_instance(rng, 12, 5)

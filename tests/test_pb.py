@@ -62,6 +62,11 @@ class TestCandidateSigns:
         with pytest.raises(OneSidedLoading):
             candidate_signs(np.array([-0.3, -0.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_loading_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            candidate_signs(np.array([1.0, bad, -1.0]))
+
 
 class TestBestBalance:
     def test_single_candidate_returned(self, rng):
