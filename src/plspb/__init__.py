@@ -3,18 +3,16 @@
 The package builds orthonormal, interpretable balance coordinates for a
 strictly positive part table: a supervised variant that greedily maximizes
 covariance with a response and an unsupervised variant driven by variance.
-It also ships the latent engines behind them (SIMPLS and PCA on clr data),
-cross-validated model-size selection and a block-covariance simulator for
-marker recovery benchmarks. See the ``plspb`` command line tool for the
-file-based workflow.
+Around them it ships plain PLS regression on clr data (SIMPLS) as the
+comparison method, cross-validated model-size selection and a
+block-covariance simulator for marker recovery benchmarks. See the
+``plspb`` command line tool for the file-based workflow.
 """
 
 from .coda import (
     BalanceBasis,
-    ClrMatrix,
     CompositionMatrix,
     balance_values,
-    center_columns,
     closure,
     clr,
     inverse_pivot,
@@ -25,8 +23,6 @@ from .coda import (
 from .latent import (
     LatentModel,
     classify,
-    pca_fit,
-    pls_fit,
     pls_predict,
     pls_regression,
     predict_components,
@@ -50,11 +46,10 @@ from .simgen import (
     simulate_dataset,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "BalanceBasis",
-    "ClrMatrix",
     "CompositionMatrix",
     "CvResult",
     "LatentModel",
@@ -65,7 +60,6 @@ __all__ = [
     "best_balance",
     "build_sigma",
     "candidate_signs",
-    "center_columns",
     "classify",
     "closure",
     "clr",
@@ -77,11 +71,9 @@ __all__ = [
     "misclassification_error",
     "mvn_sample",
     "one_se_select",
-    "pca_fit",
     "pca_pb",
     "pivot_basis",
     "pivot_coordinates",
-    "pls_fit",
     "pls_pb",
     "pls_predict",
     "pls_regression",

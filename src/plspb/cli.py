@@ -138,7 +138,6 @@ def run_fit(config: dict) -> Path:
     out_dir = _prepare_out(config)
     method = config["method"]
     X, y = _load_data(config, require_response=method != PCA_PB)
-    k = config.get("k")
     if method in (PLS_PB, PCA_PB):
         if method == PLS_PB:
             basis, tree = pls_pb(X, y, return_tree=True)
@@ -149,23 +148,21 @@ def run_fit(config: dict) -> Path:
         fileio.write_json(out_dir / "tree.json", tree.to_dict(X.part_names))
         print(f"{method}: {basis.n_balances} balances over {X.n_parts} parts")
     elif method == PLS_RAW:
-        if k is None:
-            k = min(X.n_parts - 1, X.n_samples - 1)
-        model = pls_regression(X, y, k)
-        yc = y - y.mean()
-        covariances = np.abs(model.scores.T @ yc) / (X.n_samples - 1)
+        model = pls_regression(X, y, config.get("k"))
+        # latent_coefficients are the scores' cross-products with y - ȳ
+        covariances = np.abs(model.latent_coefficients) / (X.n_samples - 1)
         fileio.write_matrix_csv(out_dir / "weights.csv", X.part_names, model.weights, covariances)
         fileio.write_json(
             out_dir / "model.json",
             {
-                "kind": model.kind,
+                "kind": "PLS",
                 "n_components": model.n_components,
                 "latent_coefficients": [float(v) for v in model.latent_coefficients],
                 "x_mean": [float(v) for v in model.x_mean],
                 "y_mean": model.y_mean,
             },
         )
-        print(f"pls: {k} components over {X.n_parts} parts")
+        print(f"pls: {model.n_components} components over {X.n_parts} parts")
     else:
         raise ValueError(f"unknown method {method!r}")
     _write_manifest(out_dir, "fit", config)
@@ -360,7 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a balance basis or a PLS model")
     _add_data_flags(p)
     p.add_argument("--method", choices=METHODS, default=PLS_PB)
-    p.add_argument("--k", type=int, default=None, help="components for --method pls")
+    p.add_argument(
+        "--k", type=int, default=None,
+        help="components for --method pls (default: up to the rank boundary)",
+    )
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("cv", help="cross-validated model size selection")

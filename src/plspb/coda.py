@@ -5,7 +5,7 @@ information: any positive rescaling of a row describes the same sample.
 This module provides the container types used throughout the package and
 the log-ratio machinery built on them:
 
-- centered log-ratio (clr) coordinates and column centering,
+- centered log-ratio (clr) coordinates,
 - balance coefficients derived from sign patterns: a sign vector or a
   parts x balances sign matrix with entries in {-1, 0, +1},
 - the pivot coordinate system and its inverse.
@@ -84,48 +84,10 @@ class CompositionMatrix:
     def n_parts(self) -> int:
         return self.values.shape[1]
 
-    def take_parts(self, indices) -> "CompositionMatrix":
-        """Subcomposition restricted to the given part indices."""
-        idx = np.asarray(indices, dtype=int)
-        return CompositionMatrix(
-            self.values[:, idx], tuple(self.part_names[i] for i in idx)
-        )
-
     def take_samples(self, indices) -> "CompositionMatrix":
         """Row subset (at least two rows)."""
         idx = np.asarray(indices, dtype=int)
         return CompositionMatrix(self.values[idx, :], self.part_names)
-
-
-@dataclass(frozen=True)
-class ClrMatrix:
-    """Centered log-ratio coordinates of a composition table.
-
-    Rows always sum to zero. When ``centered`` is true the columns have
-    additionally been mean-centered, which preserves the row constraint
-    because the subtracted mean vector is itself zero-sum.
-    """
-
-    values: np.ndarray
-    centered: bool = False
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError("clr values must be a 2-d matrix")
-        if not np.all(np.abs(v.sum(axis=1)) <= ORTHONORMAL_TOL):
-            raise ValueError("clr rows must sum to zero")
-        if self.centered and not np.all(np.abs(v.mean(axis=0)) <= ORTHONORMAL_TOL):
-            raise ValueError("centered clr columns must have zero mean")
-        object.__setattr__(self, "values", _readonly(v))
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_parts(self) -> int:
-        return self.values.shape[1]
 
 
 def signs_to_coefficient_matrix(sign_matrix) -> np.ndarray:
@@ -275,20 +237,15 @@ def closure(raw, total: float = 1.0, part_names=None) -> CompositionMatrix:
     return CompositionMatrix(scaled, part_names)
 
 
-def clr(X: CompositionMatrix) -> ClrMatrix:
-    """Centered log-ratio transform.
+def clr(X: CompositionMatrix) -> np.ndarray:
+    """Centered log-ratio transform, as a read-only n x D array.
 
     Entry (i, j) is ln(x_ij / g(x_i)) with g the geometric mean of row i,
     computed through the mean of logs for numerical stability. Rows of the
     result sum to zero.
     """
     logs = np.log(X.values)
-    return ClrMatrix(logs - logs.mean(axis=1, keepdims=True), centered=False)
-
-
-def center_columns(M: ClrMatrix) -> ClrMatrix:
-    """Subtract the column means; the zero row-sum constraint is preserved."""
-    return ClrMatrix(M.values - M.values.mean(axis=0), centered=True)
+    return _readonly(logs - logs.mean(axis=1, keepdims=True))
 
 
 def signs_to_coefficients(signs) -> np.ndarray:
@@ -352,7 +309,7 @@ def pivot_coordinates(X: CompositionMatrix) -> np.ndarray:
     so the first coordinate carries all relative information on part 1.
     """
     # clr first: the row level cancels once, before the sums over D parts
-    return clr(X).values @ pivot_basis(X.n_parts)
+    return clr(X) @ pivot_basis(X.n_parts)
 
 
 def inverse_pivot(Z, total: float = 1.0, part_names=None) -> CompositionMatrix:

@@ -159,6 +159,8 @@ def fit_on_balances(
     y = np.asarray(y, dtype=float)
     if y.shape != (X.n_samples,):
         raise ValueError("response length must match the sample count")
+    if not np.all(np.isfinite(y)):
+        raise BalanceError("response values must be finite")
     if not 1 <= k <= basis.n_balances:
         raise ValueError(f"k={k} outside 1..{basis.n_balances}")
     col_means, y_mean, r, qty = _least_squares(basis.coordinates(X)[:, :k], y)

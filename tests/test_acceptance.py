@@ -104,7 +104,7 @@ def test_criterion_3_full_rank_pls_least_squares():
         n = int(rng.integers(d + 1, 40))
         X, y = random_instance(rng, n, d)
         model = pls_regression(X, y, k=d - 1)
-        C = clr(X).values
+        C = clr(X)
         Cc = C - C.mean(axis=0)
         oracle = y.mean() + Cc @ np.linalg.pinv(Cc) @ (y - y.mean())
         worst = max(worst, np.max(np.abs(pls_predict(model, X) - oracle)))

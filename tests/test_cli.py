@@ -115,6 +115,20 @@ class TestFit:
         rows = read_rows(out / "weights.csv")
         assert len(rows) == 7 and len(rows[0]) == 4
 
+    def test_pls_method_default_k_at_paper_scale(self, tmp_path):
+        # the fit reaches least squares near component 40 of 250 x 100 data;
+        # without --k it stops there instead of failing at the rank boundary
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--case", "one-block", "--seed", 0, "--out", sim) == 0
+        out = tmp_path / "pls"
+        assert run_cli(
+            "fit", "--data", sim / "X.csv", "--response-file", sim / "y.csv",
+            "--method", "pls", "--out", out,
+        ) == 0
+        model = json.loads((out / "model.json").read_text())
+        assert 1 <= model["n_components"] < 99
+        assert len(read_rows(out / "weights.csv")[0]) == 1 + model["n_components"]
+
     def test_missing_response_errors(self, tmp_path, rng):
         X, _ = random_instance(rng, 10, 4)
         write_composition_csv(tmp_path / "X.csv", X)

@@ -8,11 +8,9 @@ from numpy.testing import assert_allclose
 
 from plspb import (
     BalanceBasis,
-    ClrMatrix,
     CompositionMatrix,
     LatentModel,
     balance_values,
-    center_columns,
     closure,
     clr,
     inverse_pivot,
@@ -63,32 +61,33 @@ class TestCompositionMatrix:
         X = random_composition(rng, 3, 4)
         assert X.part_names == ("V1", "V2", "V3", "V4")
 
-    def test_take_parts(self, rng):
-        X = random_composition(rng, 4, 5)
-        sub = X.take_parts([0, 3])
-        assert sub.part_names == ("V1", "V4")
-        assert_allclose(sub.values, X.values[:, [0, 3]])
 
 
 class TestClr:
     def test_identity_row(self):
         X = CompositionMatrix(np.ones((2, 3)))
-        assert_allclose(clr(X).values, 0.0)
+        assert_allclose(clr(X), 0.0)
+
+    def test_read_only_array(self, rng):
+        C = clr(random_composition(rng, 3, 4))
+        assert isinstance(C, np.ndarray) and C.shape == (3, 4)
+        with pytest.raises(ValueError):
+            C[0, 0] = 1.0
 
     def test_direct_evaluation(self):
         e = np.e
         X = CompositionMatrix(np.array([[e**2, e**-1, e**-1], [1.0, 1.0, 1.0]]))
-        assert_allclose(clr(X).values[0], [2.0, -1.0, -1.0], atol=1e-12)
+        assert_allclose(clr(X)[0], [2.0, -1.0, -1.0], atol=1e-12)
 
     def test_scale_invariance(self, rng):
         X = random_composition(rng, 10, 6)
         scale = rng.uniform(0.5, 20.0, size=(10, 1))
         Xs = CompositionMatrix(X.values * scale)
-        assert np.max(np.abs(clr(Xs).values - clr(X).values)) < 1e-12
+        assert np.max(np.abs(clr(Xs) - clr(X))) < 1e-12
 
     def test_rows_sum_to_zero(self, rng):
         X = random_composition(rng, 8, 5)
-        assert np.max(np.abs(clr(X).values.sum(axis=1))) < 1e-12
+        assert np.max(np.abs(clr(X).sum(axis=1))) < 1e-12
 
     def test_logcontrast_identity(self, rng):
         # ln(X) @ a == clr(X) @ a for every zero-sum a
@@ -97,32 +96,8 @@ class TestClr:
             a = rng.standard_normal(7)
             a -= a.mean()
             lhs = np.log(X.values) @ a
-            rhs = clr(X).values @ a
+            rhs = clr(X) @ a
             assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-class TestCenterColumns:
-    def test_idempotent(self, rng):
-        M = clr(random_composition(rng, 9, 4))
-        once = center_columns(M)
-        twice = center_columns(once)
-        assert_allclose(twice.values, once.values, atol=1e-15)
-
-    def test_identical_rows_vanish(self):
-        X = CompositionMatrix(np.array([[1.0, 2.0, 4.0], [1.0, 2.0, 4.0]]))
-        assert_allclose(center_columns(clr(X)).values, 0.0, atol=1e-15)
-
-    def test_hand_example(self):
-        M = ClrMatrix(np.array([[2.0, -1.0, -1.0], [0.0, 0.0, 0.0]]))
-        centered = center_columns(M)
-        assert_allclose(
-            centered.values, [[1.0, -0.5, -0.5], [-1.0, 0.5, 0.5]], atol=1e-15
-        )
-        assert centered.centered
-
-    def test_centered_flag_validated(self):
-        with pytest.raises(ValueError):
-            ClrMatrix(np.array([[2.0, -1.0, -1.0], [0.0, 0.0, 0.0]]), centered=True)
 
 
 class TestSignsToCoefficients:
@@ -217,15 +192,12 @@ class TestBalanceChecks:
             BalanceBasis(coeffs, signs, variances=[3.0, 2.0, 1.0])
 
 
-def _latent_model(weights, scores):
+def _latent_model(weights):
     return LatentModel(
         weights=np.array(weights, dtype=float),
-        scores=np.array(scores, dtype=float),
         latent_coefficients=np.ones(len(weights[0])),
         x_mean=np.zeros(len(weights)),
         y_mean=0.0,
-        n_components=len(weights[0]),
-        kind="PLS",
     )
 
 
@@ -238,15 +210,10 @@ def _basis_with_covariances(covariances):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: ClrMatrix(np.array([[np.nan, 0.0], [1.0, -1.0]])),
         lambda: _basis_with_covariances([np.nan, 1.0]),
-        lambda: _latent_model([[1.0], [-1.0], [np.nan]], [[1.0], [0.0], [-1.0], [0.0]]),
-        lambda: _latent_model(
-            [[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]],
-            [[1.0, 0.0], [0.0, np.nan], [-1.0, 0.0], [0.0, 1.0]],
-        ),
+        lambda: _latent_model([[1.0], [-1.0], [np.nan]]),
     ],
-    ids=["clr", "covariance", "weight", "score"],
+    ids=["covariance", "weight"],
 )
 def test_nan_rejected(build):
     # every check reads "not all(|x| <= tol)", which NaN fails
@@ -269,7 +236,7 @@ class TestBalanceValues:
     def test_matches_clr_projection(self, rng):
         X = random_composition(rng, 15, 9)
         b = signs_to_coefficients(np.array([1, 1, 1, -1, -1, 0, 0, 0, -1]))
-        assert np.max(np.abs(balance_values(X, b) - clr(X).values @ b)) < 1e-12
+        assert np.max(np.abs(balance_values(X, b) - clr(X) @ b)) < 1e-12
 
     def test_dimension_mismatch(self, rng):
         X = random_composition(rng, 4, 5)
@@ -293,7 +260,7 @@ class TestPivotCoordinates:
         X = random_composition(rng, 10, 8)
         Z = pivot_coordinates(X)
         d = X.n_parts
-        expected = np.sqrt(d / (d - 1.0)) * clr(X).values[:, 0]
+        expected = np.sqrt(d / (d - 1.0)) * clr(X)[:, 0]
         assert np.max(np.abs(Z[:, 0] - expected)) < 1e-12
 
     def test_basis_is_orthonormal(self):
@@ -304,7 +271,7 @@ class TestPivotCoordinates:
 
     def test_matches_basis_projection(self, rng):
         X = random_composition(rng, 6, 9)
-        via_basis = clr(X).values @ pivot_basis(9)
+        via_basis = clr(X) @ pivot_basis(9)
         assert_allclose(pivot_coordinates(X), via_basis, atol=1e-12)
 
 

@@ -1,4 +1,4 @@
-"""Tests for the SIMPLS and PCA engines on clr coordinates."""
+"""Tests for the SIMPLS engine on clr coordinates."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,12 @@ from numpy.testing import assert_allclose
 
 from plspb import (
     CompositionMatrix,
-    center_columns,
+    best_balance,
+    candidate_signs,
     classify,
     clr,
     inverse_pivot,
-    pca_fit,
-    pls_fit,
+    pls_pb,
     pls_predict,
     pls_regression,
     predict_components,
@@ -22,13 +22,18 @@ from conftest import random_composition, random_instance
 
 
 def centered_clr(X):
-    return center_columns(clr(X))
+    C = clr(X)
+    return C - C.mean(axis=0)
+
+
+def model_scores(model, X):
+    """Training scores T = (clr(X) - x_mean) W of a fitted model."""
+    return (clr(X) - model.x_mean) @ model.weights
 
 
 def pinv_fitted(X, y):
     """Least-squares oracle: project y onto the centered clr column space."""
-    C = clr(X).values
-    Cc = C - C.mean(axis=0)
+    Cc = centered_clr(X)
     yc = y - y.mean()
     return y.mean() + Cc @ np.linalg.pinv(Cc) @ yc
 
@@ -42,6 +47,13 @@ class TestPlsFit:
             model = pls_regression(X, y, k=min(d - 1, n - 1))
             assert np.max(np.abs(pls_predict(model, X) - pinv_fitted(X, y))) < 1e-6
 
+    def test_default_fits_every_component_on_full_rank_data(self, rng):
+        for n, d in ((20, 6), (12, 9), (6, 15)):
+            X, y = random_instance(rng, n, d)
+            model = pls_regression(X, y)
+            assert model.n_components == min(d - 1, n - 1)
+            assert np.max(np.abs(pls_predict(model, X) - pinv_fitted(X, y))) < 1e-6
+
     def test_single_component_captures_planted_contrast(self, rng):
         # When the centered clr Gram matrix is the hyperplane projector,
         # the cross-product vector is proportional to any planted zero-sum
@@ -53,26 +65,48 @@ class TestPlsFit:
         X = inverse_pivot(Q, total=1.0)
         a = rng.standard_normal(d)
         a -= a.mean()
-        y = clr(X).values @ a
+        y = clr(X) @ a
         model = pls_regression(X, y, k=1)
         residual = y - pls_predict(model, X)
         assert np.linalg.norm(residual) < 1e-6 * np.linalg.norm(y)
+        # the cross-product deflates to rounding noise after one component:
+        # the default stops there, an explicit second component is refused
+        assert pls_regression(X, y).n_components == 1
+        with pytest.raises(RankDeficient, match="component 2"):
+            pls_regression(X, y, k=2)
 
     def test_first_weight_direction(self, rng):
         X, y = random_instance(rng, 25, 7)
         Xc = centered_clr(X)
         yc = y - y.mean()
-        model = pls_fit(Xc, yc, k=3)
-        s = Xc.values.T @ yc
+        model = pls_regression(X, y, k=3)
+        s = Xc.T @ yc
         expected = s / np.linalg.norm(s)
         got = model.weights[:, 0] / np.linalg.norm(model.weights[:, 0])
         agreement = abs(float(expected @ got))
         assert agreement == pytest.approx(1.0, abs=1e-10)
 
+    def test_first_weight_is_pls_pb_root_loading(self, rng):
+        # pls-pb's root loading H·g, with g the covariances of the centred log
+        # parts with y, is the first SIMPLS weight, oriented the same way
+        for _ in range(10):
+            n, d = int(rng.integers(8, 40)), int(rng.integers(3, 15))
+            X, y = random_instance(rng, n, d)
+            hg = centered_clr(X).T @ (y - y.mean())
+            hg /= np.linalg.norm(hg)
+            if hg[np.argmax(np.abs(hg))] < 0:
+                hg = -hg
+            w = pls_regression(X, y, 1).weights[:, 0]
+            assert np.max(np.abs(w / np.linalg.norm(w) - hg)) <= 1e-10
+            coeffs, _ = best_balance(X, y, candidate_signs(w))
+            _, tree = pls_pb(X, y, return_tree=True)
+            assert np.array_equal(np.sign(coeffs), tree.chosen_signs)
+
     def test_scores_orthonormal(self, rng):
         X, y = random_instance(rng, 40, 12)
         model = pls_regression(X, y, k=8)
-        gram = model.scores.T @ model.scores
+        scores = model_scores(model, X)
+        gram = scores.T @ scores
         assert np.max(np.abs(gram - np.eye(8))) < 1e-8
 
     def test_weights_zero_sum(self, rng):
@@ -84,13 +118,13 @@ class TestPlsFit:
         X, y = random_instance(rng, 35, 9)
         model = pls_regression(X, y, k=8)
         yc = y - y.mean()
-        covs = np.abs(model.scores.T @ yc)
+        covs = np.abs(model_scores(model, X).T @ yc)
         assert np.all(covs[0] >= covs[1:] - 1e-10)
 
     def test_unit_score_norm_constraint(self, rng):
         X, y = random_instance(rng, 22, 5)
         model = pls_regression(X, y, k=4)
-        assert_allclose(np.linalg.norm(model.scores, axis=0), 1.0, atol=1e-10)
+        assert_allclose(np.linalg.norm(model_scores(model, X), axis=0), 1.0, atol=1e-10)
 
     def test_sign_convention(self, rng):
         X, y = random_instance(rng, 20, 6)
@@ -104,7 +138,8 @@ class TestPlsFit:
         # zero-sum and the scores orthogonal all the way to full rank
         X, y = random_instance(rng, 60, 50)
         model = pls_regression(X, y, k=49)
-        gram = model.scores.T @ model.scores
+        scores = model_scores(model, X)
+        gram = scores.T @ scores
         assert np.max(np.abs(gram - np.diag(np.diag(gram)))) < 1e-8
         assert np.max(np.abs(model.weights.sum(axis=0))) < 1e-10
 
@@ -120,64 +155,18 @@ class TestPlsFit:
             y_bad[2] = bad
             with pytest.raises(BalanceError, match="finite"):
                 pls_regression(X, y_bad, k=1)
-            with pytest.raises(BalanceError, match="finite"):
-                pls_fit(centered_clr(X), y_bad, k=1)
 
     def test_excess_components_rejected(self, rng):
         X, y = random_instance(rng, 10, 4)
         with pytest.raises(RankDeficient):
             pls_regression(X, y, k=4)
 
-    def test_uncentered_clr_rejected(self, rng):
-        X, y = random_instance(rng, 10, 4)
-        with pytest.raises(ValueError):
-            pls_fit(clr(X), y - y.mean(), k=1)
-
-
-class TestPcaFit:
-    def test_planted_spike_direction(self, rng):
-        n, d = 200, 6
-        a = rng.standard_normal(d)
-        a -= a.mean()
-        a /= np.linalg.norm(a)
-        scores = 5.0 * rng.standard_normal((n, 1))
-        noise = 0.01 * rng.standard_normal((n, d))
-        noise -= noise.mean(axis=1, keepdims=True)
-        X = CompositionMatrix(np.exp(scores @ a[None, :] + noise))
-        model = pca_fit(centered_clr(X), k=1)
-        assert min(
-            np.linalg.norm(model.weights[:, 0] - a),
-            np.linalg.norm(model.weights[:, 0] + a),
-        ) < 1e-2
-
-    def test_total_variance_preserved(self, rng):
-        X = random_composition(rng, 30, 7)
-        Xc = centered_clr(X)
-        model = pca_fit(Xc, k=6)
-        total = np.sum(Xc.values**2) / (X.n_samples - 1)
-        assert abs(model.explained_variance.sum() - total) < 1e-8
-
-    def test_variances_non_increasing(self, rng):
-        X = random_composition(rng, 30, 8)
-        model = pca_fit(centered_clr(X), k=7)
-        assert np.all(np.diff(model.explained_variance) <= 1e-12)
-
-    def test_weights_orthonormal(self, rng):
-        X = random_composition(rng, 25, 9)
-        model = pca_fit(centered_clr(X), k=6)
-        assert np.max(np.abs(model.weights.T @ model.weights - np.eye(6))) < 1e-10
-
-    def test_rank_boundary(self, rng):
-        X = random_composition(rng, 4, 10)
-        with pytest.raises(RankDeficient):
-            pca_fit(centered_clr(X), k=5)
-
 
 class TestPrediction:
     def test_training_predictions_match_fit(self, rng):
         X, y = random_instance(rng, 20, 6)
         model = pls_regression(X, y, k=3)
-        in_sample = model.y_mean + model.scores @ model.latent_coefficients
+        in_sample = model.y_mean + model_scores(model, X) @ model.latent_coefficients
         assert np.max(np.abs(pls_predict(model, X) - in_sample)) < 1e-12
 
     def test_full_rank_predictions_match_least_squares(self, rng):
@@ -207,12 +196,6 @@ class TestPrediction:
         model = pls_regression(X, y, k=2)
         with pytest.raises(DimensionMismatch):
             pls_predict(model, random_composition(rng, 4, 6))
-
-    def test_pca_model_has_no_regression(self, rng):
-        X = random_composition(rng, 15, 5)
-        model = pca_fit(centered_clr(X), k=2)
-        with pytest.raises(ValueError):
-            pls_predict(model, X)
 
 
 class TestClassify:

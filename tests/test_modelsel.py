@@ -211,10 +211,13 @@ class TestCrossValidate:
 
     def test_non_finite_response_rejected(self, rng):
         X, y = random_instance(rng, 12, 5)
+        basis = pls_pb(X, y)
         y[4] = np.nan
         for method in (PLS_PB, PCA_PB, PLS_RAW):
             with pytest.raises(BalanceError, match="finite"):
                 cross_validate(X, y, method, max_k=2, folds=4)
+        with pytest.raises(BalanceError, match="finite"):
+            fit_on_balances(X, y, basis, 2)
 
     def test_collinearity_found_inside_a_fold(self, rng):
         # a duplicated part leaves clr rank D-2, which only the fold fits see

@@ -111,7 +111,7 @@ class TestBestBalance:
     def test_winner_dominates(self, rng):
         X = random_composition(rng, 15, 6)
         y = rng.standard_normal(15)
-        p = clr(X).values.T @ (y - y.mean())
+        p = clr(X).T @ (y - y.mean())
         cands = candidate_signs(p)
         _, value = best_balance(X, y, cands)
         yc = y - y.mean()
@@ -172,7 +172,7 @@ class TestPlsPb:
             X, y = random_instance(rng, 18, d)
             basis = pls_pb(X, y)
             yc = y - y.mean()
-            p = clr(X).values.T @ yc
+            p = clr(X).T @ yc
             p = p - p.mean() if not (np.any(p > 0) and np.any(p < 0)) else p
             for cand in candidate_signs(p).T:
                 t = balance_values(X, signs_to_coefficients(cand))
@@ -259,7 +259,7 @@ class TestPcaPb:
     def test_total_variance_preserved(self, rng):
         X = random_composition(rng, 30, 12)
         basis = pca_pb(X)
-        C = clr(X).values
+        C = clr(X)
         Cc = C - C.mean(axis=0)
         total = np.sum(Cc**2) / (X.n_samples - 1)
         assert abs(basis.variances.sum() - total) < 1e-8

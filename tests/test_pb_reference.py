@@ -3,7 +3,9 @@
 The reference below is the per-node construction, kept as a plain loop:
 slice the node's parts, take clr, centre, fit a one-component SIMPLS or
 PCA model, derive the nested candidates from its loading and score every
-candidate from its balance values. The builders must reproduce its sign
+candidate from its balance values. The one-component fits are the k=1
+paths of the SIMPLS and SVD engines the package shipped up to 0.4.0,
+kept here with every rank check. The builders must reproduce its sign
 matrices exactly and its ordering values within rtol 1e-9.
 
 Policies are shared with the builders: ties within a relative 1e-12 of the
@@ -26,14 +28,62 @@ from plspb import (
     signs_to_coefficients,
     simulate_dataset,
 )
-from plspb.coda import ClrMatrix
 from plspb.errors import RankDeficient
-from plspb.latent import pca_fit, pls_fit
+from plspb.latent import _flip_to_positive_max
 from plspb.simgen import CASES, SimScenario
 
 from conftest import random_instance
 
 ORDERING_RTOL = 1e-9
+RANK_TOL = 1e-10
+
+
+def _check_components(X):
+    n, d = X.shape
+    if min(d - 1, n - 1) < 1:
+        raise RankDeficient(f"k=1 outside 1..{min(d - 1, n - 1)} for {n}x{d} data")
+
+
+def _pls_loading(X, yc):
+    """First SIMPLS weight of centred response yc on centred clr data X."""
+    _check_components(X)
+    x_scale = np.linalg.norm(X)
+    if x_scale == 0.0:
+        raise RankDeficient("clr data is constant")
+    s = X.T @ yc
+    s0_norm = np.linalg.norm(s)
+    if s0_norm == 0.0:
+        raise RankDeficient("response is orthogonal to the clr data")
+    s = s - s.mean()
+    s_norm = np.linalg.norm(s)
+    if s_norm <= RANK_TOL * s0_norm:
+        raise RankDeficient("rank boundary reached at component 1")
+    direction = s / s_norm
+    t = X @ direction
+    t_norm = np.linalg.norm(t)
+    if t_norm <= RANK_TOL * x_scale:
+        raise RankDeficient("rank boundary reached at component 1")
+    loading = X.T @ (t / t_norm)
+    loading = loading - loading.mean()
+    if np.linalg.norm(loading) <= RANK_TOL * x_scale:
+        raise RankDeficient("rank boundary reached at component 1")
+    weights = (direction / t_norm)[:, None]
+    _flip_to_positive_max(weights)
+    return weights[:, 0]
+
+
+def _pca_loading(X):
+    """First principal direction of centred clr data X, by SVD."""
+    _check_components(X)
+    _, singular_values, vt = np.linalg.svd(X, full_matrices=False)
+    if singular_values[0] == 0.0:
+        raise RankDeficient("clr data is constant")
+    effective_rank = int(np.sum(singular_values > RANK_TOL * singular_values[0]))
+    if effective_rank < 1:
+        raise RankDeficient(f"k=1 exceeds effective rank {effective_rank}")
+    weights = vt[:1].T.copy()
+    _flip_to_positive_max(weights)
+    return weights[:, 0]
 
 
 def _score(logs, yc, coeffs):
@@ -49,16 +99,14 @@ def _reference_node(X, yc, indices, collected):
     d = indices.shape[0]
     if d < 2:
         return
-    Xsub = X.take_parts(indices)
+    Xsub = CompositionMatrix(X.values[:, indices])
     logs = np.log(Xsub.values)
-    raw = clr(Xsub).values
+    raw = clr(Xsub)
     centred = raw - raw.mean(axis=0)
     loading = None
     if np.linalg.norm(centred) > 1e-12 * max(1.0, np.linalg.norm(logs)):
-        xclr = ClrMatrix(centred, centered=True)
         try:
-            model = pca_fit(xclr, 1) if yc is None else pls_fit(xclr, yc, 1)
-            loading = model.weights[:, 0]
+            loading = _pca_loading(centred) if yc is None else _pls_loading(centred, yc)
         except RankDeficient:
             pass
     if loading is None:
