@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fileio
+from .coda import default_part_names
 from .errors import BalanceError, NonBinary
 from .latent import pls_regression
 from .modelsel import (
@@ -73,6 +74,13 @@ def _prepare_out(config: dict) -> Path:
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
+
+
+def _run_seeds(config: dict) -> list[int]:
+    """One seed per run of a simulation study; ``runs`` must be at least 1."""
+    if config["runs"] < 1:
+        raise ValueError(f"runs must be at least 1, got {config['runs']}")
+    return spawn_seeds(config["seed"], config["runs"])
 
 
 def _scenario_from_config(config: dict, seed: int | None = None) -> SimScenario:
@@ -218,8 +226,7 @@ def run_cv(config: dict) -> Path:
     else:
         # fresh-data mode: one new dataset per run, 1 repeat of k-fold each
         runs = config["runs"]
-        run_seeds = spawn_seeds(config["seed"], runs)
-        tasks = [(config, seed, methods) for seed in run_seeds]
+        tasks = [(config, seed, methods) for seed in _run_seeds(config)]
         results = _map_runs(_cv_fresh_run, tasks, config.get("jobs", 1))
         for method in methods:
             errors = np.stack([res[method] for res in results])
@@ -257,16 +264,15 @@ def run_recover(config: dict) -> Path:
     out_dir = _prepare_out(config)
     methods = [PLS_PB, PCA_PB] if config["method"] == "all" else [config["method"]]
     runs = config["runs"]
-    run_seeds = spawn_seeds(config["seed"], runs)
-    tasks = [(config, seed, methods) for seed in run_seeds]
+    tasks = [(config, seed, methods) for seed in _run_seeds(config)]
     results = _map_runs(_recover_run, tasks, config.get("jobs", 1))
-    scenario = _scenario_from_config(config)
-    part_names = tuple(f"V{j}" for j in range(1, scenario.D + 1))
     counts = {
         method: np.sum([res[method] for res in results], axis=0).astype(int)
         for method in methods
     }
-    fileio.write_recovery_csv(out_dir / "recovery.csv", part_names, counts, runs)
+    fileio.write_recovery_csv(
+        out_dir / "recovery.csv", default_part_names(config["d"]), counts, runs
+    )
     for method in methods:
         print(f"{method}: mean inclusions per run = {counts[method].sum() / runs:.1f}")
     _write_manifest(out_dir, "recover", config)

@@ -16,16 +16,15 @@ shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSplit, DimensionMismatch, ZeroPart
+from .errors import BalanceError, DegenerateSplit, DimensionMismatch, ZeroPart
 
-# Tolerance ladder: orthonormality checks, algebraic identities, round trips.
+# Tolerance ladder: orthonormality checks, then algebraic identities.
 ORTHONORMAL_TOL = 1e-10
 ALGEBRA_TOL = 1e-12
-ROUNDTRIP_TOL = 1e-9
 
 
 def default_part_names(n_parts: int) -> tuple[str, ...]:
@@ -97,8 +96,8 @@ def signs_to_coefficient_matrix(sign_matrix) -> np.ndarray:
     With r parts coded +1 and s parts coded -1 in a column, its positive
     entries become sqrt(s / ((r + s) * r)) and its negative entries
     -sqrt(r / ((r + s) * s)); zeros stay zero. Columns need both groups
-    nonempty. Neither input nor result is checked here: public callers
-    check the signs with ``_check_signs``, ``BalanceBasis`` the result.
+    nonempty. The input is not checked here: public callers check the
+    signs with ``_check_signs`` first.
     """
     signs = np.asarray(sign_matrix)
     r = (signs == 1).sum(axis=0)
@@ -117,47 +116,45 @@ def _check_signs(signs: np.ndarray) -> None:
         raise DegenerateSplit("balance needs nonempty numerator and denominator")
 
 
-def _check_balances(coeffs: np.ndarray, signs: np.ndarray) -> None:
-    """Validate balance columns against their sign patterns: valid signs,
-    entries on the balance formula (NaN is not), zero sum and unit norm."""
-    _check_signs(signs)
-    if not np.all(np.abs(coeffs - signs_to_coefficient_matrix(signs)) <= ALGEBRA_TOL):
-        raise ValueError("balance entries deviate from the balance formula")
-    if not np.all(np.abs(coeffs.sum(axis=0)) <= ALGEBRA_TOL):
-        raise ValueError("balance coefficients must sum to zero")
-    if not np.all(np.abs(np.einsum("ij,ij->j", coeffs, coeffs) - 1.0) <= ALGEBRA_TOL):
-        raise ValueError("balance coefficients must have unit norm")
+def _check_response(y, n: int) -> np.ndarray:
+    """The response as a float vector of n finite values."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise DimensionMismatch("response length must match the sample count")
+    if not np.all(np.isfinite(y)):
+        raise BalanceError("response values must be finite")
+    return y
 
 
 @dataclass(frozen=True)
 class BalanceBasis:
     """Ordered orthonormal set of D-1 balances over D parts.
 
-    ``covariances`` carries |cov| with the response for supervised bases;
-    ``variances`` carries balance variances for unsupervised ones. Columns
-    are sorted by the available ordering values, non-increasing.
+    ``sign_matrix`` holds one balance per column (+1 numerator, -1
+    denominator, 0 elsewhere); ``coefficient_matrix`` is derived from it by
+    the balance formula. ``covariances`` carries |cov| with the response for
+    supervised bases; ``variances`` carries balance variances for
+    unsupervised ones. Columns are sorted by the available ordering values,
+    non-increasing.
     """
 
-    coefficient_matrix: np.ndarray
+    coefficient_matrix: np.ndarray = field(init=False)
     sign_matrix: np.ndarray
     covariances: np.ndarray | None = None
     variances: np.ndarray | None = None
     part_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        b = np.array(self.coefficient_matrix, dtype=float)
-        s = np.array(self.sign_matrix, dtype=int)
-        if b.ndim != 2 or b.shape[1] != b.shape[0] - 1:
-            raise ValueError("coefficient matrix must be D x (D-1)")
-        if s.shape != b.shape:
-            raise DimensionMismatch("sign matrix shape must match coefficients")
-        d = b.shape[0]
-        # The formula check first: it rejects NaN before the sign comparison.
-        _check_balances(b, s)
+        s = np.array(self.sign_matrix)
+        if s.ndim != 2 or s.shape[1] != s.shape[0] - 1:
+            raise ValueError("sign matrix must be D x (D-1)")
+        # Before the int cast, which would truncate 0.5 or NaN to 0.
+        _check_signs(s)
+        s = s.astype(int)
+        b = signs_to_coefficient_matrix(s)
+        d = s.shape[0]
         if not np.all(np.abs(b.T @ b - np.eye(d - 1)) <= ORTHONORMAL_TOL):
             raise ValueError("balance columns are not orthonormal")
-        if np.any(np.sign(b) != s):
-            raise ValueError("sign matrix disagrees with coefficient signs")
         names = self.part_names
         if names is None:
             names = default_part_names(d)

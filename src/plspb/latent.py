@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import CompositionMatrix, clr
-from .errors import BalanceError, ConstantResponse, DimensionMismatch, RankDeficient
+from .coda import CompositionMatrix, _check_response, clr
+from .errors import ConstantResponse, DimensionMismatch, RankDeficient
 
 _RANK_TOL = 1e-10
 _WEIGHT_SUM_TOL = 1e-10
@@ -96,12 +96,8 @@ def pls_regression(X: CompositionMatrix, y, k: int | None = None) -> LatentModel
     reached least squares, at most min(D-1, n-1); an explicit k past it
     raises ``RankDeficient``. The training means are kept for prediction.
     """
-    y = np.asarray(y, dtype=float)
     n, d = X.n_samples, X.n_parts
-    if y.shape != (n,):
-        raise DimensionMismatch("response length must match the sample count")
-    if not np.all(np.isfinite(y)):
-        raise BalanceError("response values must be finite")
+    y = _check_response(y, n)
     raw = clr(X)
     x_mean = raw.mean(axis=0)
     y_mean = float(y.mean())

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import BalanceBasis, CompositionMatrix
+from .coda import BalanceBasis, CompositionMatrix, _check_response
 from .errors import (
-    BalanceError,
     Collinear,
     EmptyInput,
     NonBinary,
@@ -47,9 +46,12 @@ class BalanceModel:
     """Least-squares fit of the response on the first k balance coordinates."""
 
     basis: BalanceBasis
-    n_components: int
     coefficients: np.ndarray
     intercept: float
+
+    @property
+    def n_components(self) -> int:
+        return len(self.coefficients)
 
     def predict(self, X: CompositionMatrix) -> np.ndarray:
         coords = self.basis.coordinates(X)[:, : self.n_components]
@@ -58,33 +60,33 @@ class BalanceModel:
 
 @dataclass(frozen=True)
 class CvResult:
-    """Cross-validated error curve and the one-standard-error selection."""
+    """Cross-validated error curve for the sizes 1..max_k, and the
+    one-standard-error selection."""
 
-    component_counts: np.ndarray
     mean_error: np.ndarray
     sd_error: np.ndarray
-    selected_k: int
     metric: str
     folds: int
     repeats: int
 
     def __post_init__(self):
-        counts = np.array(self.component_counts, dtype=int)
         mean = np.array(self.mean_error, dtype=float)
         sd = np.array(self.sd_error, dtype=float)
-        if not (counts.shape == mean.shape == sd.shape):
-            raise ValueError("curve arrays must share one length")
+        if mean.ndim != 1 or mean.size == 0 or mean.shape != sd.shape:
+            raise ValueError("error curves must be nonempty 1-d with one length")
         if np.any(mean < 0) or np.any(sd < 0):
             raise ValueError("error summaries must be nonnegative")
-        if self.selected_k != one_se_select(mean, sd):
-            raise ValueError("selected_k disagrees with the one-SE rule")
-        for name, arr in (
-            ("component_counts", counts),
-            ("mean_error", mean),
-            ("sd_error", sd),
-        ):
+        for name, arr in (("mean_error", mean), ("sd_error", sd)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def component_counts(self) -> np.ndarray:
+        return np.arange(1, self.mean_error.shape[0] + 1)
+
+    @property
+    def selected_k(self) -> int:
+        return one_se_select(self.mean_error, self.sd_error)
 
 
 def rmsep(y, yhat) -> float:
@@ -156,19 +158,13 @@ def fit_on_balances(
     independent in sample space when there are more samples than
     regressors; otherwise the fit is reported as collinear.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (X.n_samples,):
-        raise ValueError("response length must match the sample count")
-    if not np.all(np.isfinite(y)):
-        raise BalanceError("response values must be finite")
+    y = _check_response(y, X.n_samples)
     if not 1 <= k <= basis.n_balances:
         raise ValueError(f"k={k} outside 1..{basis.n_balances}")
     col_means, y_mean, r, qty = _least_squares(basis.coordinates(X)[:, :k], y)
     slope = np.linalg.solve(r, qty)
     intercept = y_mean - float(col_means @ slope)
-    return BalanceModel(
-        basis=basis, n_components=k, coefficients=slope, intercept=intercept
-    )
+    return BalanceModel(basis=basis, coefficients=slope, intercept=intercept)
 
 
 def fold_indices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -229,15 +225,7 @@ def aggregate_error_runs(error_matrix, metric, folds, repeats) -> CvResult:
         raise ValueError("need a runs x k error matrix")
     mean = errs.mean(axis=0)
     sd = errs.std(axis=0, ddof=1) if errs.shape[0] > 1 else np.zeros(errs.shape[1])
-    return CvResult(
-        component_counts=np.arange(1, errs.shape[1] + 1),
-        mean_error=mean,
-        sd_error=sd,
-        selected_k=one_se_select(mean, sd),
-        metric=metric,
-        folds=folds,
-        repeats=repeats,
-    )
+    return CvResult(mean_error=mean, sd_error=sd, metric=metric, folds=folds, repeats=repeats)
 
 
 def cross_validate(
@@ -257,9 +245,7 @@ def cross_validate(
     held-out predictions into one error value per candidate size. Results
     are bit-reproducible for a fixed (inputs, seed) pair.
     """
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise BalanceError("response values must be finite")
+    y = _check_response(y, X.n_samples)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if metric not in (METRIC_RMSEP, METRIC_ME):

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import BalanceBasis, CompositionMatrix, _check_signs, _readonly
+from .coda import BalanceBasis, CompositionMatrix, _check_response, _check_signs, _readonly
 from .coda import signs_to_coefficient_matrix, signs_to_coefficients
-from .errors import BalanceError, ConstantResponse, OneSidedLoading
+from .errors import ConstantResponse, OneSidedLoading
 from .latent import _flip_to_positive_max
 
 _TIE_RTOL = 1e-12
@@ -173,10 +173,7 @@ def best_balance(Xsub: CompositionMatrix, y, sign_matrix) -> tuple[np.ndarray, f
     if sign_matrix.ndim != 2 or sign_matrix.shape[0] != Xsub.n_parts or sign_matrix.size == 0:
         raise ValueError("sign matrix must be parts x candidates, with a candidate")
     _check_signs(sign_matrix)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (Xsub.n_samples,):
-        raise ValueError("response length must match the sample count")
-    stats = _statistics(Xsub, y)
+    stats = _statistics(Xsub, _check_response(y, Xsub.n_samples))
     scores = _scores(signs_to_coefficient_matrix(sign_matrix), stats.gram, stats.cross)
     winner = _winner(scores, sign_matrix)
     return signs_to_coefficients(sign_matrix[:, winner]), float(scores[winner])
@@ -276,13 +273,13 @@ def _build_partition(stats: _Statistics, indices: np.ndarray, collected: list):
 
 
 def _assemble_basis(X: CompositionMatrix, collected, label: str) -> BalanceBasis:
-    """Sort the kept sign patterns by score and turn them into coefficients;
-    ``label`` names the ordering values. ``BalanceBasis`` validates them."""
+    """Sort the kept sign patterns by score into a ``BalanceBasis``, which
+    validates them and derives their coefficients; ``label`` names the
+    ordering values."""
     values = np.array([v for _, v in collected])
     order = np.argsort(-values, kind="stable")
     signs = np.stack([collected[j][0] for j in order], axis=1)
-    coeffs = signs_to_coefficient_matrix(signs)
-    return BalanceBasis(coeffs, signs, part_names=X.part_names, **{label: values[order]})
+    return BalanceBasis(signs, part_names=X.part_names, **{label: values[order]})
 
 
 def pls_pb(X: CompositionMatrix, y, return_tree: bool = False):
@@ -294,13 +291,9 @@ def pls_pb(X: CompositionMatrix, y, return_tree: bool = False):
 
     The response is centered once, globally; every node reuses it.
     """
-    y = np.asarray(y, dtype=float)
     if X.n_samples < 3:
         raise ValueError("need at least 3 samples")
-    if y.shape != (X.n_samples,):
-        raise ValueError("response length must match the sample count")
-    if not np.all(np.isfinite(y)):
-        raise BalanceError("response values must be finite")
+    y = _check_response(y, X.n_samples)
     if np.ptp(y) == 0.0:
         raise ConstantResponse("response has zero variance")
     collected: list = []

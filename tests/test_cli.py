@@ -331,6 +331,21 @@ class TestRerun:
         for name, digest in manifest["outputs"].items():
             assert sha256_file(replay / name) == digest
 
+    @pytest.mark.parametrize("command, extra", [("cv", ("--max-k", 2)), ("recover", ())])
+    def test_zero_runs_rejected(self, tmp_path, capsys, command, extra):
+        argv = (command, "--n", 20, "--d", 8, "--blocks", "4", "--seed", 1, *extra)
+        assert run_cli(*argv, "--runs", 0, "--out", tmp_path / "direct") == 2
+        assert capsys.readouterr().err.startswith("error: runs must be at least 1")
+        # the same config replayed from a manifest
+        out = tmp_path / "orig"
+        assert run_cli(*argv, "--runs", 1, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["runs"] = 0
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r") == 2
+        assert capsys.readouterr().err.startswith("error: runs must be at least 1")
+
     def test_rerun_detects_divergence(self, tmp_path):
         out = tmp_path / "orig"
         run_cli("simulate", "--n", 20, "--d", 8, "--blocks", "4", "--out", out)

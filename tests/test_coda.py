@@ -159,37 +159,42 @@ class TestSignsToCoefficients:
 
 
 class TestBalanceChecks:
-    def test_rotated_columns_rejected(self, rng):
-        # a small rotation of two columns keeps them orthonormal and zero-sum
-        # and keeps the sign of every nonzero entry (zeros fill in), but the
-        # values leave the balance formula
+    def test_coefficients_follow_the_signs(self, rng):
         X, y = random_instance(rng, 20, 6)
-        basis = pls_pb(X, y)
-        B = basis.coefficient_matrix.copy()
-        theta = 1e-3
-        b0, b1 = B[:, 0].copy(), B[:, 1].copy()
-        B[:, 0] = np.cos(theta) * b0 + np.sin(theta) * b1
-        B[:, 1] = -np.sin(theta) * b0 + np.cos(theta) * b1
-        assert np.max(np.abs(B.T @ B - np.eye(5))) < 1e-12
-        signs = np.sign(B).astype(int)
-        nonzero = basis.sign_matrix != 0
-        assert np.array_equal(signs[nonzero], basis.sign_matrix[nonzero])
-        with pytest.raises(ValueError, match="formula"):
-            BalanceBasis(B, signs, covariances=basis.covariances)
+        signs = pls_pb(X, y).sign_matrix
+        basis = BalanceBasis(signs, variances=[5.0, 4.0, 3.0, 2.0, 1.0])
+        expected = np.column_stack([signs_to_coefficients(col) for col in signs.T])
+        assert np.array_equal(basis.coefficient_matrix, expected)
+        assert not basis.coefficient_matrix.flags.writeable
 
     def test_basis_with_one_sided_columns_rejected(self):
         with pytest.raises(DegenerateSplit):
-            BalanceBasis(np.eye(3)[:, :2], np.eye(3, dtype=int)[:, :2], variances=[1.0, 0.5])
+            BalanceBasis(np.eye(3, dtype=int)[:, :2], variances=[1.0, 0.5])
 
-    @pytest.mark.parametrize("index, change", [(1, 1e-9), (3, np.nan)])
-    def test_entry_off_the_formula_rejected(self, index, change):
-        # a valid basis whose first column is [1, -1, -1, 0]; one entry moves
-        signs = np.array([[1, 0, -1], [-1, 1, -1], [-1, -1, -1], [0, 0, 1]])
-        coeffs = np.column_stack([signs_to_coefficients(col) for col in signs.T])
-        BalanceBasis(coeffs, signs, variances=[3.0, 2.0, 1.0])
-        coeffs[index, 0] += change
-        with pytest.raises(ValueError, match="formula"):
-            BalanceBasis(coeffs, signs, variances=[3.0, 2.0, 1.0])
+    @pytest.mark.parametrize("entry", [0.5, np.nan])
+    def test_malformed_sign_entry_rejected(self, entry):
+        # a valid basis whose entry [0, 1] moves off {-1, 0, +1}
+        signs = np.array([[1.0, 0, -1], [-1, 1, -1], [-1, -1, -1], [0, 0, 1]])
+        BalanceBasis(signs, variances=[3.0, 2.0, 1.0])
+        signs[0, 1] = entry
+        with pytest.raises(ValueError, match="sign entries"):
+            BalanceBasis(signs, variances=[3.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "signs",
+        [np.array([1, -1, 0]), np.array([[1, 0], [-1, 0]]), np.ones((3, 3), dtype=int)],
+        ids=["vector", "2x2", "3x3"],
+    )
+    def test_sign_matrix_shape_checked(self, signs):
+        with pytest.raises(ValueError, match="D x"):
+            BalanceBasis(signs)
+
+    def test_crossing_supports_rejected(self):
+        # each column is a valid balance, but the supports neither nest nor
+        # stay disjoint, so the columns are not orthogonal
+        signs = np.array([[1, 1], [-1, 0], [0, -1]])
+        with pytest.raises(ValueError, match="orthonormal"):
+            BalanceBasis(signs)
 
 
 def _latent_model(weights):
@@ -202,9 +207,7 @@ def _latent_model(weights):
 
 
 def _basis_with_covariances(covariances):
-    signs = np.array([[1, 1], [-1, 1], [0, -1]])
-    coeffs = np.column_stack([signs_to_coefficients(col) for col in signs.T])
-    return BalanceBasis(coeffs, signs, covariances=covariances)
+    return BalanceBasis(np.array([[1, 1], [-1, 1], [0, -1]]), covariances=covariances)
 
 
 @pytest.mark.parametrize(

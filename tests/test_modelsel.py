@@ -19,6 +19,7 @@ from plspb.modelsel import PCA_PB, PLS_PB, PLS_RAW, aggregate_error_runs
 from plspb.errors import (
     BalanceError,
     Collinear,
+    DimensionMismatch,
     EmptyInput,
     NonBinary,
     RankDeficient,
@@ -218,6 +219,14 @@ class TestCrossValidate:
                 cross_validate(X, y, method, max_k=2, folds=4)
         with pytest.raises(BalanceError, match="finite"):
             fit_on_balances(X, y, basis, 2)
+
+    @pytest.mark.parametrize("length", [11, 13], ids=["short", "long"])
+    def test_response_length_checked(self, rng, length):
+        X, _ = random_instance(rng, 12, 5)
+        y = rng.standard_normal(length)
+        for method in (PLS_PB, PCA_PB, PLS_RAW):
+            with pytest.raises(DimensionMismatch, match="response length"):
+                cross_validate(X, y, method, max_k=2, folds=4)
 
     def test_collinearity_found_inside_a_fold(self, rng):
         # a duplicated part leaves clr rank D-2, which only the fold fits see

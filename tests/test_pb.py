@@ -205,10 +205,13 @@ class TestPlsPb:
 
     def test_non_finite_response_rejected(self, rng):
         X, y = random_instance(rng, 10, 5)
+        cands = np.array([[1], [-1], [0], [0], [0]])
         for bad in (np.nan, -np.inf):
             y[1] = bad
             with pytest.raises(BalanceError, match="finite"):
                 pls_pb(X, y)
+            with pytest.raises(BalanceError, match="finite"):
+                best_balance(X, y, cands)
 
     def test_degenerate_composition_falls_back_deterministically(self):
         # proportional rows carry no relative information at all; the
