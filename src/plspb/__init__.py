@@ -46,7 +46,7 @@ from .simgen import (
     simulate_dataset,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "BalanceBasis",

@@ -63,7 +63,10 @@ def _write_manifest(out_dir: Path, command: str, config: dict, extra: dict | Non
 
 
 def _map_runs(run, tasks, jobs: int) -> list:
-    """``run`` over every task, in a process pool when ``jobs`` > 1."""
+    """``run`` over every task, in a process pool when ``jobs`` > 1;
+    ``jobs`` must be at least 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(run, tasks))
@@ -254,7 +257,9 @@ def _recover_run(args):
     out = {}
     for method in methods:
         basis = (
-            pls_pb(dataset.X, dataset.y) if method == PLS_PB else pca_pb(dataset.X)
+            pls_pb(dataset.X, dataset.y, max_k=1)
+            if method == PLS_PB
+            else pca_pb(dataset.X, max_k=1)
         )
         out[method] = marker_recovery(basis, dataset.marker_mask).included
     return out
@@ -302,6 +307,13 @@ def run_rerun(manifest_path: str, out: str) -> bool:
     missing = sorted(_config_keys(manifest["command"]) - config.keys())
     if missing:
         raise ValueError(f"{manifest_path}: config lacks {', '.join(missing)}")
+    for action in _subparser(manifest["command"])._actions:
+        value = config.get(action.dest)
+        if action.dest not in ("help", "out") and not _config_value_ok(action, value):
+            raise ValueError(
+                f"{manifest_path}: config {action.dest}={value!r} is not a valid "
+                f"{action.option_strings[0]} value"
+            )
     out_dir = _RUNNERS[manifest["command"]](config)
     ok = True
     for name, digest in manifest["outputs"].items():
@@ -321,13 +333,17 @@ def run_rerun(manifest_path: str, out: str) -> bool:
 # -- argument parsing --------------------------------------------------------
 
 
+def _block_sizes(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
 def _add_scenario_flags(parser):
     parser.add_argument("--case", choices=CASES, default="one-block")
     parser.add_argument("--n", type=int, default=250, help="sample count")
     parser.add_argument("--d", type=int, default=100, help="part count")
     parser.add_argument(
         "--blocks",
-        type=lambda s: [int(x) for x in s.split(",")],
+        type=_block_sizes,
         default=None,
         help="comma-separated marker block sizes (default: case layout)",
     )
@@ -399,10 +415,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subparser(command: str) -> argparse.ArgumentParser:
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    return commands.choices[command]
+
+
 def _config_keys(command: str) -> set[str]:
     """The keys a config of ``command`` holds: its subparser's dests."""
-    commands = next(a for a in build_parser()._actions if a.dest == "command")
-    return {a.dest for a in commands.choices[command]._actions} - {"help"}
+    return {a.dest for a in _subparser(command)._actions} - {"help"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What each option type parses to, as a test on a config value read back
+# from JSON; an option without a type holds a string.
+_TYPE_CHECKS = {
+    int: _is_int,
+    float: lambda v: _is_int(v) or isinstance(v, float),
+    _block_sizes: lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
+    None: lambda v: isinstance(v, str),
+}
+
+
+def _config_value_ok(action: argparse.Action, value) -> bool:
+    """Whether the option ``action`` could have given ``value``: None when
+    it is optional without a default, one of its choices, a flag's bool, or
+    a value of its type."""
+    if value is None:
+        return action.default is None and not action.required
+    if action.choices is not None:
+        return value in action.choices
+    if action.nargs == 0:  # a store_true flag
+        return isinstance(value, bool)
+    return _TYPE_CHECKS[action.type](value)
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:

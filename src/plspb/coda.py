@@ -128,14 +128,15 @@ def _check_response(y, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BalanceBasis:
-    """Ordered orthonormal set of D-1 balances over D parts.
+    """Ordered orthonormal set of k balances over D parts, 1 <= k <= D-1:
+    a full basis, or the leading balances of one.
 
     ``sign_matrix`` holds one balance per column (+1 numerator, -1
     denominator, 0 elsewhere); ``coefficient_matrix`` is derived from it by
     the balance formula. ``covariances`` carries |cov| with the response for
     supervised bases; ``variances`` carries balance variances for
-    unsupervised ones. Columns are sorted by the available ordering values,
-    non-increasing.
+    unsupervised ones, one value per balance. Columns are sorted by the
+    available ordering values, non-increasing.
     """
 
     coefficient_matrix: np.ndarray = field(init=False)
@@ -146,14 +147,14 @@ class BalanceBasis:
 
     def __post_init__(self):
         s = np.array(self.sign_matrix)
-        if s.ndim != 2 or s.shape[1] != s.shape[0] - 1:
-            raise ValueError("sign matrix must be D x (D-1)")
+        if s.ndim != 2 or not 1 <= s.shape[1] <= s.shape[0] - 1:
+            raise ValueError("sign matrix must be D x k with 1 <= k <= D-1")
         # Before the int cast, which would truncate 0.5 or NaN to 0.
         _check_signs(s)
         s = s.astype(int)
         b = signs_to_coefficient_matrix(s)
-        d = s.shape[0]
-        if not np.all(np.abs(b.T @ b - np.eye(d - 1)) <= ORTHONORMAL_TOL):
+        d, k = s.shape
+        if not np.all(np.abs(b.T @ b - np.eye(k)) <= ORTHONORMAL_TOL):
             raise ValueError("balance columns are not orthonormal")
         names = self.part_names
         if names is None:
@@ -166,8 +167,8 @@ class BalanceBasis:
             if vals is None:
                 continue
             vals = np.array(vals, dtype=float)
-            if vals.shape != (d - 1,):
-                raise DimensionMismatch(f"{label} must have length D-1")
+            if vals.shape != (k,):
+                raise DimensionMismatch(f"{label} must have one value per balance")
             if not np.all(np.diff(vals) <= ALGEBRA_TOL):
                 raise ValueError(f"{label} must be non-increasing")
             object.__setattr__(self, label, _readonly(vals))

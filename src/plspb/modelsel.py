@@ -202,8 +202,11 @@ def _repeat_errors(X, log_x, y, method, max_k, folds, metric, rng):
         if method == PLS_RAW:
             contrasts = pls_regression(X_train, y_train, max_k).weights
         else:
-            basis = pls_pb(X_train, y_train) if method == PLS_PB else pca_pb(X_train)
-            contrasts = basis.coefficient_matrix[:, :max_k]
+            if method == PLS_PB:
+                basis = pls_pb(X_train, y_train, max_k=max_k)
+            else:
+                basis = pca_pb(X_train, max_k=max_k)
+            contrasts = basis.coefficient_matrix
         design = log_x @ contrasts
         col_means, y_mean, r, qty = _least_squares(design[train_idx], y_train)
         heldout = np.linalg.solve(r.T, (design[test_idx] - col_means).T).T

@@ -9,8 +9,8 @@ direction of its subcomposition) for pls-pb, or the top eigenvector of
 H G[idx, idx] H (its first principal direction) for pca-pb. The loading
 yields d-1 nested candidates (see ``candidate_signs``), scored by |c'g[idx]|
 or c'G[idx, idx]c; the best wins, and ties within a relative 1e-12 go to
-the fewest active parts. The recursion descends into the parts left out of
-the chosen balance, its numerator and its denominator.
+the fewest active parts. The node's children are the parts left out of the
+chosen balance, its numerator and its denominator.
 
 A node without usable signal (constant subcomposition, zero H g[idx], or a
 SIMPLS fit at its rank boundary) keeps its first part against its last, scored 0.
@@ -21,11 +21,35 @@ that contrasts the left-out parts (numerator) against the included ones
 (denominator). It is orthogonal to everything else in the subtree because
 each side is constant over the support of any nested balance.
 
-The D-1 balances are finally sorted by their score, non-increasing.
+The balances are sorted by their score, non-increasing, and equal scores
+keep the preorder of the tree: a node's chosen balance, its connecting
+balance, then the subtrees of its zero, numerator and denominator children.
+Each balance carries that position as its preorder key, the path of child
+slots from the root followed by its own slot.
+
+One best-first engine builds both the full basis and its leading k
+balances. It expands nodes from a heap keyed by an upper bound on the score
+of every balance inside the node. Any such balance is a unit zero-sum
+contrast c on the node's parts, so for pls-pb |c'g[idx]| <= ||H g[idx]||
+(Cauchy-Schwarz), and for pca-pb c'G[idx, idx]c is at most the top
+eigenvalue of H G[idx, idx] H and at most its trace. A node's bound is the
+smaller of its own and its parent's, so a pca-pb child inherits its
+parent's top eigenvalue. A pca-pb node's own top eigenvalue comes from the
+eigh its expansion needs anyway: on its first pop the node computes it and,
+when it lowers the bound, goes back into the heap under it. The engine
+stops once the k-th best kept score exceeds the largest open bound by a
+slack of 1e-9 of the root's uncentred scale (||g|| or tr G): that slack
+covers the rounding of scores and bounds, and being strictly positive it
+keeps a pruned node from holding a balance tied with the k-th that comes
+earlier in preorder. Every node's work depends only on its parts, so the
+first k balances, their order and their scores are bit-identical to the
+full build's. With k = D-1 the heap drains whatever the bounds, so the
+full build computes none and expands every node once.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +66,8 @@ _RANK_TOL = 1e-10
 # Rounding in G can move tr(H G[idx, idx] H) by about n * eps * tr(G[idx, idx]);
 # below this share of tr(G[idx, idx]) the constant check reads the data.
 _GRAM_NOISE = 1e-8
+# The best-first stop slack, relative to the root's uncentred scale.
+_STOP_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -179,8 +205,19 @@ def best_balance(Xsub: CompositionMatrix, y, sign_matrix) -> tuple[np.ndarray, f
     return signs_to_coefficients(sign_matrix[:, winner]), float(scores[winner])
 
 
-def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross):
-    """Oriented loading of a node, or None when the node has no usable signal."""
+def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenvalue and eigenvector of H G[idx, idx] H: pca-pb's node bound
+    and loading direction."""
+    col_means = gram.mean(axis=0)
+    centred_gram = gram - col_means[:, None] - col_means + col_means.mean()
+    eigenvalues, eigenvectors = np.linalg.eigh(centred_gram)
+    return float(eigenvalues[-1]), eigenvectors[:, -1]
+
+
+def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross, direction):
+    """Oriented loading of a node, or None when the node has no usable
+    signal. ``direction`` is the top eigenvector of H G[idx, idx] H for
+    pca-pb, None for pls-pb."""
     n = stats.log.shape[0]
     col_means = gram.mean(axis=0)
     energy = float(np.trace(gram) - col_means.sum())  # tr(H G[idx, idx] H)
@@ -193,8 +230,7 @@ def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross):
         if np.linalg.norm(block - block.mean(axis=0)) <= _CONSTANT_TOL * np.sqrt(scale_sq):
             return None
     if cross is None:
-        centred_gram = gram - col_means[:, None] - col_means + col_means.mean()
-        p = np.linalg.eigh(centred_gram)[1][:, -1]
+        p = direction
     else:
         p = cross - cross.mean()
         # SIMPLS rank boundary: the score t = Xc p / ||p|| and the x-loading
@@ -224,70 +260,145 @@ def _embed(signs: np.ndarray, indices: np.ndarray, n_parts: int) -> np.ndarray:
     return full
 
 
-def _build_partition(stats: _Statistics, indices: np.ndarray, collected: list):
-    """Recursive sequential binary partition over ``indices``.
+# Preorder slots below a node's path: its chosen and connecting balances,
+# then its zero, numerator and denominator children. Keys are tuples of
+# slots, and none is a prefix of another, so tuple order is preorder.
+_CHOSEN, _CONNECTING = 0, 1
+_CHILD_SLOTS = ((2, 0), (3, 1), (4, -1))  # (slot, side of the chosen signs)
 
-    Appends (full-space sign vector, score) pairs to ``collected`` and
-    returns the PartitionNode for this subset, or None for single parts.
-    """
-    d = indices.shape[0]
-    if d < 2:
-        return None
-    n_parts = stats.gram.shape[0]
-    gram = stats.gram[np.ix_(indices, indices)]
-    cross = None if stats.cross is None else stats.cross[indices]
-    loading = _loading(stats, indices, gram, cross)
-    if loading is None:
-        signs = np.zeros(d, dtype=int)
-        signs[0], signs[-1] = 1, -1
-        score = 0.0
+
+def _open_node(stats: _Statistics, heap: list, path: tuple, indices: np.ndarray, cap: float):
+    """Push a node of at least 2 parts with its score bound, at most ``cap``;
+    the cap -inf of a full build keys it by -inf without computing one."""
+    if indices.shape[0] < 2:
+        return
+    if cap == -np.inf:
+        heapq.heappush(heap, (np.inf, path, indices, None))
+        return
+    if stats.cross is None:
+        gram = stats.gram[np.ix_(indices, indices)]
+        own = np.trace(gram) - gram.sum() / indices.shape[0]  # tr(H G[idx, idx] H)
     else:
-        sign_matrix = _sign_matrix(loading)
-        scores = _scores(signs_to_coefficient_matrix(sign_matrix), gram, cross)
-        winner = _winner(scores, sign_matrix)
-        signs, score = sign_matrix[:, winner], float(scores[winner])
-    chosen = _embed(signs, indices, n_parts)
-    collected.append((chosen, score))
+        cross = stats.cross[indices]
+        cross = cross - cross.mean()
+        own = np.sqrt(cross @ cross)  # ||H g[idx]||
+    heapq.heappush(heap, (-min(cap, float(own)), path, indices, None))
 
-    connecting = connecting_score = None
-    if np.any(signs == 0):
-        link = np.where(signs == 0, 1, -1)
-        connecting = _embed(link, indices, n_parts)
-        link_coeffs = signs_to_coefficient_matrix(link[:, None])
-        connecting_score = 0.0 if loading is None else float(_scores(link_coeffs, gram, cross)[0])
-        collected.append((connecting, connecting_score))
 
-    zero_child = _build_partition(stats, indices[signs == 0], collected)
-    numerator_child = _build_partition(stats, indices[signs == 1], collected)
-    denominator_child = _build_partition(stats, indices[signs == -1], collected)
+def _partition(stats: _Statistics, max_k: int):
+    """Best-first sequential binary partition, stopped once its ``max_k``
+    best balances are known.
+
+    Returns the kept (sign vector over all parts, score) pairs in basis
+    order, and the expanded nodes as {path: (indices, chosen signs, score,
+    connecting signs, connecting score)}.
+    """
+    n_parts = stats.gram.shape[0]
+    scale = np.trace(stats.gram) if stats.cross is None else np.linalg.norm(stats.cross)
+    slack = max(_STOP_RTOL * float(scale), np.finfo(float).tiny)
+    kept: list = []  # min-heap of (score, negated key, key, signs): the worst on top
+    expanded: dict = {}
+    # min-heap of (-bound, path, indices, top eigenpair once a pca-pb node has
+    # it); in a full build every bound is -inf, so no node is re-queued.
+    heap: list = []
+    _open_node(stats, heap, (), np.arange(n_parts), -np.inf if max_k == n_parts - 1 else np.inf)
+
+    def keep(score: float, key: tuple, signs: np.ndarray):
+        heapq.heappush(kept, (score, tuple(-slot for slot in key), key, signs))
+        if len(kept) > max_k:
+            heapq.heappop(kept)
+
+    while heap and not (len(kept) == max_k and kept[0][0] > slack - heap[0][0]):
+        neg_bound, path, indices, eigenpair = heapq.heappop(heap)
+        gram = stats.gram[np.ix_(indices, indices)]
+        if stats.cross is None and eigenpair is None:
+            # A pca-pb node's first pop: its own top eigenvalue bounds its
+            # balances, so it goes back under that bound if it is lower.
+            eigenpair = _top_eigenpair(gram)
+            if eigenpair[0] < -neg_bound:
+                heapq.heappush(heap, (-eigenpair[0], path, indices, eigenpair))
+                continue
+        cross = None if stats.cross is None else stats.cross[indices]
+        direction = None if eigenpair is None else eigenpair[1]
+        d = indices.shape[0]
+        loading = _loading(stats, indices, gram, cross, direction)
+        if loading is None:
+            signs = np.zeros(d, dtype=int)
+            signs[0], signs[-1] = 1, -1
+            score = 0.0
+        else:
+            sign_matrix = _sign_matrix(loading)
+            scores = _scores(signs_to_coefficient_matrix(sign_matrix), gram, cross)
+            winner = _winner(scores, sign_matrix)
+            signs, score = sign_matrix[:, winner], float(scores[winner])
+        chosen = _embed(signs, indices, n_parts)
+        keep(score, path + (_CHOSEN,), chosen)
+
+        connecting = connecting_score = None
+        if np.any(signs == 0):
+            link = np.where(signs == 0, 1, -1)
+            connecting = _embed(link, indices, n_parts)
+            link_coeffs = signs_to_coefficient_matrix(link[:, None])
+            connecting_score = (
+                0.0 if loading is None else float(_scores(link_coeffs, gram, cross)[0])
+            )
+            keep(connecting_score, path + (_CONNECTING,), connecting)
+        expanded[path] = (indices, chosen, score, connecting, connecting_score)
+
+        for slot, side in _CHILD_SLOTS:
+            _open_node(stats, heap, path + (slot,), indices[signs == side], -neg_bound)
+
+    ranked = sorted(kept, key=lambda entry: (-entry[0], entry[2]))
+    return [(entry[3], entry[0]) for entry in ranked], expanded
+
+
+def _tree(expanded: dict, path: tuple = ()):
+    """The PartitionNode at ``path`` of a fully expanded partition, or None
+    for single parts."""
+    if path not in expanded:
+        return None
+    indices, chosen, score, connecting, connecting_score = expanded[path]
+    zero, numerator, denominator = (_tree(expanded, path + (slot,)) for slot, _ in _CHILD_SLOTS)
     return PartitionNode(
         part_indices=tuple(int(i) for i in indices),
         chosen_signs=chosen,
         chosen_value=score,
         connecting_signs=connecting,
         connecting_value=connecting_score,
-        zero_child=zero_child,
-        numerator_child=numerator_child,
-        denominator_child=denominator_child,
+        zero_child=zero,
+        numerator_child=numerator,
+        denominator_child=denominator,
     )
 
 
-def _assemble_basis(X: CompositionMatrix, collected, label: str) -> BalanceBasis:
-    """Sort the kept sign patterns by score into a ``BalanceBasis``, which
-    validates them and derives their coefficients; ``label`` names the
+def _build(X: CompositionMatrix, y, max_k: int | None, return_tree: bool, label: str):
+    """The leading ``max_k`` balances (all D-1 when None) as a ``BalanceBasis``,
+    which validates them and derives their coefficients; ``label`` names the
     ordering values."""
-    values = np.array([v for _, v in collected])
-    order = np.argsort(-values, kind="stable")
-    signs = np.stack([collected[j][0] for j in order], axis=1)
-    return BalanceBasis(signs, part_names=X.part_names, **{label: values[order]})
+    full = X.n_parts - 1
+    k = full if max_k is None else max_k
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= full):
+        raise ValueError(f"max_k={max_k} is not an integer in 1..{full}")
+    if return_tree and k < full:
+        # unexpanded subtrees would read as None, like single parts
+        raise ValueError("return_tree needs the full basis (max_k=None)")
+    ranked, expanded = _partition(_statistics(X, y), k)
+    basis = BalanceBasis(
+        np.stack([signs for signs, _ in ranked], axis=1),
+        part_names=X.part_names,
+        **{label: np.array([score for _, score in ranked])},
+    )
+    return (basis, _tree(expanded)) if return_tree else basis
 
 
-def pls_pb(X: CompositionMatrix, y, return_tree: bool = False):
-    """Build the full supervised principal balance basis.
+def pls_pb(X: CompositionMatrix, y, max_k: int | None = None, return_tree: bool = False):
+    """Build the supervised principal balance basis.
 
-    Returns a BalanceBasis of D-1 orthonormal balances sorted by |cov|
-    with the response, non-increasing. With ``return_tree=True`` also
-    returns the PartitionNode tree describing the recursion.
+    Returns a BalanceBasis of the ``max_k`` leading orthonormal balances
+    (all D-1 when None) sorted by |cov| with the response, non-increasing;
+    they equal the first ``max_k`` columns of the full basis bit for bit.
+    With ``return_tree=True``, which needs the full basis, also returns the
+    PartitionNode tree describing the partition.
 
     The response is centered once, globally; every node reuses it.
     """
@@ -296,49 +407,40 @@ def pls_pb(X: CompositionMatrix, y, return_tree: bool = False):
     y = _check_response(y, X.n_samples)
     if np.ptp(y) == 0.0:
         raise ConstantResponse("response has zero variance")
-    collected: list = []
-    tree = _build_partition(_statistics(X, y), np.arange(X.n_parts), collected)
-    basis = _assemble_basis(X, collected, "covariances")
-    return (basis, tree) if return_tree else basis
+    return _build(X, y, max_k, return_tree, "covariances")
 
 
-def pca_pb(X: CompositionMatrix, return_tree: bool = False):
+def pca_pb(X: CompositionMatrix, max_k: int | None = None, return_tree: bool = False):
     """Build the unsupervised principal balance basis.
 
-    Same recursion as the supervised build, but each node's loading is the
+    Same partition as the supervised build, but each node's loading is the
     first principal direction of its subcomposition and candidates are
     scored by the variance of their balance values. Sorted by variance,
-    non-increasing.
+    non-increasing; ``max_k`` and ``return_tree`` as for ``pls_pb``.
     """
     if X.n_samples < 3:
         raise ValueError("need at least 3 samples")
-    collected: list = []
-    tree = _build_partition(_statistics(X, None), np.arange(X.n_parts), collected)
-    basis = _assemble_basis(X, collected, "variances")
-    return (basis, tree) if return_tree else basis
+    return _build(X, None, max_k, return_tree, "variances")
 
 
 def nested_or_disjoint(sign_matrix: np.ndarray) -> bool:
-    """Check the partition structure of a basis sign matrix.
+    """Check the partition structure of a D x k basis sign matrix.
 
     In a valid sequential binary partition the supports of any two balances
     are either disjoint or nested, and a balance nested inside another sits
     entirely within one of the outer balance's sign groups.
+
+    With S the support indicator of the columns, entry (a, b) of S'S counts
+    the parts the supports of a and b share: it must be 0 or the smaller
+    support size. When a's support lies inside b's, entry (a, b) of |S's|
+    reaches that count only if b's signs agree over a's support.
     """
-    s = np.asarray(sign_matrix)
-    supports = [frozenset(np.flatnonzero(col != 0)) for col in s.T]
-    for a in range(len(supports)):
-        for b in range(a + 1, len(supports)):
-            inter = supports[a] & supports[b]
-            if not inter:
-                continue
-            if inter == supports[a]:
-                inner, outer = a, b
-            elif inter == supports[b]:
-                inner, outer = b, a
-            else:
-                return False
-            outer_signs = {s[i, outer] for i in supports[inner]}
-            if len(outer_signs) != 1:
-                return False
-    return True
+    s = np.asarray(sign_matrix, dtype=float)
+    support = (s != 0).astype(float)
+    overlap = support.T @ support
+    size = np.diag(overlap)
+    if not np.all((overlap == 0) | (overlap == np.minimum.outer(size, size))):
+        return False
+    inside = overlap == size[:, None]  # a's support within b's
+    np.fill_diagonal(inside, False)
+    return bool(np.all(np.abs(support.T @ s)[inside] == overlap[inside]))

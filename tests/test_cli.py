@@ -346,6 +346,47 @@ class TestRerun:
         assert run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r") == 2
         assert capsys.readouterr().err.startswith("error: runs must be at least 1")
 
+    @pytest.mark.parametrize("command, extra", [("cv", ("--max-k", 2)), ("recover", ())])
+    def test_zero_jobs_rejected(self, tmp_path, capsys, command, extra):
+        argv = (command, "--n", 20, "--d", 8, "--blocks", "4", "--runs", 1, "--seed", 1, *extra)
+        assert run_cli(*argv, "--jobs", 0, "--out", tmp_path / "direct") == 2
+        assert capsys.readouterr().err.startswith("error: jobs must be at least 1")
+        out = tmp_path / "orig"
+        assert run_cli(*argv, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["jobs"] = 0
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r") == 2
+        assert capsys.readouterr().err.startswith("error: jobs must be at least 1")
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("recover", "runs", "4"),
+            ("recover", "n", 2.5),
+            ("recover", "seed", True),
+            ("recover", "case", "bogus"),
+            ("recover", "blocks", "4"),
+            ("recover", "noise_sd", "1.0"),
+            ("cv", "binary", "yes"),
+            ("cv", "max_k", None),
+            ("cv", "metric", "mse"),
+        ],
+    )
+    def test_config_value_types_checked(self, tmp_path, capsys, command, key, value):
+        out = tmp_path / "orig"
+        extra = ("--max-k", 2) if command == "cv" else ()
+        argv = (command, "--n", 20, "--d", 8, "--blocks", "4", "--runs", 1, *extra)
+        assert run_cli(*argv, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"][key] = value
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"config {key}={value!r} is not a valid" in err
+
     def test_rerun_detects_divergence(self, tmp_path):
         out = tmp_path / "orig"
         run_cli("simulate", "--n", 20, "--d", 8, "--blocks", "4", "--out", out)

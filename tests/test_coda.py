@@ -182,12 +182,30 @@ class TestBalanceChecks:
 
     @pytest.mark.parametrize(
         "signs",
-        [np.array([1, -1, 0]), np.array([[1, 0], [-1, 0]]), np.ones((3, 3), dtype=int)],
-        ids=["vector", "2x2", "3x3"],
+        [
+            np.array([1, -1, 0]),
+            np.zeros((3, 0), dtype=int),
+            np.array([[1, 0], [-1, 0]]),
+            np.ones((3, 3), dtype=int),
+        ],
+        ids=["vector", "3x0", "2x2", "3x3"],
     )
     def test_sign_matrix_shape_checked(self, signs):
-        with pytest.raises(ValueError, match="D x"):
+        with pytest.raises(ValueError, match="D x k"):
             BalanceBasis(signs)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_leading_columns_accepted(self, rng, k):
+        # the first k balances of a basis over D=6 parts, with k values each
+        X, y = random_instance(rng, 20, 6)
+        full = pls_pb(X, y)
+        basis = BalanceBasis(full.sign_matrix[:, :k], covariances=full.covariances[:k])
+        assert basis.n_parts == 6 and basis.n_balances == k
+        assert np.array_equal(basis.coefficient_matrix, full.coefficient_matrix[:, :k])
+        with pytest.raises(DimensionMismatch, match="one value per balance"):
+            BalanceBasis(full.sign_matrix[:, :k], covariances=np.append(full.covariances[:k], 0.0))
+        with pytest.raises(DimensionMismatch, match="one value per balance"):
+            BalanceBasis(full.sign_matrix[:, :k], variances=full.covariances[: k - 1])
 
     def test_crossing_supports_rejected(self):
         # each column is a valid balance, but the supports neither nest nor

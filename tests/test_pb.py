@@ -355,3 +355,75 @@ class TestPartitionTree:
         payload = tree.to_dict(X.part_names)
         text = json.dumps(payload)
         assert json.loads(text)["parts"] == list(X.part_names)
+
+
+def build(builder, X, y, **kwargs):
+    return pls_pb(X, y, **kwargs) if builder == "pls-pb" else pca_pb(X, **kwargs)
+
+
+def assert_leading_columns(full, top, k):
+    """The top-k basis is the full basis cut after k columns, bit for bit."""
+    assert top.n_balances == k
+    assert np.array_equal(top.sign_matrix, full.sign_matrix[:, :k])
+    assert np.array_equal(top.coefficient_matrix, full.coefficient_matrix[:, :k])
+    assert np.array_equal(top.ordering_values, full.ordering_values[:k])
+    assert nested_or_disjoint(top.sign_matrix)
+
+
+class TestTopK:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 40),
+        d=st.integers(2, 30),
+        builder=st.sampled_from(["pls-pb", "pca-pb"]),
+        data=st.data(),
+    )
+    def test_leading_columns_of_the_full_build(self, seed, n, d, builder, data):
+        X, y = random_instance(np.random.default_rng(seed), n, d)
+        k = data.draw(st.integers(1, d - 1), label="k")
+        full = build(builder, X, y)
+        assert_leading_columns(full, build(builder, X, y, max_k=k), k)
+        assert_leading_columns(full, build(builder, X, y, max_k=d - 1), d - 1)
+
+    @pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
+    def test_simulated_data_every_k(self, builder):
+        scenario = SimScenario(case="same-blocks", n=60, D=40, block_sizes=(4, 4, 4, 4), seed=2)
+        data = simulate_dataset(scenario)
+        full = build(builder, data.X, data.y)
+        for k in range(1, 40):
+            assert_leading_columns(full, build(builder, data.X, data.y, max_k=k), k)
+
+    @pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
+    def test_tied_scores_in_different_nodes_keep_preorder(self, rng, builder):
+        # Three copies of a 3-part block: every part's copies form a constant
+        # subcomposition, so several nodes score exactly 0. A cut inside the
+        # run of zeros must keep the ones earliest in the tree's preorder.
+        block = np.exp(rng.standard_normal((30, 3)))
+        X = CompositionMatrix(np.hstack([block, block, block]))
+        y = rng.standard_normal(30)
+        full = build(builder, X, y)
+        zeros = np.flatnonzero(full.ordering_values == 0.0)
+        assert len(zeros) >= 3
+        supports = full.sign_matrix[:, zeros] != 0
+        assert np.any(~np.any(supports[:, :1] & supports[:, 1:], axis=0))  # disjoint: two nodes
+        for k in range(1, 9):
+            assert_leading_columns(full, build(builder, X, y, max_k=k), k)
+
+    @pytest.mark.parametrize("max_k", [0, 6, -1, 2.5])
+    def test_max_k_outside_range_rejected(self, rng, max_k):
+        X, y = random_instance(rng, 12, 6)
+        with pytest.raises(ValueError, match="max_k"):
+            pls_pb(X, y, max_k=max_k)
+        with pytest.raises(ValueError, match="max_k"):
+            pca_pb(X, max_k=max_k)
+
+    def test_tree_needs_the_full_basis(self, rng):
+        # unexpanded subtrees would read as None, like single parts
+        X, y = random_instance(rng, 12, 6)
+        with pytest.raises(ValueError, match="return_tree"):
+            pls_pb(X, y, max_k=4, return_tree=True)
+        with pytest.raises(ValueError, match="return_tree"):
+            pca_pb(X, max_k=1, return_tree=True)
+        basis, tree = pca_pb(X, max_k=5, return_tree=True)
+        assert basis.n_balances == 5 and tree is not None

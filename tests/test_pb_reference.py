@@ -8,6 +8,9 @@ paths of the SIMPLS and SVD engines the package shipped up to 0.4.0,
 kept here with every rank check. The builders must reproduce its sign
 matrices exactly and its ordering values within rtol 1e-9.
 
+The partition check ``nested_or_disjoint`` keeps its former pairwise loop
+over support sets here as the reference for its matrix form.
+
 Policies are shared with the builders: ties within a relative 1e-12 of the
 best score go to the candidate with the fewest active parts, and a node
 without usable signal (constant subcomposition, or a rank boundary of the
@@ -30,6 +33,7 @@ from plspb import (
 )
 from plspb.errors import RankDeficient
 from plspb.latent import _flip_to_positive_max
+from plspb.pb import nested_or_disjoint
 from plspb.simgen import CASES, SimScenario
 
 from conftest import random_instance
@@ -218,3 +222,42 @@ def test_orthogonal_response_falls_back(rng):
     assert_matches_reference(X, y)
     assert {1, 2, 3, 4} in _parts_of_nodes(tree)
     assert np.all(basis.covariances[-3:] == 0.0)
+
+
+def nested_or_disjoint_loop(sign_matrix) -> bool:
+    s = np.asarray(sign_matrix)
+    supports = [frozenset(np.flatnonzero(col != 0)) for col in s.T]
+    for a in range(len(supports)):
+        for b in range(a + 1, len(supports)):
+            inter = supports[a] & supports[b]
+            if not inter:
+                continue
+            if inter == supports[a]:
+                inner, outer = a, b
+            elif inter == supports[b]:
+                inner, outer = b, a
+            else:
+                return False
+            if len({s[i, outer] for i in supports[inner]}) != 1:
+                return False
+    return True
+
+
+def test_nested_or_disjoint_matches_loop(rng):
+    # random balances (both groups nonempty in every column), and bases
+    # with one entry redrawn
+    outcomes = set()
+    for _ in range(3000):
+        d, k = int(rng.integers(2, 8)), int(rng.integers(1, 6))
+        signs = rng.integers(-1, 2, size=(d, k))
+        if np.all(np.any(signs == 1, axis=0) & np.any(signs == -1, axis=0)):
+            outcomes.add(nested_or_disjoint_loop(signs))
+            assert nested_or_disjoint(signs) == nested_or_disjoint_loop(signs)
+    for _ in range(200):
+        X, y = random_instance(rng, 20, int(rng.integers(2, 16)))
+        signs = pls_pb(X, y).sign_matrix.copy()
+        assert nested_or_disjoint(signs) and nested_or_disjoint_loop(signs)
+        signs[rng.integers(signs.shape[0]), rng.integers(signs.shape[1])] = rng.integers(-1, 2)
+        if np.all(np.any(signs == 1, axis=0) & np.any(signs == -1, axis=0)):
+            assert nested_or_disjoint(signs) == nested_or_disjoint_loop(signs)
+    assert outcomes == {True, False}
