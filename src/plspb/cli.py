@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -36,6 +37,8 @@ from .pb import pca_pb, pls_pb
 from .simgen import CASES, SimScenario, marker_recovery, simulate_dataset, spawn_seeds
 
 MANIFEST_NAME = "manifest.json"
+_SHA256 = re.compile(r"[0-9a-f]{64}")
+_PLAIN_NAME = re.compile(r"[^/\\\0]+")  # no path separator or NUL
 
 
 def _utc_now() -> str:
@@ -294,6 +297,17 @@ _RUNNERS = {
 }
 
 
+def _output_ok(name, digest) -> bool:
+    """Whether a manifest's outputs entry names a file of the replay
+    directory itself, other than the manifest, by its sha256 hex digest."""
+    return (
+        isinstance(digest, str)
+        and _SHA256.fullmatch(digest) is not None
+        and _PLAIN_NAME.fullmatch(name) is not None
+        and name not in (".", "..", MANIFEST_NAME)
+    )
+
+
 def run_rerun(manifest_path: str, out: str) -> bool:
     """Replay a recorded command into ``out`` and compare output hashes."""
     manifest = fileio.read_json(manifest_path)
@@ -303,13 +317,23 @@ def run_rerun(manifest_path: str, out: str) -> bool:
         raise ValueError(f"{manifest_path}: unknown command {manifest['command']!r}")
     if not isinstance(manifest["config"], dict):
         raise ValueError(f"{manifest_path}: config must be an object")
+    if not isinstance(manifest["outputs"], dict):
+        raise ValueError(f"{manifest_path}: outputs must be an object of file names and digests")
+    for name, digest in manifest["outputs"].items():
+        if not _output_ok(name, digest):
+            raise ValueError(
+                f"{manifest_path}: outputs {name!r}: {digest!r} is not a plain file name "
+                "with a sha256 hex digest"
+            )
     config = dict(manifest["config"], out=out)
-    missing = sorted(_config_keys(manifest["command"]) - config.keys())
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    options = [a for a in commands.choices[manifest["command"]]._actions if a.dest != "help"]
+    missing = sorted({a.dest for a in options} - config.keys())
     if missing:
         raise ValueError(f"{manifest_path}: config lacks {', '.join(missing)}")
-    for action in _subparser(manifest["command"])._actions:
+    for action in options:
         value = config.get(action.dest)
-        if action.dest not in ("help", "out") and not _config_value_ok(action, value):
+        if action.dest != "out" and not _config_value_ok(action, value):
             raise ValueError(
                 f"{manifest_path}: config {action.dest}={value!r} is not a valid "
                 f"{action.option_strings[0]} value"
@@ -413,16 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     return parser
-
-
-def _subparser(command: str) -> argparse.ArgumentParser:
-    commands = next(a for a in build_parser()._actions if a.dest == "command")
-    return commands.choices[command]
-
-
-def _config_keys(command: str) -> set[str]:
-    """The keys a config of ``command`` holds: its subparser's dests."""
-    return {a.dest for a in _subparser(command)._actions} - {"help"}
 
 
 def _is_int(value) -> bool:

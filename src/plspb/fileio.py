@@ -2,7 +2,7 @@
 
 Floats are written with ``repr``, the shortest representation that round
 trips exactly, so rerunning a command with the same inputs reproduces its
-output files byte for byte.
+output files byte for byte. Tables are read by numpy's C text reader.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,30 +20,40 @@ from .coda import BalanceBasis, CompositionMatrix
 RESPONSE_COLUMN = "y"
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _fault(path: Path, width: int, fallback) -> ValueError:
+    """The error naming the first body line that is not ``width`` numbers,
+    found by re-reading the table with ``csv``; else ``fallback``."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        rows = filter(None, reader)
+        next(rows, None)
+        for row in rows:
+            if len(row) != width:
+                return ValueError(f"{path}: ragged rows: line {reader.line_num} has "
+                                  f"{len(row)} cells, the header has {width}")
+            try:
+                list(map(float, row))
+            except ValueError as exc:
+                return ValueError(f"{path}: non-numeric cell on line {reader.line_num} ({exc})")
+    return ValueError(f"{path}: {fallback}")
 
 
 def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
-    """Header cells and float body of a CSV file. Blank lines are skipped;
-    every other row must be as wide as the header."""
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row]
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need a header row and at least one sample")
-    header = rows[0][1]
-    data = np.empty((len(rows) - 1, len(header)))
-    for i, (line, row) in enumerate(rows[1:]):
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: ragged rows: line {line} has {len(row)} cells, "
-                f"the header has {len(header)}"
-            )
+    """Header cells and float body of a CSV file. ``csv`` reads the header
+    and numpy's C reader the body, whose cells are C ``strtod`` numbers,
+    optionally quoted or padded by blanks. Blank lines are skipped; every
+    other row must be as wide as the header."""
+    with path.open(newline="") as fh, warnings.catch_warnings():
+        header = next(filter(None, csv.reader(fh)), [])
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # checked below
         try:
-            data[i] = [float(cell) for cell in row]
+            data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
         except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric cell on line {line} ({exc})") from exc
+            raise _fault(path, len(header), exc) from exc
+    if len(data) == 0:
+        raise ValueError(f"{path}: need a header row and at least one sample")
+    if data.shape[1] != len(header):
+        raise _fault(path, len(header), "rows are not as wide as the header")
     return header, data
 
 
@@ -75,25 +86,29 @@ def read_response_csv(path) -> np.ndarray:
     return data[:, 0]
 
 
+def _write_table(path, header, body, lead=None, fmt=repr) -> None:
+    """Write the ``header`` cells, then one line per row of the 2-d array
+    ``body``, its cells formatted by ``fmt`` and led by the matching entry
+    of ``lead`` when given. ``repr`` of a float is its shortest exact text."""
+    rows = map(",".join, (map(fmt, row) for row in body.tolist()))
+    if lead is not None:
+        rows = map(",".join, zip(lead, rows))
+    Path(path).write_text("\n".join([",".join(header), *rows]) + "\n")
+
+
 def write_composition_csv(path, X: CompositionMatrix) -> None:
-    lines = [",".join(X.part_names)]
-    for row in X.values:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, X.part_names, X.values)
 
 
 def write_response_csv(path, y, name: str = RESPONSE_COLUMN) -> None:
-    lines = [name] + [_fmt(v) for v in np.asarray(y, dtype=float)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, [name], np.asarray(y, dtype=float)[:, None])
 
 
 def write_matrix_csv(path, part_names, matrix, column_values) -> None:
     """Float matrix with parts as rows; the header row carries one value
     per column (a score such as |cov| or variance)."""
-    lines = ["part," + ",".join(_fmt(v) for v in column_values)]
-    for name, row in zip(part_names, matrix):
-        lines.append(name + "," + ",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ["part", *map(repr, np.asarray(column_values, dtype=float).tolist())]
+    _write_table(path, header, np.asarray(matrix, dtype=float), lead=part_names)
 
 
 def write_basis_csv(path, basis: BalanceBasis) -> None:
@@ -103,29 +118,24 @@ def write_basis_csv(path, basis: BalanceBasis) -> None:
 
 
 def write_sign_csv(path, basis: BalanceBasis) -> None:
-    header = "part," + ",".join(f"b{j+1}" for j in range(basis.n_balances))
-    lines = [header]
-    for name, row in zip(basis.part_names, basis.sign_matrix):
-        lines.append(name + "," + ",".join(str(int(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ["part", *(f"b{j + 1}" for j in range(basis.n_balances))]
+    _write_table(path, header, basis.sign_matrix, lead=basis.part_names, fmt=str)
 
 
 def write_cv_csv(path, rows) -> None:
     """Cross-validation curves as (method, k, mean_error, sd_error) rows."""
-    lines = ["method,k,mean_error,sd_error"]
-    for method, k, mean, sd in rows:
-        lines.append(f"{method},{int(k)},{_fmt(mean)},{_fmt(sd)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    lead = [f"{method},{int(k)}" for method, k, _, _ in rows]
+    errors = np.array([(mean, sd) for _, _, mean, sd in rows], dtype=float)
+    _write_table(path, ["method", "k", "mean_error", "sd_error"], errors, lead=lead)
 
 
 def write_recovery_csv(path, part_names, counts_by_method, runs: int) -> None:
     """Inclusion counts in long format: part, method, inclusion_count, runs."""
-    lines = ["part,method,inclusion_count,runs"]
-    for method in sorted(counts_by_method):
-        counts = counts_by_method[method]
-        for name, count in zip(part_names, counts):
-            lines.append(f"{name},{method},{int(count)},{runs}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    methods = sorted(counts_by_method)
+    lead = [f"{name},{method}" for method in methods for name in part_names]
+    counts = np.concatenate([np.asarray(counts_by_method[m], dtype=int) for m in methods])
+    body = np.column_stack([counts, np.full_like(counts, runs)])
+    _write_table(path, ["part", "method", "inclusion_count", "runs"], body, lead, fmt=str)
 
 
 def write_json(path, payload) -> None:
@@ -137,6 +147,4 @@ def read_json(path):
 
 
 def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
-    return digest.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -404,6 +404,14 @@ class TestRerun:
             (lambda m: m.update(command="train"), "unknown command 'train'"),
             (lambda m: m["config"].pop("seed"), "config lacks seed"),
             (lambda m: m.update(config=[1]), "config must be an object"),
+            (lambda m: m.update(outputs=["X.csv"]), "outputs must be an object"),
+            (
+                lambda m: m["outputs"].update({"../sim/X.csv": m["outputs"]["X.csv"]}),
+                "outputs '../sim/X.csv'",
+            ),
+            (lambda m: m["outputs"].update({"manifest.json": "0" * 64}), "outputs 'manifest.json'"),
+            (lambda m: m["outputs"].update({"X.csv": "0" * 63}), "not a plain file name"),
+            (lambda m: m["outputs"].update({"X.csv": None}), "not a plain file name"),
         ],
         ids=[
             "no-command",
@@ -412,6 +420,11 @@ class TestRerun:
             "unknown-command",
             "missing-config-key",
             "config-not-object",
+            "outputs-not-object",
+            "output-outside-replay",
+            "output-is-manifest",
+            "output-digest-short",
+            "output-digest-not-string",
         ],
     )
     def test_bad_manifest_errors(self, tmp_path, capsys, edit, message):
@@ -423,6 +436,7 @@ class TestRerun:
         assert run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "r").exists()  # rejected before anything ran
 
 
 class TestIngestion:

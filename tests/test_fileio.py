@@ -1,0 +1,188 @@
+"""CSV readers and writers: exact bytes, bit-exact round trips, and the
+reader's syntax and error messages."""
+
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plspb import CompositionMatrix
+from plspb.fileio import (
+    read_composition_csv,
+    read_response_csv,
+    write_composition_csv,
+    write_cv_csv,
+    write_matrix_csv,
+    write_recovery_csv,
+    write_response_csv,
+    write_sign_csv,
+)
+from plspb.pb import pls_pb
+
+from conftest import random_instance
+
+
+# -- the per-cell formatting of 0.7.0, kept as the reference ------------------
+
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def _text(lines) -> bytes:
+    return ("\n".join(lines) + "\n").encode()
+
+
+def reference_composition(X) -> bytes:
+    return _text([",".join(X.part_names)] + [",".join(_fmt(v) for v in row) for row in X.values])
+
+
+def reference_response(y, name="y") -> bytes:
+    return _text([name] + [_fmt(v) for v in np.asarray(y, dtype=float)])
+
+
+def reference_matrix(part_names, matrix, column_values) -> bytes:
+    lines = ["part," + ",".join(_fmt(v) for v in column_values)]
+    for name, row in zip(part_names, matrix):
+        lines.append(name + "," + ",".join(_fmt(v) for v in row))
+    return _text(lines)
+
+
+# repr switches to exponent notation below 1e-4 and from 1e16 on; the rest
+# are the extremes of the double range
+BOUNDARIES = [
+    1e-4, 1e-5, 9.999999999999999e-05, 9999999999999998.0, 1e16, 1.0000000000000002e16,
+    5e-324, 2.2250738585072014e-308, 1.7e308, 1.7976931348623157e308, 0.1, 1.0, 123.456,
+]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+boundary = st.sampled_from(BOUNDARIES)
+signed = st.one_of(boundary, boundary.map(lambda v: -v), finite)
+positive = st.one_of(boundary, st.floats(min_value=5e-324, max_value=1.7976931348623157e308))
+shapes = st.tuples(st.integers(2, 6), st.integers(2, 6))
+
+
+def _table(draw, shape, cells):
+    size = shape[0] * shape[1]
+    return np.array(draw(st.lists(cells, min_size=size, max_size=size))).reshape(shape)
+
+
+@st.composite
+def compositions(draw):
+    values = _table(draw, draw(shapes), positive)
+    return CompositionMatrix(values, tuple(f"p{j}" for j in range(values.shape[1])))
+
+
+@st.composite
+def matrices(draw):
+    matrix = _table(draw, draw(shapes), signed)
+    columns = draw(st.lists(signed, min_size=matrix.shape[1], max_size=matrix.shape[1]))
+    return matrix, np.array(columns)
+
+
+class TestWriters:
+    @settings(max_examples=60, deadline=None)
+    @given(X=compositions(), y=st.lists(signed, min_size=1, max_size=12), pm=matrices())
+    def test_bytes_match_per_cell_repr(self, X, y, pm):
+        matrix, columns = pm
+        names = tuple(f"x{i}" for i in range(matrix.shape[0]))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_composition_csv(tmp / "X.csv", X)
+            write_response_csv(tmp / "y.csv", y)
+            write_matrix_csv(tmp / "m.csv", names, matrix, columns)
+            assert (tmp / "X.csv").read_bytes() == reference_composition(X)
+            assert (tmp / "y.csv").read_bytes() == reference_response(y)
+            assert (tmp / "m.csv").read_bytes() == reference_matrix(names, matrix, columns)
+            # read -> write is bit-exact, and so the second write is the same file
+            X2, _ = read_composition_csv(tmp / "X.csv")
+            y2 = read_response_csv(tmp / "y.csv")
+            assert X2.part_names == X.part_names
+            assert X2.values.tobytes() == X.values.tobytes()
+            assert y2.tobytes() == np.asarray(y, dtype=float).tobytes()
+            write_composition_csv(tmp / "X2.csv", X2)
+            assert (tmp / "X2.csv").read_bytes() == (tmp / "X.csv").read_bytes()
+
+    def test_non_finite_and_signed_zero(self, tmp_path):
+        y = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0]
+        write_response_csv(tmp_path / "y.csv", y, name="resp")
+        assert (tmp_path / "y.csv").read_bytes() == b"resp\nnan\ninf\n-inf\n-0.0\n0.0\n"
+        assert read_response_csv(tmp_path / "y.csv").tobytes() == np.array(y).tobytes()
+
+    def test_sign_cv_and_recovery_text(self, tmp_path, rng):
+        X, y = random_instance(rng, 12, 4)
+        basis = pls_pb(X, y)
+        write_sign_csv(tmp_path / "signs.csv", basis)
+        expected = ["part," + ",".join(f"b{j + 1}" for j in range(3))]
+        for name, row in zip(basis.part_names, basis.sign_matrix):
+            expected.append(name + "," + ",".join(str(int(v)) for v in row))
+        assert (tmp_path / "signs.csv").read_bytes() == _text(expected)
+
+        rows = [("pls-pb", 1, np.float64(0.5), 1e-5), ("pls", np.int64(2), 1e16, 0.0)]
+        write_cv_csv(tmp_path / "cv.csv", rows)
+        assert (tmp_path / "cv.csv").read_bytes() == _text(
+            ["method,k,mean_error,sd_error", "pls-pb,1,0.5,1e-05", "pls,2,1e+16,0.0"]
+        )
+
+        counts = {"pls-pb": np.array([3, 0]), "pca-pb": np.array([1, 2])}
+        write_recovery_csv(tmp_path / "recovery.csv", ("a", "b"), counts, 3)
+        assert (tmp_path / "recovery.csv").read_bytes() == _text(
+            ["part,method,inclusion_count,runs",
+             "a,pca-pb,1,3", "b,pca-pb,2,3", "a,pls-pb,3,3", "b,pls-pb,0,3"]
+        )
+
+
+class TestReader:
+    def read(self, tmp_path, text):
+        path = tmp_path / "table.csv"
+        path.write_bytes(text.encode())
+        X, _ = read_composition_csv(path)
+        return X
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '"a","b"\n"1.5",2\n3,"4e0"\n',  # quoted cells
+            " a , b \n 1.5 , 2\t\n3,  4 \n",  # blanks around cells
+            "a,b\r\n1.5,2\r\n\r\n3,4\r\n",  # CRLF line ends
+            "a,b\r1.5,2\r3,4\r",  # CR line ends
+            "\n\na,b\n1.5,2\n3,4",  # blank lines before the header, no final newline
+        ],
+        ids=["quoted", "spaces", "crlf", "cr", "leading-blank-lines"],
+    )
+    def test_accepted_syntax(self, tmp_path, text):
+        X = self.read(tmp_path, text)
+        assert X.part_names == ("a", "b")
+        assert np.array_equal(X.values, [[1.5, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b\n\n\n", "\n", ""])
+    def test_header_only_needs_a_sample(self, tmp_path, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="need a header row and at least one sample"):
+                self.read(tmp_path, text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,2\n3,\n", "non-numeric cell on line 3"),  # trailing empty cell
+            ("a,b\n1,2\n\n3,x\n", "non-numeric cell on line 4"),
+            ("\n\na,b\n1,2\n3\n", "ragged rows: line 5 has 1 cells, the header has 2"),
+            ("a,b\r\n1,2\r\n3,4,5\r\n", "ragged rows: line 3 has 3 cells"),
+            ("a,b,c\n1,2\n3,4\n", "ragged rows: line 2 has 2 cells, the header has 3"),
+            ('a,b\n1,"2\n3"\n', "non-numeric cell on line 3"),  # a quoted line break
+        ],
+        ids=["trailing-empty", "non-numeric", "ragged-after-blanks", "ragged-crlf",
+             "every-row-narrow", "quoted-newline"],
+    )
+    def test_faults_named_by_line(self, tmp_path, text, message):
+        with pytest.raises(ValueError, match=message):
+            self.read(tmp_path, text)
+
+    def test_digit_separators_rejected(self, tmp_path):
+        # float() reads 1_000; C strtod, and so the table reader, does not
+        with pytest.raises(ValueError, match="1_000"):
+            self.read(tmp_path, "a,b\n1_000,2\n3,4\n")
