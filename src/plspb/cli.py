@@ -343,13 +343,10 @@ def run_rerun(manifest_path: str, out: str) -> bool:
     for name, digest in manifest["outputs"].items():
         produced = out_dir / name
         if not produced.exists():
-            print(f"MISSING {name}")
-            ok = False
-            continue
-        new_digest = fileio.sha256_file(produced)
-        status = "OK" if new_digest == digest else "MISMATCH"
-        if status == "MISMATCH":
-            ok = False
+            status = "MISSING"
+        else:
+            status = "OK" if fileio.sha256_file(produced) == digest else "MISMATCH"
+        ok = ok and status == "OK"
         print(f"{status} {name}")
     return ok
 

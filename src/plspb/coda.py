@@ -16,6 +16,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,9 +85,13 @@ class CompositionMatrix:
         return self.values.shape[1]
 
     def take_samples(self, indices) -> "CompositionMatrix":
-        """Row subset (at least two rows)."""
-        idx = np.asarray(indices, dtype=int)
-        return CompositionMatrix(self.values[idx, :], self.part_names)
+        """Row subset (at least two rows) of the checked values, not checked again."""
+        rows = self.values[np.asarray(indices, dtype=int), :]
+        if rows.ndim != 2 or rows.shape[0] < 2:
+            raise ValueError(f"need at least 2 samples, got index shape {np.shape(indices)}")
+        subset = copy.copy(self)
+        object.__setattr__(subset, "values", _readonly(rows))
+        return subset
 
 
 def signs_to_coefficient_matrix(sign_matrix) -> np.ndarray:

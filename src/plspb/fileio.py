@@ -43,17 +43,24 @@ def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
     and numpy's C reader the body, whose cells are C ``strtod`` numbers,
     optionally quoted or padded by blanks. Blank lines are skipped; every
     other row must be as wide as the header."""
-    with path.open(newline="") as fh, warnings.catch_warnings():
-        header = next(filter(None, csv.reader(fh)), [])
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # checked below
-        try:
-            data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
-        except ValueError as exc:
-            raise _fault(path, len(header), exc) from exc
-    if len(data) == 0:
-        raise ValueError(f"{path}: need a header row and at least one sample")
-    if data.shape[1] != len(header):
-        raise _fault(path, len(header), "rows are not as wide as the header")
+    try:
+        with path.open(newline="") as fh, warnings.catch_warnings():
+            header = next(filter(None, csv.reader(fh)), [])
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # checked below
+            try:
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+            except ValueError as exc:
+                raise _fault(path, len(header), exc) from exc
+        if len(data) == 0:
+            raise ValueError(f"{path}: need a header row and at least one sample")
+        if data.shape[1] != len(header):
+            raise _fault(path, len(header), "rows are not as wide as the header")
+    except UnicodeDecodeError as exc:
+        try:  # the decoder counts from its last read chunk: find the byte in the whole file
+            path.read_bytes().decode(exc.encoding)
+        except UnicodeDecodeError as whole:
+            exc = whole
+        raise ValueError(f"{path}: not valid {exc.encoding} text (byte {exc.start})") from exc
     return header, data
 
 

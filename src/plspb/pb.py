@@ -9,8 +9,10 @@ direction of its subcomposition) for pls-pb, or the top eigenvector of
 H G[idx, idx] H (its first principal direction) for pca-pb. The loading
 yields d-1 nested candidates (see ``candidate_signs``), scored by |c'g[idx]|
 or c'G[idx, idx]c; the best wins, and ties within a relative 1e-12 go to
-the fewest active parts. The node's children are the parts left out of the
-chosen balance, its numerator and its denominator.
+the fewest active parts: candidate j has j+2, so the first tied one wins.
+The node's children are the parts left out of the chosen balance, its
+numerator and its denominator. A 2-part node's only balance is +1 on its
+first part and -1 on its second; it is finished when its parent opens it.
 
 A node without usable signal (constant subcomposition, zero H g[idx], or a
 SIMPLS fit at its rank boundary) keeps its first part against its last, scored 0.
@@ -57,7 +59,6 @@ import numpy as np
 from .coda import BalanceBasis, CompositionMatrix, _check_response, _check_signs, _readonly
 from .coda import signs_to_coefficient_matrix, signs_to_coefficients
 from .errors import ConstantResponse, OneSidedLoading
-from .latent import _flip_to_positive_max
 
 _TIE_RTOL = 1e-12
 # Relative thresholds of the no-signal fallbacks.
@@ -91,24 +92,20 @@ class PartitionNode:
         """JSON-ready view of the subtree, labeling parts by name."""
         names = [part_names[i] for i in self.part_indices]
         payload: dict = {"parts": names}
-        for key, signs, value in (
-            ("balance", self.chosen_signs, self.chosen_value),
-            ("connecting", self.connecting_signs, self.connecting_value),
-        ):
+        for key, signs, value in (("balance", self.chosen_signs, self.chosen_value),
+                                  ("connecting", self.connecting_signs, self.connecting_value)):
             if signs is not None:
                 payload[key] = {
                     "numerator": [part_names[i] for i in np.flatnonzero(signs == 1)],
                     "denominator": [part_names[i] for i in np.flatnonzero(signs == -1)],
                     "value": value,
                 }
-        children = {}
-        for key, child in (
-            ("zero", self.zero_child),
-            ("numerator", self.numerator_child),
-            ("denominator", self.denominator_child),
-        ):
-            if child is not None:
-                children[key] = child.to_dict(part_names)
+        children = {
+            key: child.to_dict(part_names)
+            for key, child in zip(("zero", "numerator", "denominator"),
+                                  (self.zero_child, self.numerator_child, self.denominator_child))
+            if child is not None
+        }
         if children:
             payload["children"] = children
         return payload
@@ -205,12 +202,15 @@ def best_balance(Xsub: CompositionMatrix, y, sign_matrix) -> tuple[np.ndarray, f
     return signs_to_coefficients(sign_matrix[:, winner]), float(scores[winner])
 
 
-def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top eigenvalue and eigenvector of H G[idx, idx] H: pca-pb's node bound
-    and loading direction."""
+def _centred(gram: np.ndarray) -> np.ndarray:
+    """H G[idx, idx] H."""
     col_means = gram.mean(axis=0)
-    centred_gram = gram - col_means[:, None] - col_means + col_means.mean()
-    eigenvalues, eigenvectors = np.linalg.eigh(centred_gram)
+    return gram - col_means[:, None] - col_means + col_means.mean()
+
+
+def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenpair of H G[idx, idx] H: pca-pb's node bound and loading."""
+    eigenvalues, eigenvectors = np.linalg.eigh(_centred(gram))
     return float(eigenvalues[-1]), eigenvectors[:, -1]
 
 
@@ -219,12 +219,12 @@ def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross, d
     signal. ``direction`` is the top eigenvector of H G[idx, idx] H for
     pca-pb, None for pls-pb."""
     n = stats.log.shape[0]
-    col_means = gram.mean(axis=0)
-    energy = float(np.trace(gram) - col_means.sum())  # tr(H G[idx, idx] H)
+    trace = np.trace(gram)
+    energy = float(trace - gram.mean(axis=0).sum())  # tr(H G[idx, idx] H)
     # Constant subcomposition: the centred clr block, of squared norm (n-1) *
     # energy, is at most 1e-12 of its log scale; near zero the block decides.
     scale_sq = max(1.0, float(stats.log_sq[indices].sum()))
-    if (n - 1) * energy <= _CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * np.trace(gram):
+    if (n - 1) * energy <= _CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace:
         block = stats.log[:, indices]
         block = block - block.mean(axis=1, keepdims=True)
         if np.linalg.norm(block - block.mean(axis=0)) <= _CONSTANT_TOL * np.sqrt(scale_sq):
@@ -244,12 +244,9 @@ def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross, d
             return None
     if not (p.max() > 0 > p.min()):
         return None
-    if p.shape[0] == 2:
-        # +-(1, -1): an exact tie, so the first part stays positive; rounding in
-        # G and g grows with the rows' log level past the tie tolerance.
-        return np.array([1.0, -1.0])
-    _flip_to_positive_max(p[:, None])
-    return p
+    # Orient the largest |entry| positive; within 1e-9 of it the first wins.
+    magnitudes = np.abs(p)
+    return -p if p[np.argmax(magnitudes >= magnitudes.max() * (1 - 1e-9))] < 0 else p
 
 
 def _embed(signs: np.ndarray, indices: np.ndarray, n_parts: int) -> np.ndarray:
@@ -265,19 +262,34 @@ def _embed(signs: np.ndarray, indices: np.ndarray, n_parts: int) -> np.ndarray:
 # slots, and none is a prefix of another, so tuple order is preorder.
 _CHOSEN, _CONNECTING = 0, 1
 _CHILD_SLOTS = ((2, 0), (3, 1), (4, -1))  # (slot, side of the chosen signs)
+# Coefficients of a 2-part node's balance (+1, -1), as one column.
+PAIR = _readonly(signs_to_coefficient_matrix(np.array([[1], [-1]])))
 
 
-def _open_node(stats: _Statistics, heap: list, path: tuple, indices: np.ndarray, cap: float):
-    """Push a node of at least 2 parts with its score bound, at most ``cap``;
-    the cap -inf of a full build keys it by -inf without computing one."""
-    if indices.shape[0] < 2:
+def _open_node(stats: _Statistics, heap: list, finish, path: tuple, indices: np.ndarray, cap):
+    """Push a node of at least 3 parts with its score bound, at most ``cap``
+    (-inf in a full build, which keys it by -inf without computing one). A
+    2-part node goes to ``finish`` at once, +1 on its first part (its loading
+    +-(1, -1) is an exact tie), scored 0 when ``_loading`` finds no signal. For
+    pca-pb that includes a one-sided top eigenvector of H G H, which on 2
+    parts means an off-diagonal entry that is not negative: no eigh is run."""
+    d = indices.shape[0]
+    if d == 2:
+        gram = stats.gram[np.ix_(indices, indices)]
+        cross = None if stats.cross is None else stats.cross[indices]
+        direction = None if cross is not None else np.array([1.0, _centred(gram)[0, 1]])
+        signal = _loading(stats, indices, gram, cross, direction) is not None
+        score = float(_scores(PAIR, gram, cross)[0]) if signal else 0.0
+        finish(path, indices, np.array([1, -1]), score)
+        return
+    if d < 3:
         return
     if cap == -np.inf:
         heapq.heappush(heap, (np.inf, path, indices, None))
         return
     if stats.cross is None:
         gram = stats.gram[np.ix_(indices, indices)]
-        own = np.trace(gram) - gram.sum() / indices.shape[0]  # tr(H G[idx, idx] H)
+        own = np.trace(gram) - gram.sum() / d  # tr(H G[idx, idx] H)
     else:
         cross = stats.cross[indices]
         cross = cross - cross.mean()
@@ -298,15 +310,24 @@ def _partition(stats: _Statistics, max_k: int):
     slack = max(_STOP_RTOL * float(scale), np.finfo(float).tiny)
     kept: list = []  # min-heap of (score, negated key, key, signs): the worst on top
     expanded: dict = {}
+
+    def finish(path, indices, signs, score, link_score=None):
+        """Record a node and keep its balances; a scored connecting balance takes its 0 parts."""
+        chosen = _embed(signs, indices, n_parts)
+        link = None if link_score is None else _embed(np.where(signs == 0, 1, -1), indices, n_parts)
+        expanded[path] = (indices, chosen, score, link, link_score)
+        for slot, value, balance in ((_CHOSEN, score, chosen), (_CONNECTING, link_score, link)):
+            if balance is not None:
+                key = path + (slot,)
+                heapq.heappush(kept, (value, tuple(-s for s in key), key, balance))
+                if len(kept) > max_k:
+                    heapq.heappop(kept)
+
     # min-heap of (-bound, path, indices, top eigenpair once a pca-pb node has
     # it); in a full build every bound is -inf, so no node is re-queued.
     heap: list = []
-    _open_node(stats, heap, (), np.arange(n_parts), -np.inf if max_k == n_parts - 1 else np.inf)
-
-    def keep(score: float, key: tuple, signs: np.ndarray):
-        heapq.heappush(kept, (score, tuple(-slot for slot in key), key, signs))
-        if len(kept) > max_k:
-            heapq.heappop(kept)
+    cap = -np.inf if max_k == n_parts - 1 else np.inf
+    _open_node(stats, heap, finish, (), np.arange(n_parts), cap)
 
     while heap and not (len(kept) == max_k and kept[0][0] > slack - heap[0][0]):
         neg_bound, path, indices, eigenpair = heapq.heappop(heap)
@@ -323,30 +344,23 @@ def _partition(stats: _Statistics, max_k: int):
         d = indices.shape[0]
         loading = _loading(stats, indices, gram, cross, direction)
         if loading is None:
-            signs = np.zeros(d, dtype=int)
-            signs[0], signs[-1] = 1, -1
-            score = 0.0
+            signs, score = np.r_[1, np.zeros(d - 2, dtype=int), -1], 0.0
         else:
             sign_matrix = _sign_matrix(loading)
             scores = _scores(signs_to_coefficient_matrix(sign_matrix), gram, cross)
-            winner = _winner(scores, sign_matrix)
+            # Candidate j has j+2 active parts, so the first tied is the fewest.
+            winner = int(np.argmax(scores >= scores.max() * (1 - _TIE_RTOL)))
             signs, score = sign_matrix[:, winner], float(scores[winner])
-        chosen = _embed(signs, indices, n_parts)
-        keep(score, path + (_CHOSEN,), chosen)
 
-        connecting = connecting_score = None
-        if np.any(signs == 0):
-            link = np.where(signs == 0, 1, -1)
-            connecting = _embed(link, indices, n_parts)
-            link_coeffs = signs_to_coefficient_matrix(link[:, None])
-            connecting_score = (
-                0.0 if loading is None else float(_scores(link_coeffs, gram, cross)[0])
-            )
-            keep(connecting_score, path + (_CONNECTING,), connecting)
-        expanded[path] = (indices, chosen, score, connecting, connecting_score)
+        link_score = None
+        r = int(np.count_nonzero(signs == 0))
+        if r:  # r left-out parts against d - r, by signs_to_coefficient_matrix's formula
+            column = np.where(signs == 0, np.sqrt((d - r) / (d * r)), -np.sqrt(r / (d * (d - r))))
+            link_score = 0.0 if loading is None else float(_scores(column[:, None], gram, cross)[0])
+        finish(path, indices, signs, score, link_score)
 
         for slot, side in _CHILD_SLOTS:
-            _open_node(stats, heap, path + (slot,), indices[signs == side], -neg_bound)
+            _open_node(stats, heap, finish, path + (slot,), indices[signs == side], -neg_bound)
 
     ranked = sorted(kept, key=lambda entry: (-entry[0], entry[2]))
     return [(entry[3], entry[0]) for entry in ranked], expanded
@@ -357,18 +371,10 @@ def _tree(expanded: dict, path: tuple = ()):
     for single parts."""
     if path not in expanded:
         return None
-    indices, chosen, score, connecting, connecting_score = expanded[path]
-    zero, numerator, denominator = (_tree(expanded, path + (slot,)) for slot, _ in _CHILD_SLOTS)
-    return PartitionNode(
-        part_indices=tuple(int(i) for i in indices),
-        chosen_signs=chosen,
-        chosen_value=score,
-        connecting_signs=connecting,
-        connecting_value=connecting_score,
-        zero_child=zero,
-        numerator_child=numerator,
-        denominator_child=denominator,
-    )
+    # PartitionNode's fields: the 5 entries of ``expanded``, then the children
+    indices, *balances = expanded[path]
+    children = (_tree(expanded, path + (slot,)) for slot, _ in _CHILD_SLOTS)
+    return PartitionNode(tuple(int(i) for i in indices), *balances, *children)
 
 
 def _build(X: CompositionMatrix, y, max_k: int | None, return_tree: bool, label: str):

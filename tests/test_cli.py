@@ -490,6 +490,25 @@ class TestIngestion:
         with pytest.raises(ValueError, match="ragged rows: line 4 has"):
             reader(path)
 
+    @pytest.mark.parametrize("bad_file", ["data", "response"])
+    @pytest.mark.parametrize("rows", [5, 3000], ids=["short", "past-first-chunk"])
+    def test_invalid_utf8_named_with_its_byte(self, tmp_path, capsys, rng, bad_file, rows):
+        # The decoder reports positions within its read chunk; the error gives
+        # the byte offset in the whole file.
+        X, y = random_instance(rng, rows, 3)
+        write_composition_csv(tmp_path / "X.csv", X)
+        write_response_csv(tmp_path / "y.csv", y)
+        path = tmp_path / ("X.csv" if bad_file == "data" else "y.csv")
+        good = path.read_bytes()
+        path.write_bytes(good + b"1\xff\n")
+        code = run_cli(
+            "fit", "--data", tmp_path / "X.csv", "--response-file", tmp_path / "y.csv",
+            "--out", tmp_path / "fit",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: not valid utf-8 text (byte {len(good) + 1})\n"
+
 
 class TestSelfChecks:
     def test_emitted_basis_is_orthonormal(self, tmp_path, rng):

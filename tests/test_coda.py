@@ -61,6 +61,20 @@ class TestCompositionMatrix:
         X = random_composition(rng, 3, 4)
         assert X.part_names == ("V1", "V2", "V3", "V4")
 
+    def test_take_samples(self, rng):
+        X = CompositionMatrix(np.exp(rng.standard_normal((6, 4))), ("a", "b", "c", "d"))
+        idx = [4, 0, 4, 2]
+        sub = X.take_samples(idx)
+        assert np.array_equal(sub.values, X.values[idx])
+        assert sub.part_names is X.part_names
+        with pytest.raises(ValueError):
+            sub.values[0, 0] = 2.0
+
+    @pytest.mark.parametrize("idx", [[3], [], [[0, 1], [2, 3]]])
+    def test_take_samples_needs_two_rows(self, rng, idx):
+        X = random_composition(rng, 5, 3)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            X.take_samples(idx)
 
 
 class TestClr:

@@ -15,6 +15,7 @@ from plspb import (
     best_balance,
     candidate_signs,
     clr,
+    pb,
     pca_pb,
     pls_pb,
     signs_to_coefficients,
@@ -179,6 +180,26 @@ class TestPlsPb:
                 tc = t - t.mean()
                 cand_cov = abs(tc @ yc) / (X.n_samples - 1)
                 assert basis.covariances[0] >= cand_cov - 1e-10
+
+    def test_tied_candidates_and_tied_lead(self, rng):
+        # g is (1, t, -t, -1 - 1e-13) up to scale, t = sqrt(2) - 1. The two
+        # extremes alone and all four parts both score sqrt(2) at the root,
+        # a tie that goes to the fewest parts; the largest |entries| tie
+        # within 1e-9, so the first one, part 0, is oriented positive. The
+        # balance leaves parts 1 and 2 to a 2-part node.
+        n = 40
+        yc = rng.standard_normal(n)
+        yc -= yc.mean()
+        t = np.sqrt(2) - 1
+        design = np.column_stack([np.ones(n), yc])
+        noise = rng.standard_normal((n, 4))
+        noise -= design @ np.linalg.lstsq(design, noise, rcond=None)[0]
+        logs = np.outer(yc, [1.0, t, -t, -1.0 - 1e-13]) + noise
+        basis = pls_pb(CompositionMatrix(np.exp(logs)), yc)
+        assert basis.sign_matrix.T.tolist() == [[1, 0, 0, -1], [0, 1, -1, 0], [-1, 1, 1, -1]]
+        scale = yc @ yc / (n - 1)
+        assert_allclose(basis.covariances, [np.sqrt(2) * scale, np.sqrt(2) * t * scale, 0.0],
+                        rtol=1e-9, atol=1e-12 * scale)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -427,3 +448,107 @@ class TestTopK:
             pca_pb(X, max_k=1, return_tree=True)
         basis, tree = pca_pb(X, max_k=5, return_tree=True)
         assert basis.n_balances == 5 and tree is not None
+
+
+def partition_nodes(node):
+    """Every node of a PartitionNode tree, in preorder."""
+    if node is None:
+        return []
+    children = (node.zero_child, node.numerator_child, node.denominator_child)
+    return [node, *(found for child in children for found in partition_nodes(child))]
+
+
+class TestTwoPartNodes:
+    """A 2-part node is finished when its parent opens it: its only balance is
+    +1 on its first part and -1 on its second, with no connecting balance."""
+
+    @pytest.mark.parametrize("max_k", [None, 1])
+    @pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
+    def test_two_part_root(self, rng, builder, max_k):
+        X, y = random_instance(rng, 12, 2)
+        basis = build(builder, X, y, max_k=max_k)
+        assert basis.sign_matrix.tolist() == [[1], [-1]]
+        if builder == "pls-pb":
+            _, score = best_balance(X, y, [[1], [-1]])
+            assert basis.covariances[0] == score
+        else:
+            values = balance_values(X, basis.coefficient_matrix[:, 0])
+            assert_allclose(basis.variances[0], values.var(ddof=1), rtol=1e-12)
+
+    @pytest.mark.parametrize("max_k", [None, 1])
+    @pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
+    def test_three_parts(self, rng, builder, max_k):
+        checked = 0
+        for _ in range(10):
+            X, y = random_instance(rng, 12, 3)
+            full, tree = build(builder, X, y, return_tree=True)
+            if max_k is not None:
+                assert_leading_columns(full, build(builder, X, y, max_k=max_k), max_k)
+            for node in partition_nodes(tree)[1:]:  # the root has 3 parts
+                idx = list(node.part_indices)
+                assert node.chosen_signs[idx].tolist() == [1, -1]
+                sub = CompositionMatrix(X.values[:, idx])
+                if builder == "pls-pb":
+                    expected = best_balance(sub, y, [[1], [-1]])[1]
+                else:
+                    expected = balance_values(sub, np.array([1, -1]) / np.sqrt(2)).var(ddof=1)
+                assert_allclose(node.chosen_value, expected, rtol=1e-10)
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
+    def test_proportional_pair_scores_exactly_zero(self, rng, builder):
+        # Parts 1 and 4 are proportional, so every contrast between them is
+        # constant; they end up alone in one node, which has no signal.
+        values = np.exp(rng.standard_normal((20, 7)))
+        values[:, 4] = 2.5 * values[:, 1]
+        X = CompositionMatrix(values)
+        y = np.log(values) @ rng.standard_normal(7) + 0.3 * rng.standard_normal(20)
+        full, tree = build(builder, X, y, return_tree=True)
+        (pair,) = [node for node in partition_nodes(tree) if node.part_indices == (1, 4)]
+        assert pair.chosen_value == 0.0
+        signs = np.zeros(7, dtype=int)
+        signs[[1, 4]] = 1, -1
+        (column,) = np.flatnonzero(np.all(full.sign_matrix == signs[:, None], axis=0))
+        assert full.ordering_values[column] == 0.0
+        for k in range(1, 7):
+            assert_leading_columns(full, build(builder, X, y, max_k=k), k)
+
+    def test_pca_pair_at_rounding_level_follows_the_eigenvector(self):
+        # A near-proportional pair puts H G H at the rounding level of G. The
+        # node keeps its score only when the top eigenvector of that computed
+        # matrix is two-sided, as decided by the eigh the builder skips; its
+        # c'Gc alone can be negative there.
+        rng = np.random.default_rng(7)
+        outcomes = set()
+        for _ in range(100):
+            n = int(rng.integers(5, 30))
+            base = 5 * rng.standard_normal(n) + 30 * rng.standard_normal()
+            eps = 10.0 ** rng.uniform(-15, -6)
+            logs = np.column_stack([base, base + eps * rng.standard_normal(n)])
+            X = CompositionMatrix(np.exp(logs))
+            stats = pb._statistics(X, None)
+            _, vector = pb._top_eigenpair(stats.gram)
+            kept = pb._loading(stats, np.arange(2), stats.gram, None, vector) is not None
+            paired = float(pb._scores(pb.PAIR, stats.gram, None)[0])
+            assert pca_pb(X).variances[0] == (paired if kept else 0.0) >= 0.0
+            outcomes.add((kept, paired < 0))
+        assert outcomes == {(True, False), (False, False), (False, True)}
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 30),
+        d=st.integers(2, 25),
+        builder=st.sampled_from(["pls-pb", "pca-pb"]),
+    )
+    def test_two_part_nodes_in_trees(self, seed, n, d, builder):
+        X, y = random_instance(np.random.default_rng(seed), n, d)
+        _, tree = build(builder, X, y, return_tree=True)
+        for node in partition_nodes(tree):
+            if len(node.part_indices) != 2:
+                continue
+            assert node.connecting_signs is None and node.connecting_value is None
+            assert node.zero_child is node.numerator_child is node.denominator_child is None
+            assert node.chosen_signs[node.part_indices[0]] == 1
+            assert node.chosen_signs[node.part_indices[1]] == -1
