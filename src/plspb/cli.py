@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -481,7 +480,7 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         _RUNNERS[args.command](config)
         return 0
-    except (BalanceError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (BalanceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -150,7 +150,13 @@ def write_json(path, payload) -> None:
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text())
+    """Parse a JSON file; one that is not UTF-8 JSON raises a ValueError naming it."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid {exc.encoding} text (byte {exc.start})") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def sha256_file(path) -> str:

@@ -67,23 +67,6 @@ class LatentModel:
         return self.weights.shape[0]
 
 
-def _flip_to_positive_max(weights: np.ndarray, *companions: np.ndarray) -> None:
-    """Flip columns in place so the largest-|entry| of each weight is positive,
-    together with the same columns of every companion matrix.
-
-    Magnitudes within a relative 1e-9 of the maximum count as tied and the
-    lowest index wins, so the orientation is stable against rounding noise
-    (symmetric two-entry weights tie only up to float error).
-    """
-    for j in range(weights.shape[1]):
-        magnitudes = np.abs(weights[:, j])
-        lead = int(np.flatnonzero(magnitudes >= magnitudes.max() * (1 - 1e-9))[0])
-        if weights[lead, j] < 0:
-            weights[:, j] = -weights[:, j]
-            for arr in companions:
-                arr[:, j] = -arr[:, j]
-
-
 def pls_regression(X: CompositionMatrix, y, k: int | None = None) -> LatentModel:
     """Fit a k-component SIMPLS model of y on the clr coordinates of X.
 
@@ -156,7 +139,12 @@ def pls_regression(X: CompositionMatrix, y, k: int | None = None) -> LatentModel
         raise RankDeficient(f"rank boundary reached at component {fitted + 1}")
 
     weights, scores = weights[:, :fitted], scores[:, :fitted]
-    _flip_to_positive_max(weights, scores)
+    # Flip each weight column and its scores so its largest |entry| (first within 1e-9) is positive.
+    for j in range(fitted):
+        magnitudes = np.abs(weights[:, j])
+        if weights[(magnitudes >= magnitudes.max() * (1 - 1e-9)).argmax(), j] < 0:
+            weights[:, j] = -weights[:, j]
+            scores[:, j] = -scores[:, j]
     return LatentModel(weights, scores.T @ yc, x_mean, y_mean)
 
 

@@ -167,15 +167,19 @@ def fit_on_balances(
     return BalanceModel(basis=basis, coefficients=slope, intercept=intercept)
 
 
+def _check_folds(n: int, folds: int) -> None:
+    if folds < 2:
+        raise ValueError("need at least 2 folds")
+    if n < folds:
+        raise TooFewSamples(f"{n} samples cannot fill {folds} folds")
+
+
 def fold_indices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Shuffle 0..n-1 and cut the permutation into contiguous folds.
 
     The first n mod folds folds receive one extra row.
     """
-    if folds < 2:
-        raise ValueError("need at least 2 folds")
-    if n < folds:
-        raise TooFewSamples(f"{n} samples cannot fill {folds} folds")
+    _check_folds(n, folds)
     perm = rng.permutation(n)
     base, extra = divmod(n, folds)
     out = []
@@ -256,10 +260,7 @@ def cross_validate(
     if repeats < 1:
         raise ValueError("need at least one repeat")
     n = X.n_samples
-    if folds < 2:
-        raise ValueError("need at least 2 folds")
-    if n < folds:
-        raise TooFewSamples(f"{n} samples cannot fill {folds} folds")
+    _check_folds(n, folds)
     min_train = n - (n // folds + (1 if n % folds else 0))
     limit = min(X.n_parts - 1, min_train - 1)
     if not 1 <= max_k <= X.n_parts - 1:

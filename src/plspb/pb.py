@@ -6,10 +6,11 @@ Lc the column-centred log data, G = Lc'Lc / (n-1) and, for pls-pb,
 g = Lc'(y - mean y) / (n-1). A node over the parts idx, with H the centring
 projector on them, takes as loading H g[idx] (the one-component SIMPLS
 direction of its subcomposition) for pls-pb, or the top eigenvector of
-H G[idx, idx] H (its first principal direction) for pca-pb. The loading
-yields d-1 nested candidates (see ``candidate_signs``), scored by |c'g[idx]|
-or c'G[idx, idx]c; the best wins, and ties within a relative 1e-12 go to
-the fewest active parts: candidate j has j+2, so the first tied one wins.
+H G[idx, idx] H (its first principal direction) for pca-pb. One fused pass
+builds the coefficients of the loading's d-1 nested candidates, whose signs
+are the columns of ``candidate_signs``; each is scored by |c'g[idx]| or
+c'G[idx, idx]c, the best wins, and ties within a relative 1e-12 go to the
+fewest active parts: candidate j has j+2, so the first tied one wins.
 The node's children are the parts left out of the chosen balance, its
 numerator and its denominator. A 2-part node's only balance is +1 on its
 first part and -1 on its second; it is finished when its parent opens it.
@@ -111,17 +112,21 @@ class PartitionNode:
         return payload
 
 
-def _sign_matrix(p: np.ndarray) -> np.ndarray:
-    """Columns are the d-1 nested candidates of a two-sided loading, in the
-    activation order of ``candidate_signs``."""
-    d = p.shape[0]
-    i_max = int(np.argmax(p))
-    i_min = int(np.argmin(p))
-    order = np.argsort(-np.abs(p), kind="stable")
-    step = np.zeros(d, dtype=int)
-    step[order[(order != i_max) & (order != i_min)]] = np.arange(1, d - 1)
-    signs = np.where(p >= 0, 1, -1)
-    return np.where(step[:, None] <= np.arange(d - 1), signs[:, None], 0)
+def _candidates(p: np.ndarray):
+    """The d x (d-1) activity mask, the part signs (+1 where p >= 0, else -1)
+    and the coefficient matrix of the nested candidates of a two-sided loading
+    p: bit for bit ``signs_to_coefficient_matrix(candidate_signs(p))``."""
+    key = -np.abs(p)
+    key[p.argmax()] = key[p.argmin()] = -np.inf  # the two extremes first
+    order = key.argsort(kind="stable")
+    rank = order.argsort()
+    counts = np.arange(2, p.shape[0] + 1)  # candidate j holds the first j+2 parts of the order
+    active = rank[:, None] < counts
+    positive = p >= 0
+    r = positive[order].cumsum()[1:]  # of which r are positive
+    s = counts - r
+    coeffs = np.where(positive[:, None], np.sqrt(s / (counts * r)), -np.sqrt(r / (counts * s)))
+    return active, np.where(positive, 1, -1), np.where(active, coeffs, 0.0)
 
 
 def candidate_signs(p) -> np.ndarray:
@@ -147,7 +152,8 @@ def candidate_signs(p) -> np.ndarray:
         raise ValueError("loading must be a finite 1-d vector with at least 2 entries")
     if not (np.any(p > 0) and np.any(p < 0)):
         raise OneSidedLoading("loading entries all share one sign")
-    return _readonly(_sign_matrix(p))
+    active, signs, _ = _candidates(p)
+    return _readonly(np.where(active, signs[:, None], 0))
 
 
 def _scores(coeffs: np.ndarray, gram: np.ndarray, cross) -> np.ndarray:
@@ -204,8 +210,8 @@ def best_balance(Xsub: CompositionMatrix, y, sign_matrix) -> tuple[np.ndarray, f
 
 def _centred(gram: np.ndarray) -> np.ndarray:
     """H G[idx, idx] H."""
-    col_means = gram.mean(axis=0)
-    return gram - col_means[:, None] - col_means + col_means.mean()
+    col_means = gram.sum(axis=0) / gram.shape[0]
+    return gram - col_means[:, None] - col_means + col_means.sum() / gram.shape[0]
 
 
 def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
@@ -218,26 +224,26 @@ def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross, d
     """Oriented loading of a node, or None when the node has no usable
     signal. ``direction`` is the top eigenvector of H G[idx, idx] H for
     pca-pb, None for pls-pb."""
-    n = stats.log.shape[0]
-    trace = np.trace(gram)
-    energy = float(trace - gram.mean(axis=0).sum())  # tr(H G[idx, idx] H)
+    n, d = stats.log.shape[0], gram.shape[0]
+    trace = gram.trace()
+    energy = float(trace - (gram.sum(axis=0) / d).sum())  # tr(H G[idx, idx] H)
     # Constant subcomposition: the centred clr block, of squared norm (n-1) *
     # energy, is at most 1e-12 of its log scale; near zero the block decides.
     scale_sq = max(1.0, float(stats.log_sq[indices].sum()))
     if (n - 1) * energy <= _CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace:
         block = stats.log[:, indices]
-        block = block - block.mean(axis=1, keepdims=True)
-        if np.linalg.norm(block - block.mean(axis=0)) <= _CONSTANT_TOL * np.sqrt(scale_sq):
+        block = block - block.sum(axis=1, keepdims=True) / d
+        if np.linalg.norm(block - block.sum(axis=0) / n) <= _CONSTANT_TOL * np.sqrt(scale_sq):
             return None
     if cross is None:
         p = direction
     else:
-        p = cross - cross.mean()
+        p = cross - cross.sum() / d
         # SIMPLS rank boundary: the score t = Xc p / ||p|| and the x-loading
         # Xc't / ||t|| must stay above 1e-10 of ||Xc||, where Xc'Xc is
         # (n-1) H G[idx, idx] H and ||Xc||^2 is (n-1) * energy.
         gp = gram @ p
-        gp -= gp.mean()
+        gp -= gp.sum() / d
         t_sq = float(p @ gp)
         tol = _RANK_TOL**2 * energy
         if t_sq <= tol * float(p @ p) or float(gp @ gp) <= tol * t_sq:
@@ -246,7 +252,7 @@ def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross, d
         return None
     # Orient the largest |entry| positive; within 1e-9 of it the first wins.
     magnitudes = np.abs(p)
-    return -p if p[np.argmax(magnitudes >= magnitudes.max() * (1 - 1e-9))] < 0 else p
+    return -p if p[(magnitudes >= magnitudes.max() * (1 - 1e-9)).argmax()] < 0 else p
 
 
 def _embed(signs: np.ndarray, indices: np.ndarray, n_parts: int) -> np.ndarray:
@@ -275,7 +281,7 @@ def _open_node(stats: _Statistics, heap: list, finish, path: tuple, indices: np.
     parts means an off-diagonal entry that is not negative: no eigh is run."""
     d = indices.shape[0]
     if d == 2:
-        gram = stats.gram[np.ix_(indices, indices)]
+        gram = stats.gram.take(indices, 0).take(indices, 1)
         cross = None if stats.cross is None else stats.cross[indices]
         direction = None if cross is not None else np.array([1.0, _centred(gram)[0, 1]])
         signal = _loading(stats, indices, gram, cross, direction) is not None
@@ -288,11 +294,11 @@ def _open_node(stats: _Statistics, heap: list, finish, path: tuple, indices: np.
         heapq.heappush(heap, (np.inf, path, indices, None))
         return
     if stats.cross is None:
-        gram = stats.gram[np.ix_(indices, indices)]
-        own = np.trace(gram) - gram.sum() / d  # tr(H G[idx, idx] H)
+        gram = stats.gram.take(indices, 0).take(indices, 1)
+        own = gram.trace() - gram.sum() / d  # tr(H G[idx, idx] H)
     else:
         cross = stats.cross[indices]
-        cross = cross - cross.mean()
+        cross = cross - cross.sum() / d
         own = np.sqrt(cross @ cross)  # ||H g[idx]||
     heapq.heappush(heap, (-min(cap, float(own)), path, indices, None))
 
@@ -306,7 +312,7 @@ def _partition(stats: _Statistics, max_k: int):
     connecting signs, connecting score)}.
     """
     n_parts = stats.gram.shape[0]
-    scale = np.trace(stats.gram) if stats.cross is None else np.linalg.norm(stats.cross)
+    scale = stats.gram.trace() if stats.cross is None else np.linalg.norm(stats.cross)
     slack = max(_STOP_RTOL * float(scale), np.finfo(float).tiny)
     kept: list = []  # min-heap of (score, negated key, key, signs): the worst on top
     expanded: dict = {}
@@ -331,7 +337,7 @@ def _partition(stats: _Statistics, max_k: int):
 
     while heap and not (len(kept) == max_k and kept[0][0] > slack - heap[0][0]):
         neg_bound, path, indices, eigenpair = heapq.heappop(heap)
-        gram = stats.gram[np.ix_(indices, indices)]
+        gram = stats.gram.take(indices, 0).take(indices, 1)
         if stats.cross is None and eigenpair is None:
             # A pca-pb node's first pop: its own top eigenvalue bounds its
             # balances, so it goes back under that bound if it is lower.
@@ -343,17 +349,17 @@ def _partition(stats: _Statistics, max_k: int):
         direction = None if eigenpair is None else eigenpair[1]
         d = indices.shape[0]
         loading = _loading(stats, indices, gram, cross, direction)
-        if loading is None:
-            signs, score = np.r_[1, np.zeros(d - 2, dtype=int), -1], 0.0
+        if loading is None:  # the first part against the last: d-2 left out, as in candidate 0
+            signs, score, winner = np.r_[1, np.zeros(d - 2, dtype=int), -1], 0.0, 0
         else:
-            sign_matrix = _sign_matrix(loading)
-            scores = _scores(signs_to_coefficient_matrix(sign_matrix), gram, cross)
+            active, part_signs, coeffs = _candidates(loading)
+            scores = _scores(coeffs, gram, cross)
             # Candidate j has j+2 active parts, so the first tied is the fewest.
-            winner = int(np.argmax(scores >= scores.max() * (1 - _TIE_RTOL)))
-            signs, score = sign_matrix[:, winner], float(scores[winner])
+            winner = int((scores >= scores.max() * (1 - _TIE_RTOL)).argmax())
+            signs, score = np.where(active[:, winner], part_signs, 0), float(scores[winner])
 
         link_score = None
-        r = int(np.count_nonzero(signs == 0))
+        r = d - 2 - winner  # candidate j leaves d-j-2 parts out
         if r:  # r left-out parts against d - r, by signs_to_coefficient_matrix's formula
             column = np.where(signs == 0, np.sqrt((d - r) / (d * r)), -np.sqrt(r / (d * (d - r))))
             link_score = 0.0 if loading is None else float(_scores(column[:, None], gram, cross)[0])

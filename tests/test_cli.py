@@ -387,6 +387,21 @@ class TestRerun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"config {key}={value!r} is not a valid" in err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"command": "simulate"\xff}', "not valid utf-8 text (byte 22)"),
+            (b'{"command": ', "not valid JSON (Expecting value: line 1 column 13 (char 12))"),
+        ],
+        ids=["not-utf8", "not-json"],
+    )
+    def test_unreadable_manifest_named(self, tmp_path, capsys, content, message):
+        manifest = tmp_path / "bad.json"
+        manifest.write_bytes(content)
+        assert run_cli("rerun", "--manifest", manifest, "--out", tmp_path / "r") == 2
+        assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+        assert not (tmp_path / "r").exists()
+
     def test_rerun_detects_divergence(self, tmp_path):
         out = tmp_path / "orig"
         run_cli("simulate", "--n", 20, "--d", 8, "--blocks", "4", "--out", out)

@@ -147,8 +147,12 @@ class TestFoldIndices:
         assert sizes == [4, 4, 5, 5, 5]
 
     def test_too_few_samples(self, rng):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(TooFewSamples, match="3 samples cannot fill 5 folds"):
             fold_indices(3, 5, rng)
+
+    def test_one_fold_rejected(self, rng):
+        with pytest.raises(ValueError, match="need at least 2 folds"):
+            fold_indices(10, 1, rng)
 
     def test_seeded_reproducibility(self):
         a = fold_indices(17, 4, np.random.default_rng(5))
@@ -207,8 +211,10 @@ class TestCrossValidate:
 
     def test_too_few_samples(self, rng):
         X, y = random_instance(rng, 4, 4)
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(TooFewSamples, match="4 samples cannot fill 5 folds"):
             cross_validate(X, y, PLS_PB, max_k=2, folds=5)
+        with pytest.raises(ValueError, match="need at least 2 folds"):
+            cross_validate(X, y, PLS_PB, max_k=2, folds=1)
 
     def test_non_finite_response_rejected(self, rng):
         X, y = random_instance(rng, 12, 5)

@@ -9,7 +9,9 @@ kept here with every rank check. The builders must reproduce its sign
 matrices exactly and its ordering values within rtol 1e-9.
 
 The partition check ``nested_or_disjoint`` keeps its former pairwise loop
-over support sets here as the reference for its matrix form.
+over support sets here as the reference for its matrix form, and the
+nested candidates keep their former sign-matrix construction as the
+reference for the fused one that ``candidate_signs`` and the recursion share.
 
 Policies are shared with the builders: ties within a relative 1e-12 of the
 best score go to the candidate with the fewest active parts, and a node
@@ -20,6 +22,8 @@ against the last, scored 0 like its connecting balance.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from plspb import (
@@ -31,15 +35,26 @@ from plspb import (
     signs_to_coefficients,
     simulate_dataset,
 )
+from plspb.coda import signs_to_coefficient_matrix
 from plspb.errors import RankDeficient
-from plspb.latent import _flip_to_positive_max
-from plspb.pb import nested_or_disjoint
+from plspb.pb import _candidates, nested_or_disjoint
 from plspb.simgen import CASES, SimScenario
 
 from conftest import random_instance
 
 ORDERING_RTOL = 1e-9
 RANK_TOL = 1e-10
+
+
+def _flip_to_positive_max(weights):
+    """Flip columns in place so the largest |entry| of each weight is
+    positive; magnitudes within a relative 1e-9 of the largest count as tied
+    and the lowest index wins."""
+    for j in range(weights.shape[1]):
+        magnitudes = np.abs(weights[:, j])
+        lead = int(np.flatnonzero(magnitudes >= magnitudes.max() * (1 - 1e-9))[0])
+        if weights[lead, j] < 0:
+            weights[:, j] = -weights[:, j]
 
 
 def _check_components(X):
@@ -261,3 +276,37 @@ def test_nested_or_disjoint_matches_loop(rng):
         if np.all(np.any(signs == 1, axis=0) & np.any(signs == -1, axis=0)):
             assert nested_or_disjoint(signs) == nested_or_disjoint_loop(signs)
     assert outcomes == {True, False}
+
+
+def sign_matrix_loop(p):
+    """Nested candidates of a two-sided loading, one per column: the two
+    extremes, then the rest by decreasing |p| (stable), each entering with
+    its sign, zeros as positive."""
+    d = p.shape[0]
+    i_max = int(np.argmax(p))
+    i_min = int(np.argmin(p))
+    order = np.argsort(-np.abs(p), kind="stable")
+    step = np.zeros(d, dtype=int)
+    step[order[(order != i_max) & (order != i_min)]] = np.arange(1, d - 1)
+    signs = np.where(p >= 0, 1, -1)
+    return np.where(step[:, None] <= np.arange(d - 1), signs[:, None], 0)
+
+
+# few distinct values, so exact zeros, tied magnitudes and tied extremes are common
+_ENTRIES = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]) | st.floats(-3, 3)
+_LOADINGS = st.integers(2, 60).flatmap(
+    lambda d: st.lists(_ENTRIES, min_size=d, max_size=d)
+).filter(lambda p: max(p) > 0 > min(p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_LOADINGS)
+@example(p=[1.0, -1.0])
+@example(p=[2.0, 0.0, -1.0, 2.0, 0.0, -2.0, 1.0, -1.0])
+def test_fused_candidates_match_the_sign_matrix(p):
+    p = np.array(p)
+    signs = sign_matrix_loop(p)
+    public = candidate_signs(p)
+    assert public.dtype == signs.dtype and np.array_equal(public, signs)
+    _, _, coeffs = _candidates(p)
+    assert coeffs.tobytes() == signs_to_coefficient_matrix(signs).tobytes()
