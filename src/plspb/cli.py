@@ -210,12 +210,11 @@ def run_cv(config: dict) -> Path:
     out_dir = _prepare_out(config)
     methods = list(METHODS) if config.get("all_methods") else [config["method"]]
     metric = config["metric"]
-    rows = []
-    selected = {}
+    results = {}
     if config.get("data"):
         X, y = _load_data(config)
         for method in methods:
-            result = cross_validate(
+            results[method] = cross_validate(
                 X,
                 y,
                 method,
@@ -225,22 +224,19 @@ def run_cv(config: dict) -> Path:
                 seed=config["seed"],
                 metric=metric,
             )
-            selected[method] = result.selected_k
-            for i, k in enumerate(result.component_counts):
-                rows.append((method, k, result.mean_error[i], result.sd_error[i]))
     else:
         # fresh-data mode: one new dataset per run, 1 repeat of k-fold each
         runs = config["runs"]
         tasks = [(config, seed, methods) for seed in _run_seeds(config)]
-        results = _map_runs(_cv_fresh_run, tasks, config.get("jobs", 1))
+        curves = _map_runs(_cv_fresh_run, tasks, config.get("jobs", 1))
         for method in methods:
-            errors = np.stack([res[method] for res in results])
-            summary = aggregate_error_runs(
+            errors = np.stack([curve[method] for curve in curves])
+            results[method] = aggregate_error_runs(
                 errors, metric, folds=config["folds"], repeats=runs
             )
-            selected[method] = summary.selected_k
-            for i, k in enumerate(summary.component_counts):
-                rows.append((method, k, summary.mean_error[i], summary.sd_error[i]))
+    selected = {method: result.selected_k for method, result in results.items()}
+    rows = [(method, *row) for method, result in results.items()
+            for row in zip(result.component_counts, result.mean_error, result.sd_error)]
     fileio.write_cv_csv(out_dir / "cv.csv", rows)
     for method in methods:
         print(f"{method}: selected k = {selected[method]} ({metric})")

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .coda import BalanceBasis, CompositionMatrix
+from .coda import BalanceBasis, CompositionMatrix, _readonly
 
 RESPONSE_COLUMN = "y"
+_SIGN_TEXT = _readonly(np.array(["-1", "0", "1"], dtype=object))  # indexed by sign + 1
 
 
 def _fault(path: Path, width: int, fallback) -> ValueError:
@@ -95,9 +96,9 @@ def read_response_csv(path) -> np.ndarray:
 
 def _write_table(path, header, body, lead=None, fmt=repr) -> None:
     """Write the ``header`` cells, then one line per row of the 2-d array
-    ``body``, its cells formatted by ``fmt`` and led by the matching entry
-    of ``lead`` when given. ``repr`` of a float is its shortest exact text."""
-    rows = map(",".join, (map(fmt, row) for row in body.tolist()))
+    ``body``, its cells formatted by ``fmt`` (None: already text) and led by
+    the matching entry of ``lead``, if any. ``repr`` gives floats exactly."""
+    rows = map(",".join, body.tolist() if fmt is None else (map(fmt, row) for row in body.tolist()))
     if lead is not None:
         rows = map(",".join, zip(lead, rows))
     Path(path).write_text("\n".join([",".join(header), *rows]) + "\n")
@@ -126,7 +127,7 @@ def write_basis_csv(path, basis: BalanceBasis) -> None:
 
 def write_sign_csv(path, basis: BalanceBasis) -> None:
     header = ["part", *(f"b{j + 1}" for j in range(basis.n_balances))]
-    _write_table(path, header, basis.sign_matrix, lead=basis.part_names, fmt=str)
+    _write_table(path, header, _SIGN_TEXT[basis.sign_matrix + 1], lead=basis.part_names, fmt=None)
 
 
 def write_cv_csv(path, rows) -> None:

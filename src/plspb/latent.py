@@ -79,9 +79,13 @@ def pls_regression(X: CompositionMatrix, y, k: int | None = None) -> LatentModel
     reached least squares, at most min(D-1, n-1); an explicit k past it
     raises ``RankDeficient``. The training means are kept for prediction.
     """
-    n, d = X.n_samples, X.n_parts
-    y = _check_response(y, n)
-    raw = clr(X)
+    return _simpls(np.log(X.values), _check_response(y, X.n_samples), k)
+
+
+def _simpls(log: np.ndarray, y: np.ndarray, k: int | None) -> LatentModel:
+    """``pls_regression`` on ln X and a checked response: the fold fit of ``cross_validate``."""
+    n, d = log.shape
+    raw = log - log.mean(axis=1, keepdims=True)  # clr
     x_mean = raw.mean(axis=0)
     y_mean = float(y.mean())
     Xc = raw - x_mean

@@ -22,8 +22,8 @@ from .errors import (
     RankDeficient,
     TooFewSamples,
 )
-from .latent import pls_regression
-from .pb import pca_pb, pls_pb
+from .latent import _simpls
+from .pb import _build
 
 PLS_PB = "pls-pb"
 PCA_PB = "pca-pb"
@@ -191,26 +191,22 @@ def fold_indices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarra
     return out
 
 
-def _repeat_errors(X, log_x, y, method, max_k, folds, metric, rng):
-    """One repeat: shuffle folds, fit per fold, pool held-out errors per k.
+def _repeat_errors(log_x, y, method, max_k, folds, metric, rng):
+    """One repeat: shuffle folds, fit per fold on ln X rows, pool errors per k.
 
     Every size k of a fold comes from one QR of its training logcontrasts
     and one triangular solve for its held-out rows.
     """
-    n = X.n_samples
+    n = log_x.shape[0]
     predictions = np.empty((n, max_k))
     for test_idx in fold_indices(n, folds, rng):
         train_idx = np.delete(np.arange(n), test_idx)
-        X_train = X.take_samples(train_idx)
-        y_train = y[train_idx]
+        log_train, y_train = log_x[train_idx], y[train_idx]
         if method == PLS_RAW:
-            contrasts = pls_regression(X_train, y_train, max_k).weights
+            contrasts = _simpls(log_train, y_train, max_k).weights
         else:
-            if method == PLS_PB:
-                basis = pls_pb(X_train, y_train, max_k=max_k)
-            else:
-                basis = pca_pb(X_train, max_k=max_k)
-            contrasts = basis.coefficient_matrix
+            response = y_train if method == PLS_PB else None
+            contrasts = _build(log_train, response, max_k).coefficient_matrix
         design = log_x @ contrasts
         col_means, y_mean, r, qty = _least_squares(design[train_idx], y_train)
         heldout = np.linalg.solve(r.T, (design[test_idx] - col_means).T).T
@@ -277,5 +273,5 @@ def cross_validate(
     errors = np.empty((repeats, max_k))
     for r in range(repeats):
         rng = np.random.default_rng(streams[r])
-        errors[r] = _repeat_errors(X, log_x, y, method, max_k, folds, metric, rng)
+        errors[r] = _repeat_errors(log_x, y, method, max_k, folds, metric, rng)
     return aggregate_error_runs(errors, metric, folds, repeats)

@@ -14,6 +14,9 @@ fewest active parts: candidate j has j+2, so the first tied one wins.
 The node's children are the parts left out of the chosen balance, its
 numerator and its denominator. A 2-part node's only balance is +1 on its
 first part and -1 on its second; it is finished when its parent opens it.
+Its signal is decided on Python floats: a negative off-diagonal entry of H G H
+(pca-pb) or a two-sided H g[idx] (pls-pb), unless the constant-subcomposition
+window or float under- or overflow leaves it to the full checks below.
 
 A node without usable signal (constant subcomposition, zero H g[idx], or a
 SIMPLS fit at its rank boundary) keeps its first part against its last, scored 0.
@@ -53,6 +56,7 @@ full build computes none and expands every node once.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,12 +116,12 @@ class PartitionNode:
         return payload
 
 
-def _candidates(p: np.ndarray):
-    """The d x (d-1) activity mask, the part signs (+1 where p >= 0, else -1)
-    and the coefficient matrix of the nested candidates of a two-sided loading
-    p: bit for bit ``signs_to_coefficient_matrix(candidate_signs(p))``."""
-    key = -np.abs(p)
-    key[p.argmax()] = key[p.argmin()] = -np.inf  # the two extremes first
+def _candidates(p: np.ndarray, magnitudes: np.ndarray, hi, lo):
+    """The d x (d-1) activity mask, part signs (+1 where p >= 0, else -1) and
+    coefficients of the nested candidates of a two-sided loading p, given |p|
+    and its extremes hi, lo: bit for bit ``signs_to_coefficient_matrix(candidate_signs(p))``."""
+    key = -magnitudes
+    key[hi] = key[lo] = -np.inf  # the two extremes first
     order = key.argsort(kind="stable")
     rank = order.argsort()
     counts = np.arange(2, p.shape[0] + 1)  # candidate j holds the first j+2 parts of the order
@@ -127,6 +131,17 @@ def _candidates(p: np.ndarray):
     s = counts - r
     coeffs = np.where(positive[:, None], np.sqrt(s / (counts * r)), -np.sqrt(r / (counts * s)))
     return active, np.where(positive, 1, -1), np.where(active, coeffs, 0.0)
+
+
+def _node_candidates(p: np.ndarray):
+    """``_candidates`` of a node's loading p, oriented so its largest |entry| is
+    positive (within 1e-9 of it the first wins); None when p is one-sided."""
+    magnitudes, hi, lo = np.abs(p), p.argmax(), p.argmin()
+    if not p[hi] > 0 > p[lo]:
+        return None
+    if p[(magnitudes >= max(p[hi], -p[lo]) * (1 - 1e-9)).argmax()] < 0:
+        p = -p  # its extremes are still hi and lo
+    return _candidates(p, magnitudes, hi, lo)
 
 
 def candidate_signs(p) -> np.ndarray:
@@ -152,7 +167,7 @@ def candidate_signs(p) -> np.ndarray:
         raise ValueError("loading must be a finite 1-d vector with at least 2 entries")
     if not (np.any(p > 0) and np.any(p < 0)):
         raise OneSidedLoading("loading entries all share one sign")
-    active, signs, _ = _candidates(p)
+    active, signs, _ = _candidates(p, np.abs(p), p.argmax(), p.argmin())
     return _readonly(np.where(active, signs[:, None], 0))
 
 
@@ -181,10 +196,9 @@ class _Statistics:
     cross: np.ndarray | None  # g = Lc'(y - mean y) / (n-1), supervised only
 
 
-def _statistics(X: CompositionMatrix, y) -> _Statistics:
-    log = np.log(X.values)
+def _statistics(log: np.ndarray, y) -> _Statistics:
     centred = log - log.mean(axis=0)
-    n = X.n_samples
+    n = log.shape[0]
     cross = None if y is None else centred.T @ (y - y.mean()) / (n - 1)
     return _Statistics(log, (log * log).sum(axis=0), centred.T @ centred / (n - 1), cross)
 
@@ -202,28 +216,23 @@ def best_balance(Xsub: CompositionMatrix, y, sign_matrix) -> tuple[np.ndarray, f
     if sign_matrix.ndim != 2 or sign_matrix.shape[0] != Xsub.n_parts or sign_matrix.size == 0:
         raise ValueError("sign matrix must be parts x candidates, with a candidate")
     _check_signs(sign_matrix)
-    stats = _statistics(Xsub, _check_response(y, Xsub.n_samples))
+    stats = _statistics(np.log(Xsub.values), _check_response(y, Xsub.n_samples))
     scores = _scores(signs_to_coefficient_matrix(sign_matrix), stats.gram, stats.cross)
     winner = _winner(scores, sign_matrix)
     return signs_to_coefficients(sign_matrix[:, winner]), float(scores[winner])
 
 
-def _centred(gram: np.ndarray) -> np.ndarray:
-    """H G[idx, idx] H."""
-    col_means = gram.sum(axis=0) / gram.shape[0]
-    return gram - col_means[:, None] - col_means + col_means.sum() / gram.shape[0]
-
-
 def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
     """Top eigenpair of H G[idx, idx] H: pca-pb's node bound and loading."""
-    eigenvalues, eigenvectors = np.linalg.eigh(_centred(gram))
+    col_means = gram.sum(axis=0) / gram.shape[0]
+    centred = gram - col_means[:, None] - col_means + col_means.sum() / gram.shape[0]
+    eigenvalues, eigenvectors = np.linalg.eigh(centred)
     return float(eigenvalues[-1]), eigenvectors[:, -1]
 
 
 def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross, direction):
-    """Oriented loading of a node, or None when the node has no usable
-    signal. ``direction`` is the top eigenvector of H G[idx, idx] H for
-    pca-pb, None for pls-pb."""
+    """Loading of a node, not yet oriented, or None when it has no usable signal;
+    ``direction`` is the top eigenvector of H G[idx, idx] H (pca-pb only)."""
     n, d = stats.log.shape[0], gram.shape[0]
     trace = gram.trace()
     energy = float(trace - (gram.sum(axis=0) / d).sum())  # tr(H G[idx, idx] H)
@@ -236,31 +245,47 @@ def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross, d
         if np.linalg.norm(block - block.sum(axis=0) / n) <= _CONSTANT_TOL * np.sqrt(scale_sq):
             return None
     if cross is None:
-        p = direction
-    else:
-        p = cross - cross.sum() / d
-        # SIMPLS rank boundary: the score t = Xc p / ||p|| and the x-loading
-        # Xc't / ||t|| must stay above 1e-10 of ||Xc||, where Xc'Xc is
-        # (n-1) H G[idx, idx] H and ||Xc||^2 is (n-1) * energy.
-        gp = gram @ p
-        gp -= gp.sum() / d
-        t_sq = float(p @ gp)
-        tol = _RANK_TOL**2 * energy
-        if t_sq <= tol * float(p @ p) or float(gp @ gp) <= tol * t_sq:
-            return None
-    if not (p.max() > 0 > p.min()):
+        return direction
+    p = cross - cross.sum() / d
+    # SIMPLS rank boundary: the score t = Xc p / ||p|| and the x-loading
+    # Xc't / ||t|| must stay above 1e-10 of ||Xc||, where Xc'Xc is
+    # (n-1) H G[idx, idx] H and ||Xc||^2 is (n-1) * energy.
+    gp = gram @ p
+    gp -= gp.sum() / d
+    t_sq = float(p @ gp)
+    tol = _RANK_TOL**2 * energy
+    if t_sq <= tol * float(p @ p) or float(gp @ gp) <= tol * t_sq:
         return None
-    # Orient the largest |entry| positive; within 1e-9 of it the first wins.
-    magnitudes = np.abs(p)
-    return -p if p[(magnitudes >= magnitudes.max() * (1 - 1e-9)).argmax()] < 0 else p
+    return p
+
+
+def _pair_signal(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross) -> bool:
+    """Whether ``_loading`` finds a two-sided loading in a 2-part node, on
+    Python floats in its operation order (see the module docstring). For
+    pls-pb, t^2 is about energy * p'p: with p'p, energy * p'p and energy^2 *
+    p'p far from under- and overflow no rank test can fire, else _loading runs."""
+    (g00, g01), (g10, g11) = gram.tolist()
+    m0, m1 = (g00 + g10) / 2, (g01 + g11) / 2
+    trace, energy = g00 + g11, g00 + g11 - (m0 + m1)  # energy = tr(H G H)
+    h = ((g01 - m0) - m1) + (m0 + m1) / 2  # (H G H)[0, 1], as _top_eigenpair computes it
+    signal, safe = h < 0, True
+    if cross is not None:
+        c0, c1 = cross.tolist()
+        p0, p1 = c0 - (c0 + c1) / 2, c1 - (c0 + c1) / 2
+        signal, pp = p0 > 0 > p1 or p1 > 0 > p0, p0 * p0 + p1 * p1
+        safe = all(1e-290 < v < 1e290 for v in (pp, energy * pp, energy * energy * pp))
+    n, scale_sq = stats.log.shape[0], max(1.0, sum(stats.log_sq[indices].tolist()))
+    window = (n - 1) * energy <= _CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace
+    if not signal or safe and not window:
+        return signal
+    return _loading(stats, indices, gram, cross, np.array([1.0, h])) is not None
 
 
 def _embed(signs: np.ndarray, indices: np.ndarray, n_parts: int) -> np.ndarray:
     """A node's sign pattern as a read-only vector over all parts."""
     full = np.zeros(n_parts, dtype=int)
     full[indices] = signs
-    full.setflags(write=False)
-    return full
+    return _readonly(full)
 
 
 # Preorder slots below a node's path: its chosen and connecting balances,
@@ -276,17 +301,13 @@ def _open_node(stats: _Statistics, heap: list, finish, path: tuple, indices: np.
     """Push a node of at least 3 parts with its score bound, at most ``cap``
     (-inf in a full build, which keys it by -inf without computing one). A
     2-part node goes to ``finish`` at once, +1 on its first part (its loading
-    +-(1, -1) is an exact tie), scored 0 when ``_loading`` finds no signal. For
-    pca-pb that includes a one-sided top eigenvector of H G H, which on 2
-    parts means an off-diagonal entry that is not negative: no eigh is run."""
+    +-(1, -1) is an exact tie), scored 0 without ``_pair_signal``; no eigh."""
     d = indices.shape[0]
     if d == 2:
         gram = stats.gram.take(indices, 0).take(indices, 1)
         cross = None if stats.cross is None else stats.cross[indices]
-        direction = None if cross is not None else np.array([1.0, _centred(gram)[0, 1]])
-        signal = _loading(stats, indices, gram, cross, direction) is not None
-        score = float(_scores(PAIR, gram, cross)[0]) if signal else 0.0
-        finish(path, indices, np.array([1, -1]), score)
+        score = _scores(PAIR, gram, cross)[0] if _pair_signal(stats, indices, gram, cross) else 0.0
+        finish(path, indices, np.array([1, -1]), float(score))
         return
     if d < 3:
         return
@@ -307,25 +328,24 @@ def _partition(stats: _Statistics, max_k: int):
     """Best-first sequential binary partition, stopped once its ``max_k``
     best balances are known.
 
-    Returns the kept (sign vector over all parts, score) pairs in basis
-    order, and the expanded nodes as {path: (indices, chosen signs, score,
-    connecting signs, connecting score)}.
+    Returns the kept balances in basis order, as (indices, signs over them,
+    score), and the expanded nodes as {path: (indices, chosen signs, score,
+    connecting signs, connecting score)}, all signs over the node's parts.
     """
     n_parts = stats.gram.shape[0]
     scale = stats.gram.trace() if stats.cross is None else np.linalg.norm(stats.cross)
     slack = max(_STOP_RTOL * float(scale), np.finfo(float).tiny)
-    kept: list = []  # min-heap of (score, negated key, key, signs): the worst on top
+    kept: list = []  # min-heap of (score, negated key, key, (indices, signs)): the worst on top
     expanded: dict = {}
 
     def finish(path, indices, signs, score, link_score=None):
         """Record a node and keep its balances; a scored connecting balance takes its 0 parts."""
-        chosen = _embed(signs, indices, n_parts)
-        link = None if link_score is None else _embed(np.where(signs == 0, 1, -1), indices, n_parts)
-        expanded[path] = (indices, chosen, score, link, link_score)
-        for slot, value, balance in ((_CHOSEN, score, chosen), (_CONNECTING, link_score, link)):
+        link = None if link_score is None else np.where(signs == 0, 1, -1)
+        expanded[path] = (indices, signs, score, link, link_score)
+        for slot, value, balance in ((_CHOSEN, score, signs), (_CONNECTING, link_score, link)):
             if balance is not None:
                 key = path + (slot,)
-                heapq.heappush(kept, (value, tuple(-s for s in key), key, balance))
+                heapq.heappush(kept, (value, tuple(-s for s in key), key, (indices, balance)))
                 if len(kept) > max_k:
                     heapq.heappop(kept)
 
@@ -349,10 +369,11 @@ def _partition(stats: _Statistics, max_k: int):
         direction = None if eigenpair is None else eigenpair[1]
         d = indices.shape[0]
         loading = _loading(stats, indices, gram, cross, direction)
-        if loading is None:  # the first part against the last: d-2 left out, as in candidate 0
+        candidates = None if loading is None else _node_candidates(loading)
+        if candidates is None:  # the first part against the last: d-2 left out, as in candidate 0
             signs, score, winner = np.r_[1, np.zeros(d - 2, dtype=int), -1], 0.0, 0
         else:
-            active, part_signs, coeffs = _candidates(loading)
+            active, part_signs, coeffs = candidates
             scores = _scores(coeffs, gram, cross)
             # Candidate j has j+2 active parts, so the first tied is the fewest.
             winner = int((scores >= scores.max() * (1 - _TIE_RTOL)).argmax())
@@ -361,46 +382,53 @@ def _partition(stats: _Statistics, max_k: int):
         link_score = None
         r = d - 2 - winner  # candidate j leaves d-j-2 parts out
         if r:  # r left-out parts against d - r, by signs_to_coefficient_matrix's formula
-            column = np.where(signs == 0, np.sqrt((d - r) / (d * r)), -np.sqrt(r / (d * (d - r))))
-            link_score = 0.0 if loading is None else float(_scores(column[:, None], gram, cross)[0])
+            a, b = math.sqrt((d - r) / (d * r)), -math.sqrt(r / (d * (d - r)))
+            column = np.where(signs == 0, a, b)[:, None]
+            link_score = 0.0 if candidates is None else float(_scores(column, gram, cross)[0])
         finish(path, indices, signs, score, link_score)
 
         for slot, side in _CHILD_SLOTS:
             _open_node(stats, heap, finish, path + (slot,), indices[signs == side], -neg_bound)
 
     ranked = sorted(kept, key=lambda entry: (-entry[0], entry[2]))
-    return [(entry[3], entry[0]) for entry in ranked], expanded
+    return [(*entry[3], entry[0]) for entry in ranked], expanded
 
 
-def _tree(expanded: dict, path: tuple = ()):
+def _tree(expanded: dict, n_parts: int, path: tuple = ()):
     """The PartitionNode at ``path`` of a fully expanded partition, or None
     for single parts."""
     if path not in expanded:
         return None
-    # PartitionNode's fields: the 5 entries of ``expanded``, then the children
-    indices, *balances = expanded[path]
-    children = (_tree(expanded, path + (slot,)) for slot, _ in _CHILD_SLOTS)
-    return PartitionNode(tuple(int(i) for i in indices), *balances, *children)
+    indices, signs, score, link, link_score = expanded[path]
+    link = None if link is None else _embed(link, indices, n_parts)
+    children = (_tree(expanded, n_parts, path + (slot,)) for slot, _ in _CHILD_SLOTS)
+    return PartitionNode(tuple(indices.tolist()), _embed(signs, indices, n_parts), score,
+                         link, link_score, *children)
 
 
-def _build(X: CompositionMatrix, y, max_k: int | None, return_tree: bool, label: str):
-    """The leading ``max_k`` balances (all D-1 when None) as a ``BalanceBasis``,
-    which validates them and derives their coefficients; ``label`` names the
-    ordering values."""
-    full = X.n_parts - 1
-    k = full if max_k is None else max_k
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= full):
-        raise ValueError(f"max_k={max_k} is not an integer in 1..{full}")
-    if return_tree and k < full:
+def _build(log: np.ndarray, y, max_k: int | None = None, return_tree=False, part_names=None):
+    """``pls_pb`` on ln X and a checked response y, or ``pca_pb`` when y is
+    None: the leading ``max_k`` balances (all D-1 when None) as a validated
+    ``BalanceBasis``. ``cross_validate`` calls it on each fold's log rows."""
+    if log.shape[0] < 3:
+        raise ValueError("need at least 3 samples")
+    if y is not None and np.ptp(y) == 0.0:
+        raise ConstantResponse("response has zero variance")
+    n_parts = log.shape[1]
+    k = n_parts - 1 if max_k is None else max_k
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= n_parts - 1):
+        raise ValueError(f"max_k={max_k} is not an integer in 1..{n_parts - 1}")
+    if return_tree and k < n_parts - 1:
         # unexpanded subtrees would read as None, like single parts
         raise ValueError("return_tree needs the full basis (max_k=None)")
-    ranked, expanded = _partition(_statistics(X, y), k)
-    basis = BalanceBasis(
-        np.stack([signs for signs, _ in ranked], axis=1),
-        part_names=X.part_names,
-        **{label: np.array([score for _, score in ranked])},
-    )
-    return (basis, _tree(expanded)) if return_tree else basis
+    ranked, expanded = _partition(_statistics(log, y), k)
+    parts, local, scores = zip(*ranked)
+    signs = np.zeros((n_parts, k), dtype=int)
+    columns = np.repeat(np.arange(k), [indices.shape[0] for indices in parts])
+    signs[np.concatenate(parts), columns] = np.concatenate(local)
+    label = "variances" if y is None else "covariances"
+    basis = BalanceBasis(signs, part_names=part_names, **{label: np.array(scores)})
+    return (basis, _tree(expanded, n_parts)) if return_tree else basis
 
 
 def pls_pb(X: CompositionMatrix, y, max_k: int | None = None, return_tree: bool = False):
@@ -414,12 +442,8 @@ def pls_pb(X: CompositionMatrix, y, max_k: int | None = None, return_tree: bool 
 
     The response is centered once, globally; every node reuses it.
     """
-    if X.n_samples < 3:
-        raise ValueError("need at least 3 samples")
-    y = _check_response(y, X.n_samples)
-    if np.ptp(y) == 0.0:
-        raise ConstantResponse("response has zero variance")
-    return _build(X, y, max_k, return_tree, "covariances")
+    return _build(np.log(X.values), _check_response(y, X.n_samples), max_k, return_tree,
+                  X.part_names)
 
 
 def pca_pb(X: CompositionMatrix, max_k: int | None = None, return_tree: bool = False):
@@ -430,9 +454,7 @@ def pca_pb(X: CompositionMatrix, max_k: int | None = None, return_tree: bool = F
     scored by the variance of their balance values. Sorted by variance,
     non-increasing; ``max_k`` and ``return_tree`` as for ``pls_pb``.
     """
-    if X.n_samples < 3:
-        raise ValueError("need at least 3 samples")
-    return _build(X, None, max_k, return_tree, "variances")
+    return _build(np.log(X.values), None, max_k, return_tree, X.part_names)
 
 
 def nested_or_disjoint(sign_matrix: np.ndarray) -> bool:

@@ -4,6 +4,7 @@ reader's syntax and error messages."""
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,6 +112,19 @@ class TestWriters:
         write_response_csv(tmp_path / "y.csv", y, name="resp")
         assert (tmp_path / "y.csv").read_bytes() == b"resp\nnan\ninf\n-inf\n-0.0\n0.0\n"
         assert read_response_csv(tmp_path / "y.csv").tobytes() == np.array(y).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 40), k=st.integers(1, 40))
+    def test_sign_text_equals_str_of_each_sign(self, seed, d, k):
+        # the writer joins prebuilt cell texts; 0.7.0 called str on each int
+        signs = np.random.default_rng(seed).integers(-1, 2, size=(d, k))
+        basis = SimpleNamespace(sign_matrix=signs, part_names=[f"p{i}" for i in range(d)],
+                                n_balances=k)
+        expected = ["part," + ",".join(f"b{j + 1}" for j in range(k))]
+        expected += [f"p{i}," + ",".join(map(str, row)) for i, row in enumerate(signs.tolist())]
+        with tempfile.TemporaryDirectory() as tmp:
+            write_sign_csv(Path(tmp) / "signs.csv", basis)
+            assert (Path(tmp) / "signs.csv").read_bytes() == _text(expected)
 
     def test_sign_cv_and_recovery_text(self, tmp_path, rng):
         X, y = random_instance(rng, 12, 4)

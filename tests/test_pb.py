@@ -1,5 +1,6 @@
 """Tests for principal balance construction."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -344,6 +345,30 @@ class TestPartitionTree:
         assert got == want
         assert {tuple(s) for s in collected} == {tuple(s) for s in basis.sign_matrix.T}
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 30),
+        d=st.integers(2, 25),
+        builder=st.sampled_from(["pls-pb", "pca-pb"]),
+    )
+    def test_node_vectors_are_their_basis_columns(self, seed, n, d, builder):
+        # balances are embedded over all D parts only when the tree is built
+        X, y = random_instance(np.random.default_rng(seed), n, d)
+        basis, tree = build(builder, X, y, return_tree=True)
+        columns = {tuple(col): j for j, col in enumerate(basis.sign_matrix.T.tolist())}
+        seen = []
+        for node in partition_nodes(tree):
+            for signs, value in ((node.chosen_signs, node.chosen_value),
+                                 (node.connecting_signs, node.connecting_value)):
+                if signs is None:
+                    continue
+                assert not signs.flags.writeable and signs.shape == (d,)
+                j = columns[tuple(signs.tolist())]
+                assert basis.ordering_values[j] == value
+                seen.append(j)
+        assert sorted(seen) == list(range(d - 1))
+
     def test_children_partition_the_node(self, rng):
         X, y = random_instance(rng, 15, 8)
         _, tree = pls_pb(X, y, return_tree=True)
@@ -458,6 +483,13 @@ def partition_nodes(node):
     return [node, *(found for child in children for found in partition_nodes(child))]
 
 
+def centred_070(gram):
+    """H G H as 0.7.0 computed it, whose off-diagonal entry made a 2-part
+    pca-pb node's direction (1, h)."""
+    col_means = gram.sum(axis=0) / gram.shape[0]
+    return gram - col_means[:, None] - col_means + col_means.sum() / gram.shape[0]
+
+
 class TestTwoPartNodes:
     """A 2-part node is finished when its parent opens it: its only balance is
     +1 on its first part and -1 on its second, with no connecting balance."""
@@ -527,13 +559,57 @@ class TestTwoPartNodes:
             eps = 10.0 ** rng.uniform(-15, -6)
             logs = np.column_stack([base, base + eps * rng.standard_normal(n)])
             X = CompositionMatrix(np.exp(logs))
-            stats = pb._statistics(X, None)
+            stats = pb._statistics(np.log(X.values), None)
             _, vector = pb._top_eigenpair(stats.gram)
-            kept = pb._loading(stats, np.arange(2), stats.gram, None, vector) is not None
+            loading = pb._loading(stats, np.arange(2), stats.gram, None, vector)
+            kept = loading is not None and loading.max() > 0 > loading.min()
             paired = float(pb._scores(pb.PAIR, stats.gram, None)[0])
             assert pca_pb(X).variances[0] == (paired if kept else 0.0) >= 0.0
             outcomes.add((kept, paired < 0))
         assert outcomes == {(True, False), (False, False), (False, True)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 30),
+        log_scale=st.floats(-75, 75),
+        cross_scale=st.floats(-150, 150),
+        noise=st.none() | st.just(0.0) | st.floats(-17, 0),
+        tie=st.booleans(),
+    )
+    @example(seed=0, n=5, log_scale=0.0, cross_scale=0.0, noise=0.0, tie=False)
+    @example(seed=1, n=9, log_scale=0.0, cross_scale=0.0, noise=-9.0, tie=False)
+    @example(seed=2, n=9, log_scale=75.0, cross_scale=150.0, noise=None, tie=False)
+    @example(seed=3, n=9, log_scale=-75.0, cross_scale=-150.0, noise=None, tie=False)
+    @example(seed=4, n=9, log_scale=1.0, cross_scale=-140.0, noise=None, tie=True)
+    # energy^2 * p'p overflows here, so the rank test fires on inf <= inf
+    @example(seed=2105036288, n=14, log_scale=52.04975559505944, cross_scale=70.07713832211101,
+             noise=None, tie=False)
+    def test_pair_decision_matches_loading(self, seed, n, log_scale, cross_scale, noise, tie):
+        # The 2-part node decides on Python floats what _loading decides with
+        # numpy: a two-sided loading, or none. Log tables at scale 10^log_scale
+        # give G from 1e-150 to 1e150 and g at 10^cross_scale; the second part
+        # is unrelated (noise None), proportional (0) or near-proportional to
+        # the first, so both sides of the constant-subcomposition window occur.
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal(n)
+        if noise is None:
+            second = rng.standard_normal(n)
+        else:
+            second = base + rng.standard_normal() + (noise and 10.0**noise) * rng.standard_normal(n)
+        log = 10.0**log_scale * np.column_stack([base, second])
+        y = 10.0 ** (cross_scale - log_scale) * rng.standard_normal(n)
+        stats = pb._statistics(log, y)
+        if tie:  # g_i = g_j
+            stats = dataclasses.replace(stats, cross=np.full(2, stats.cross[0]))
+        idx = np.arange(2)
+        with np.errstate(all="ignore"):
+            for cross in (stats.cross, None):
+                pair_stats = dataclasses.replace(stats, cross=cross)
+                direction = np.array([1.0, centred_070(stats.gram)[0, 1]])
+                loading = pb._loading(pair_stats, idx, stats.gram, cross, direction)
+                expected = loading is not None and loading.max() > 0 > loading.min()
+                assert pb._pair_signal(pair_stats, idx, stats.gram, cross) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -12,6 +12,8 @@ The partition check ``nested_or_disjoint`` keeps its former pairwise loop
 over support sets here as the reference for its matrix form, and the
 nested candidates keep their former sign-matrix construction as the
 reference for the fused one that ``candidate_signs`` and the recursion share.
+The node step's orientation and candidate pass keep their 0.7.0 form, which
+oriented the loading and then took |p| and its extremes a second time.
 
 Policies are shared with the builders: ties within a relative 1e-12 of the
 best score go to the candidate with the fewest active parts, and a node
@@ -37,7 +39,7 @@ from plspb import (
 )
 from plspb.coda import signs_to_coefficient_matrix
 from plspb.errors import RankDeficient
-from plspb.pb import _candidates, nested_or_disjoint
+from plspb.pb import _candidates, _node_candidates, nested_or_disjoint
 from plspb.simgen import CASES, SimScenario
 
 from conftest import random_instance
@@ -308,5 +310,47 @@ def test_fused_candidates_match_the_sign_matrix(p):
     signs = sign_matrix_loop(p)
     public = candidate_signs(p)
     assert public.dtype == signs.dtype and np.array_equal(public, signs)
-    _, _, coeffs = _candidates(p)
+    _, _, coeffs = _candidates(p, np.abs(p), p.argmax(), p.argmin())
     assert coeffs.tobytes() == signs_to_coefficient_matrix(signs).tobytes()
+
+
+def node_candidates_070(p):
+    """0.7.0's node step from an unoriented loading: None when p is
+    one-sided, else p oriented so its largest |entry| is positive (within
+    1e-9 of it the first wins) and its fused candidates."""
+    if not (p.max() > 0 > p.min()):
+        return None
+    magnitudes = np.abs(p)
+    p = -p if p[(magnitudes >= magnitudes.max() * (1 - 1e-9)).argmax()] < 0 else p
+    key = -np.abs(p)
+    key[p.argmax()] = key[p.argmin()] = -np.inf
+    order = key.argsort(kind="stable")
+    rank = order.argsort()
+    counts = np.arange(2, p.shape[0] + 1)
+    active = rank[:, None] < counts
+    positive = p >= 0
+    r = positive[order].cumsum()[1:]
+    s = counts - r
+    coeffs = np.where(positive[:, None], np.sqrt(s / (counts * r)), -np.sqrt(r / (counts * s)))
+    return active, np.where(positive, 1, -1), np.where(active, coeffs, 0.0)
+
+
+# magnitudes tied within 1e-9 of the largest, with either sign in the lead
+_NEAR_TIES = st.sampled_from([2.0, -2.0, 2.0 * (1 - 5e-10), -2.0 * (1 - 5e-10), 2.0 * (1 - 2e-9)])
+_UNORIENTED = st.integers(2, 60).flatmap(
+    lambda d: st.lists(_ENTRIES | _NEAR_TIES, min_size=d, max_size=d)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=_UNORIENTED)
+@example(p=[-1.0, 1.0])
+@example(p=[1.0, 2.0, 0.5])
+@example(p=[-2.0, 2.0 * (1 - 5e-10), 1.0, -0.0])
+def test_node_step_matches_the_070_orientation_and_candidates(p):
+    p = np.array(p)
+    got, want = _node_candidates(p), node_candidates_070(p)
+    assert (got is None) == (want is None)
+    if want is not None:
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
