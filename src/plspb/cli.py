@@ -2,9 +2,10 @@
 
 Every command resolves its parameters into a plain config dictionary,
 executes a pure runner on it and records a manifest (config, seed, tool
-version, output hashes) next to the outputs. ``rerun`` replays a manifest
-into a fresh directory and verifies the hashes, so any run can be checked
-for bit-exact reproducibility.
+version, the sha256 of each file the command wrote) next to the outputs.
+``rerun`` replays a manifest into a fresh directory and compares the
+digests of the files the replay wrote, so any run can be checked for
+bit-exact reproducibility.
 """
 
 from __future__ import annotations
@@ -44,12 +45,10 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, extra: dict | None = None):
-    outputs = {}
-    for path in sorted(out_dir.iterdir()):
-        if path.name == MANIFEST_NAME or path.is_dir():
-            continue
-        outputs[path.name] = fileio.sha256_file(path)
+def _write_manifest(out_dir: Path, command: str, config: dict, outputs: dict,
+                    extra: dict | None = None) -> dict:
+    """Record the run next to its ``outputs``, {file name: sha256 hex digest}
+    of exactly the files the command wrote, and return the manifest."""
     manifest = {
         "command": command,
         "config": config,
@@ -119,16 +118,19 @@ def _load_data(config: dict, require_response: bool = True):
 # -- simulate ----------------------------------------------------------------
 
 
-def run_simulate(config: dict) -> Path:
+def run_simulate(config: dict) -> dict:
     out_dir = _prepare_out(config)
     scenario = _scenario_from_config(config)
     dataset = simulate_dataset(scenario)
-    fileio.write_composition_csv(out_dir / "X.csv", dataset.X)
-    fileio.write_response_csv(out_dir / "y.csv", dataset.y)
-    _write_manifest(
+    outputs = {
+        "X.csv": fileio.write_composition_csv(out_dir / "X.csv", dataset.X),
+        "y.csv": fileio.write_response_csv(out_dir / "y.csv", dataset.y),
+    }
+    return _write_manifest(
         out_dir,
         "simulate",
         config,
+        outputs,
         extra={
             "dataset": {
                 "case": scenario.case,
@@ -141,13 +143,12 @@ def run_simulate(config: dict) -> Path:
             }
         },
     )
-    return out_dir
 
 
 # -- fit ---------------------------------------------------------------------
 
 
-def run_fit(config: dict) -> Path:
+def run_fit(config: dict) -> dict:
     out_dir = _prepare_out(config)
     method = config["method"]
     X, y = _load_data(config, require_response=method != PCA_PB)
@@ -156,30 +157,33 @@ def run_fit(config: dict) -> Path:
             basis, tree = pls_pb(X, y, return_tree=True)
         else:
             basis, tree = pca_pb(X, return_tree=True)
-        fileio.write_basis_csv(out_dir / "coefficients.csv", basis)
-        fileio.write_sign_csv(out_dir / "signs.csv", basis)
-        fileio.write_json(out_dir / "tree.json", tree.to_dict(X.part_names))
+        outputs = {
+            "coefficients.csv": fileio.write_basis_csv(out_dir / "coefficients.csv", basis),
+            "signs.csv": fileio.write_sign_csv(out_dir / "signs.csv", basis),
+            "tree.json": fileio.write_json(out_dir / "tree.json", tree.to_dict(X.part_names)),
+        }
         print(f"{method}: {basis.n_balances} balances over {X.n_parts} parts")
     elif method == PLS_RAW:
         model = pls_regression(X, y, config.get("k"))
         # latent_coefficients are the scores' cross-products with y - ȳ
         covariances = np.abs(model.latent_coefficients) / (X.n_samples - 1)
-        fileio.write_matrix_csv(out_dir / "weights.csv", X.part_names, model.weights, covariances)
-        fileio.write_json(
-            out_dir / "model.json",
-            {
-                "kind": "PLS",
-                "n_components": model.n_components,
-                "latent_coefficients": [float(v) for v in model.latent_coefficients],
-                "x_mean": [float(v) for v in model.x_mean],
-                "y_mean": model.y_mean,
-            },
-        )
+        payload = {
+            "kind": "PLS",
+            "n_components": model.n_components,
+            "latent_coefficients": [float(v) for v in model.latent_coefficients],
+            "x_mean": [float(v) for v in model.x_mean],
+            "y_mean": model.y_mean,
+        }
+        outputs = {
+            "weights.csv": fileio.write_matrix_csv(
+                out_dir / "weights.csv", X.part_names, model.weights, covariances
+            ),
+            "model.json": fileio.write_json(out_dir / "model.json", payload),
+        }
         print(f"pls: {model.n_components} components over {X.n_parts} parts")
     else:
         raise ValueError(f"unknown method {method!r}")
-    _write_manifest(out_dir, "fit", config)
-    return out_dir
+    return _write_manifest(out_dir, "fit", config, outputs)
 
 
 # -- cv ----------------------------------------------------------------------
@@ -206,7 +210,7 @@ def _cv_fresh_run(args):
     return out
 
 
-def run_cv(config: dict) -> Path:
+def run_cv(config: dict) -> dict:
     out_dir = _prepare_out(config)
     methods = list(METHODS) if config.get("all_methods") else [config["method"]]
     metric = config["metric"]
@@ -237,11 +241,10 @@ def run_cv(config: dict) -> Path:
     selected = {method: result.selected_k for method, result in results.items()}
     rows = [(method, *row) for method, result in results.items()
             for row in zip(result.component_counts, result.mean_error, result.sd_error)]
-    fileio.write_cv_csv(out_dir / "cv.csv", rows)
+    outputs = {"cv.csv": fileio.write_cv_csv(out_dir / "cv.csv", rows)}
     for method in methods:
         print(f"{method}: selected k = {selected[method]} ({metric})")
-    _write_manifest(out_dir, "cv", config, extra={"selected_k": selected})
-    return out_dir
+    return _write_manifest(out_dir, "cv", config, outputs, extra={"selected_k": selected})
 
 
 # -- recover -----------------------------------------------------------------
@@ -263,7 +266,7 @@ def _recover_run(args):
     return out
 
 
-def run_recover(config: dict) -> Path:
+def run_recover(config: dict) -> dict:
     out_dir = _prepare_out(config)
     methods = [PLS_PB, PCA_PB] if config["method"] == "all" else [config["method"]]
     runs = config["runs"]
@@ -273,17 +276,19 @@ def run_recover(config: dict) -> Path:
         method: np.sum([res[method] for res in results], axis=0).astype(int)
         for method in methods
     }
-    fileio.write_recovery_csv(
-        out_dir / "recovery.csv", default_part_names(config["d"]), counts, runs
-    )
+    outputs = {
+        "recovery.csv": fileio.write_recovery_csv(
+            out_dir / "recovery.csv", default_part_names(config["d"]), counts, runs
+        )
+    }
     for method in methods:
         print(f"{method}: mean inclusions per run = {counts[method].sum() / runs:.1f}")
-    _write_manifest(out_dir, "recover", config)
-    return out_dir
+    return _write_manifest(out_dir, "recover", config, outputs)
 
 
 # -- rerun -------------------------------------------------------------------
 
+# Each runner writes its outputs and returns the manifest it recorded.
 _RUNNERS = {
     "simulate": run_simulate,
     "fit": run_fit,
@@ -303,8 +308,10 @@ def _output_ok(name, digest) -> bool:
     )
 
 
-def run_rerun(manifest_path: str, out: str) -> bool:
-    """Replay a recorded command into ``out`` and compare output hashes."""
+def run_rerun(manifest_path: str, out: str, parser: argparse.ArgumentParser) -> bool:
+    """Replay a recorded command into ``out`` and compare the digests of the
+    files it writes with the recorded ones; ``parser`` is ``build_parser()``'s,
+    whose options the recorded config must match."""
     manifest = fileio.read_json(manifest_path)
     if not (isinstance(manifest, dict) and {"command", "config", "outputs"} <= manifest.keys()):
         raise ValueError(f"{manifest_path}: a manifest needs command, config and outputs")
@@ -321,7 +328,7 @@ def run_rerun(manifest_path: str, out: str) -> bool:
                 "with a sha256 hex digest"
             )
     config = dict(manifest["config"], out=out)
-    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    commands = next(a for a in parser._actions if a.dest == "command")
     options = [a for a in commands.choices[manifest["command"]]._actions if a.dest != "help"]
     missing = sorted({a.dest for a in options} - config.keys())
     if missing:
@@ -333,14 +340,13 @@ def run_rerun(manifest_path: str, out: str) -> bool:
                 f"{manifest_path}: config {action.dest}={value!r} is not a valid "
                 f"{action.option_strings[0]} value"
             )
-    out_dir = _RUNNERS[manifest["command"]](config)
+    produced = _RUNNERS[manifest["command"]](config)["outputs"]
     ok = True
     for name, digest in manifest["outputs"].items():
-        produced = out_dir / name
-        if not produced.exists():
+        if name not in produced:
             status = "MISSING"
         else:
-            status = "OK" if fileio.sha256_file(produced) == digest else "MISMATCH"
+            status = "OK" if produced[name] == digest else "MISMATCH"
         ok = ok and status == "OK"
         print(f"{status} {name}")
     return ok
@@ -469,10 +475,11 @@ def _config_from_args(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.command == "rerun":
-            return 0 if run_rerun(args.manifest, args.out) else 1
+            return 0 if run_rerun(args.manifest, args.out, parser) else 1
         config = _config_from_args(args)
         _RUNNERS[args.command](config)
         return 0

@@ -115,7 +115,7 @@ def signs_to_coefficient_matrix(sign_matrix) -> np.ndarray:
 def _check_signs(signs: np.ndarray) -> None:
     """Entries in {-1, 0, +1}, and both groups nonempty in the vector or in
     every column of the matrix."""
-    if not np.all(np.isin(signs, (-1, 0, 1))):
+    if not np.all((signs == 1) | (signs == 0) | (signs == -1)):
         raise ValueError("sign entries must be in {-1, 0, +1}")
     if not (np.all(np.any(signs == 1, axis=0)) and np.all(np.any(signs == -1, axis=0))):
         raise DegenerateSplit("balance needs nonempty numerator and denominator")

@@ -2,7 +2,14 @@
 
 Floats are written with ``repr``, the shortest representation that round
 trips exactly, so rerunning a command with the same inputs reproduces its
-output files byte for byte. Tables are read by numpy's C text reader.
+output files byte for byte. Every file is UTF-8 text whatever the locale,
+and every writer returns the sha256 hex digest of the bytes it wrote.
+Tables are read by numpy's C text reader.
+
+JSON goes through one small recursive writer, ``_json_text``, which gives
+the text of ``json.dumps(value, indent=2, sort_keys=True)`` with json's C
+string escaper and ``float.__repr__``, but without the pure-Python encoder
+that ``json.dumps`` runs for every value whenever an indent is given.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ _SIGN_TEXT = _readonly(np.array(["-1", "0", "1"], dtype=object))  # indexed by s
 def _fault(path: Path, width: int, fallback) -> ValueError:
     """The error naming the first body line that is not ``width`` numbers,
     found by re-reading the table with ``csv``; else ``fallback``."""
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = filter(None, reader)
         next(rows, None)
@@ -45,7 +52,7 @@ def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
     optionally quoted or padded by blanks. Blank lines are skipped; every
     other row must be as wide as the header."""
     try:
-        with path.open(newline="") as fh, warnings.catch_warnings():
+        with path.open(newline="", encoding="utf-8") as fh, warnings.catch_warnings():
             header = next(filter(None, csv.reader(fh)), [])
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # checked below
             try:
@@ -94,60 +101,155 @@ def read_response_csv(path) -> np.ndarray:
     return data[:, 0]
 
 
-def _write_table(path, header, body, lead=None, fmt=repr) -> None:
+def _write_text(path, text: str) -> str:
+    """Write ``text`` to ``path`` as UTF-8; the sha256 hex digest of its bytes."""
+    data = text.encode("utf-8")
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_table(path, header, body, lead=None, fmt=repr) -> str:
     """Write the ``header`` cells, then one line per row of the 2-d array
     ``body``, its cells formatted by ``fmt`` (None: already text) and led by
     the matching entry of ``lead``, if any. ``repr`` gives floats exactly."""
     rows = map(",".join, body.tolist() if fmt is None else (map(fmt, row) for row in body.tolist()))
     if lead is not None:
         rows = map(",".join, zip(lead, rows))
-    Path(path).write_text("\n".join([",".join(header), *rows]) + "\n")
+    return _write_text(path, "\n".join([",".join(header), *rows]) + "\n")
 
 
-def write_composition_csv(path, X: CompositionMatrix) -> None:
-    _write_table(path, X.part_names, X.values)
+def _score_header(column_values) -> list[str]:
+    return ["part", *map(repr, np.asarray(column_values, dtype=float).tolist())]
 
 
-def write_response_csv(path, y, name: str = RESPONSE_COLUMN) -> None:
-    _write_table(path, [name], np.asarray(y, dtype=float)[:, None])
+def write_composition_csv(path, X: CompositionMatrix) -> str:
+    return _write_table(path, X.part_names, X.values)
 
 
-def write_matrix_csv(path, part_names, matrix, column_values) -> None:
+def write_response_csv(path, y, name: str = RESPONSE_COLUMN) -> str:
+    return _write_table(path, [name], np.asarray(y, dtype=float)[:, None])
+
+
+def write_matrix_csv(path, part_names, matrix, column_values) -> str:
     """Float matrix with parts as rows; the header row carries one value
     per column (a score such as |cov| or variance)."""
-    header = ["part", *map(repr, np.asarray(column_values, dtype=float).tolist())]
-    _write_table(path, header, np.asarray(matrix, dtype=float), lead=part_names)
+    return _write_table(path, _score_header(column_values), np.asarray(matrix, dtype=float),
+                        lead=part_names)
 
 
-def write_basis_csv(path, basis: BalanceBasis) -> None:
+def write_basis_csv(path, basis: BalanceBasis) -> str:
     """Coefficient matrix, parts as rows; the header row carries the
-    ordering values (|cov| or variance) of each balance."""
-    write_matrix_csv(path, basis.part_names, basis.coefficient_matrix, basis.ordering_values)
+    ordering values (|cov| or variance) of each balance. Each column holds
+    one negative value (its minimum), 0.0 and one positive value (its
+    maximum), so its cells are picked from those three texts by sign + 1:
+    the bytes of ``write_matrix_csv`` with one ``repr`` per column."""
+    b = basis.coefficient_matrix
+    k = b.shape[1]
+    texts = np.array([[*map(repr, b.min(axis=0).tolist())], ["0.0"] * k,
+                      [*map(repr, b.max(axis=0).tolist())]], dtype=object)
+    cells = texts[basis.sign_matrix + 1, np.arange(k)]
+    return _write_table(path, _score_header(basis.ordering_values), cells,
+                        lead=basis.part_names, fmt=None)
 
 
-def write_sign_csv(path, basis: BalanceBasis) -> None:
+def write_sign_csv(path, basis: BalanceBasis) -> str:
     header = ["part", *(f"b{j + 1}" for j in range(basis.n_balances))]
-    _write_table(path, header, _SIGN_TEXT[basis.sign_matrix + 1], lead=basis.part_names, fmt=None)
+    return _write_table(path, header, _SIGN_TEXT[basis.sign_matrix + 1], lead=basis.part_names,
+                        fmt=None)
 
 
-def write_cv_csv(path, rows) -> None:
+def write_cv_csv(path, rows) -> str:
     """Cross-validation curves as (method, k, mean_error, sd_error) rows."""
     lead = [f"{method},{int(k)}" for method, k, _, _ in rows]
     errors = np.array([(mean, sd) for _, _, mean, sd in rows], dtype=float)
-    _write_table(path, ["method", "k", "mean_error", "sd_error"], errors, lead=lead)
+    return _write_table(path, ["method", "k", "mean_error", "sd_error"], errors, lead=lead)
 
 
-def write_recovery_csv(path, part_names, counts_by_method, runs: int) -> None:
+def write_recovery_csv(path, part_names, counts_by_method, runs: int) -> str:
     """Inclusion counts in long format: part, method, inclusion_count, runs."""
     methods = sorted(counts_by_method)
     lead = [f"{name},{method}" for method in methods for name in part_names]
     counts = np.concatenate([np.asarray(counts_by_method[m], dtype=int) for m in methods])
     body = np.column_stack([counts, np.full_like(counts, runs)])
-    _write_table(path, ["part", "method", "inclusion_count", "runs"], body, lead, fmt=str)
+    return _write_table(path, ["part", "method", "inclusion_count", "runs"], body, lead, fmt=str)
 
 
-def write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+_escape = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _scalar_text(value) -> str | None:
+    """json's text of None, a bool, an int or a float (NaN and ±Infinity
+    spelled by name); None for any other value."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _emit(value, newline: str, out: list) -> None:
+    """Append the text of ``value`` to ``out``; ``newline`` is a line break
+    plus the indent of the line that ``value`` starts on, and its items go
+    two blanks deeper. Types are tested with ``isinstance``, as json does,
+    so subclasses of str, int, float, list, tuple and dict are written as
+    json writes them, and anything else raises json's TypeError."""
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            text = key if isinstance(key, str) else _scalar_text(key)
+            if text is None:
+                raise TypeError("keys must be str, int, float, bool or None, "
+                                f"not {key.__class__.__name__}")
+            out.append(sep + _escape(text) + ": ")
+            _emit(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        text = _scalar_text(value)
+        if text is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        out.append(text)
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, character for character."""
+    out: list = []
+    _emit(value, "\n", out)
+    return "".join(out) + "\n"
+
+
+def write_json(path, payload) -> str:
+    return _write_text(path, _json_text(payload))
 
 
 def read_json(path):

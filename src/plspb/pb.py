@@ -80,8 +80,10 @@ _STOP_RTOL = 1e-9
 class PartitionNode:
     """One node of the sequential binary partition tree.
 
+    ``part_indices`` lists the node's parts in ascending order.
     ``chosen_signs`` and ``connecting_signs`` are read-only sign vectors over
-    all D parts; ``connecting_signs`` is None when the chosen balance uses every part.
+    all D parts, zero outside the node's; ``connecting_signs`` is None when
+    the chosen balance uses every part.
     """
 
     part_indices: tuple[int, ...]
@@ -100,9 +102,10 @@ class PartitionNode:
         for key, signs, value in (("balance", self.chosen_signs, self.chosen_value),
                                   ("connecting", self.connecting_signs, self.connecting_value)):
             if signs is not None:
+                own = signs.take(self.part_indices).tolist()
                 payload[key] = {
-                    "numerator": [part_names[i] for i in np.flatnonzero(signs == 1)],
-                    "denominator": [part_names[i] for i in np.flatnonzero(signs == -1)],
+                    "numerator": [name for name, s in zip(names, own) if s == 1],
+                    "denominator": [name for name, s in zip(names, own) if s == -1],
                     "value": value,
                 }
         children = {

@@ -1,7 +1,12 @@
 """End-to-end tests of the command line surface."""
 
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,6 +407,51 @@ class TestRerun:
         assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "first, second, own",
+        [
+            (("fit", "--method", "pls-pb"), ("fit", "--method", "pls", "--k", 3),
+             {"weights.csv", "model.json"}),
+            (("fit", "--method", "pls-pb"), ("cv", "--all-methods", "--max-k", 2), {"cv.csv"}),
+            (("fit", "--method", "pca-pb"),
+             ("recover", "--n", 20, "--d", 8, "--blocks", "4", "--runs", 2), {"recovery.csv"}),
+        ],
+        ids=["fit", "cv", "recover"],
+    )
+    def test_manifest_lists_only_its_own_outputs(self, tmp_path, capsys, first, second, own):
+        # a second command into the same --out lists only the files it wrote,
+        # not those the first command left there, and so reruns OK
+        data = tmp_path / "sim"
+        assert run_cli("simulate", "--n", 30, "--d", 8, "--blocks", "4", "--out", data) == 0
+        inputs = ("--data", data / "X.csv", "--response-file", data / "y.csv")
+        out = tmp_path / "out"
+        assert run_cli(*first, *inputs, "--out", out) == 0
+        assert run_cli(*second, *(inputs if second[0] != "recover" else ()), "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["outputs"]) == own
+        for name, digest in manifest["outputs"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        capsys.readouterr()
+        assert run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r") == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert sorted(line for line in printed if line.split()[0] in ("OK", "MISMATCH", "MISSING")) \
+            == [f"OK {name}" for name in sorted(own)]
+
+    def test_output_the_replay_did_not_write_is_missing(self, tmp_path, capsys):
+        # the replay directory already holds the recorded file, but the
+        # replayed command does not write it
+        out = tmp_path / "orig"
+        run_cli("simulate", "--n", 20, "--d", 8, "--blocks", "4", "--out", out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["outputs"]["extra.csv"] = hashlib.sha256(b"extra\n").hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        replay = tmp_path / "r"
+        replay.mkdir()
+        (replay / "extra.csv").write_bytes(b"extra\n")
+        capsys.readouterr()
+        assert run_cli("rerun", "--manifest", out / "manifest.json", "--out", replay) == 1
+        assert capsys.readouterr().out.splitlines() == ["OK X.csv", "OK y.csv", "MISSING extra.csv"]
+
     def test_rerun_detects_divergence(self, tmp_path):
         out = tmp_path / "orig"
         run_cli("simulate", "--n", 20, "--d", 8, "--blocks", "4", "--out", out)
@@ -452,6 +502,36 @@ class TestRerun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "r").exists()  # rejected before anything ran
+
+
+class TestEncoding:
+    def test_utf8_files_under_an_ascii_locale(self, tmp_path):
+        # Every text read and write names UTF-8: under the C locale with
+        # EncodingWarning as an error, a table with non-ASCII part names is
+        # fitted and replayed to the same bytes as in this process.
+        X, y = random_instance(np.random.default_rng(4), 20, 5)
+        names = ("α", "β", "ℓ", "part ü", "p5")
+        write_composition_csv(tmp_path / "X.csv", type(X)(X.values, names))
+        write_response_csv(tmp_path / "y.csv", y)
+        argv = ["fit", "--data", tmp_path / "X.csv", "--response-file", tmp_path / "y.csv"]
+        assert run_cli(*argv, "--out", tmp_path / "here") == 0
+        script = (
+            "import sys; from plspb.cli import main; "
+            "sys.exit(main(sys.argv[1:6] + ['--out', sys.argv[6]]) "
+            "or main(['rerun', '--manifest', sys.argv[6] + '/manifest.json', '--out', sys.argv[7]]))"
+        )
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join([str(Path(__file__).parents[1] / "src"),
+                                               os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", script, *map(str, argv), str(tmp_path / "ascii"), str(tmp_path / "replay")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        for name in ("coefficients.csv", "signs.csv", "tree.json"):
+            assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+        assert "α".encode() in (tmp_path / "ascii" / "signs.csv").read_bytes()
 
 
 class TestIngestion:

@@ -19,6 +19,7 @@ from plspb import (
     pls_pb,
     signs_to_coefficients,
 )
+from plspb.coda import _check_signs
 from plspb.errors import DegenerateSplit, DimensionMismatch, ZeroPart
 
 from conftest import random_composition, random_instance
@@ -145,6 +146,41 @@ class TestSignsToCoefficients:
     def test_malformed_signs_rejected(self, signs):
         with pytest.raises(ValueError):
             signs_to_coefficients(np.array(signs))
+
+    @pytest.mark.parametrize(
+        "signs",
+        [
+            [1, 0.5, -1],
+            [1, np.nan, -1],
+            [1, 2, -1],
+            [1, -2, -1],
+            [1.0, 0.0, -1.0],
+            [True, False, True],  # True and False equal 1 and 0; no -1 part
+            np.array([True, False]),
+            np.array([1, 0, -1], dtype=object),
+            np.array([1, "0", -1], dtype=object),
+            np.array(["1", "0", "-1"]),
+            [[1, 0, -1], [-1, 1, 1]],
+        ],
+        ids=["half", "nan", "two", "minus-two", "float", "bool", "bool-pair", "object",
+             "object-str", "str", "matrix"],
+    )
+    def test_entry_check_matches_isin(self, signs):
+        # _check_signs compares with 1, 0 and -1; 0.7.0 used np.isin, kept here
+        def check_070(s):
+            if not np.all(np.isin(s, (-1, 0, 1))):
+                raise ValueError("sign entries must be in {-1, 0, +1}")
+            if not (np.all(np.any(s == 1, axis=0)) and np.all(np.any(s == -1, axis=0))):
+                raise DegenerateSplit("balance needs nonempty numerator and denominator")
+
+        def outcome(check):
+            try:
+                check(np.asarray(signs))
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return None
+
+        assert outcome(_check_signs) == outcome(check_070)
 
     def test_read_only(self):
         b = signs_to_coefficients([1, -1, 0])

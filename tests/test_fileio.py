@@ -1,6 +1,8 @@
-"""CSV readers and writers: exact bytes, bit-exact round trips, and the
-reader's syntax and error messages."""
+"""CSV and JSON readers and writers: exact bytes, bit-exact round trips,
+and the reader's syntax and error messages."""
 
+import hashlib
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,16 +15,20 @@ from hypothesis import strategies as st
 
 from plspb import CompositionMatrix
 from plspb.fileio import (
+    _json_text,
     read_composition_csv,
     read_response_csv,
     write_composition_csv,
+    write_basis_csv,
     write_cv_csv,
+    write_json,
     write_matrix_csv,
     write_recovery_csv,
     write_response_csv,
     write_sign_csv,
 )
-from plspb.pb import pls_pb
+from plspb.pb import pca_pb, pls_pb
+from plspb.simgen import CASES, SimScenario, simulate_dataset
 
 from conftest import random_instance
 
@@ -92,9 +98,14 @@ class TestWriters:
         names = tuple(f"x{i}" for i in range(matrix.shape[0]))
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            write_composition_csv(tmp / "X.csv", X)
-            write_response_csv(tmp / "y.csv", y)
-            write_matrix_csv(tmp / "m.csv", names, matrix, columns)
+            digests = [
+                write_composition_csv(tmp / "X.csv", X),
+                write_response_csv(tmp / "y.csv", y),
+                write_matrix_csv(tmp / "m.csv", names, matrix, columns),
+            ]
+            # each writer returns the sha256 of the bytes it wrote
+            for name, digest in zip(("X.csv", "y.csv", "m.csv"), digests):
+                assert digest == hashlib.sha256((tmp / name).read_bytes()).hexdigest()
             assert (tmp / "X.csv").read_bytes() == reference_composition(X)
             assert (tmp / "y.csv").read_bytes() == reference_response(y)
             assert (tmp / "m.csv").read_bytes() == reference_matrix(names, matrix, columns)
@@ -147,6 +158,111 @@ class TestWriters:
             ["part,method,inclusion_count,runs",
              "a,pca-pb,1,3", "b,pca-pb,2,3", "a,pls-pb,3,3", "b,pls-pb,0,3"]
         )
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 30),
+        d=st.integers(2, 25),
+        builder=st.sampled_from(["pls-pb", "pca-pb"]),
+        top=st.booleans(),
+    )
+    def test_basis_bytes_match_per_cell_repr(self, seed, n, d, builder, top):
+        X, y = random_instance(np.random.default_rng(seed), n, d)
+        self.check_basis_bytes(X, y, builder, min(3, d - 1) if top else None)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
+    @pytest.mark.parametrize("max_k", [None, 5])
+    def test_simulated_basis_bytes_match_per_cell_repr(self, case, builder, max_k):
+        data = simulate_dataset(SimScenario(case=case, n=100, D=100, seed=3))
+        self.check_basis_bytes(data.X, data.y, builder, max_k)
+
+    @staticmethod
+    def check_basis_bytes(X, y, builder, max_k):
+        # write_basis_csv picks each cell from its column's three texts; the
+        # per-cell repr of write_matrix_csv is the reference
+        basis = pls_pb(X, y, max_k=max_k) if builder == "pls-pb" else pca_pb(X, max_k=max_k)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "coefficients.csv"
+            digest = write_basis_csv(path, basis)
+            written = path.read_bytes()
+        assert written == reference_matrix(
+            basis.part_names, basis.coefficient_matrix, basis.ordering_values
+        )
+        assert digest == hashlib.sha256(written).hexdigest()
+
+
+# -- JSON: the writer against json.dumps(indent=2, sort_keys=True) -------------
+
+NOT_JSON = [np.int64(1), np.float32(0.5), np.bool_(True), {1, 2}, frozenset(), b"x", 1j]
+FLOAT_EDGES = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-4, 1.7976931348623157e308,
+               float("nan"), float("inf"), -float("inf")]
+texts = st.text(st.characters(codec="utf-8") | st.sampled_from("\x00\x1f\x7f\"\\/\u2028\ud800"))
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.floats(),
+    st.sampled_from(FLOAT_EDGES),
+    st.floats().map(np.float64),  # a float subclass, which json writes
+    texts,
+)
+json_keys = st.one_of(texts, st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def json_values(leaves):
+    def containers(children):
+        return st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(texts, children, max_size=4),
+            # keys of other types, and mixed keys that cannot be sorted
+            st.dictionaries(json_keys, children, max_size=3),
+        )
+
+    return st.recursive(leaves, containers, max_leaves=20)
+
+
+def dumps_outcome(dump, value):
+    try:
+        return dump(value)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+class TestJson:
+    @settings(max_examples=400, deadline=None)
+    @given(value=json_values(json_leaves))
+    def test_text_equals_json_dumps(self, value):
+        expected = dumps_outcome(lambda v: json.dumps(v, indent=2, sort_keys=True) + "\n", value)
+        assert dumps_outcome(_json_text, value) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=json_values(json_leaves | st.sampled_from(NOT_JSON)))
+    def test_raises_where_json_dumps_raises(self, value):
+        expected = dumps_outcome(lambda v: json.dumps(v, indent=2, sort_keys=True) + "\n", value)
+        assert dumps_outcome(_json_text, value) == expected
+
+    @pytest.mark.parametrize("bad", NOT_JSON, ids=repr)
+    @pytest.mark.parametrize("where", ["value", "list item", "dict value", "dict key"])
+    def test_type_error_messages(self, bad, where):
+        value = {"value": bad, "list item": ["a", bad], "dict value": {"k": bad},
+                 "dict key": {bad: 1} if bad.__hash__ else {"k": [bad]}}[where]
+        with pytest.raises(TypeError) as want:
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            _json_text(value)
+        assert str(got.value) == str(want.value)
+
+    def test_file_is_utf8_text_with_its_digest(self, tmp_path):
+        payload = {"parts": ["α", "b\n"], "value": -0.0, "empty": [{}, []]}
+        digest = write_json(tmp_path / "t.json", payload)
+        data = (tmp_path / "t.json").read_bytes()
+        assert data == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        assert digest == hashlib.sha256(data).hexdigest()
 
 
 class TestReader:

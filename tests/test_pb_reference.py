@@ -13,7 +13,9 @@ over support sets here as the reference for its matrix form, and the
 nested candidates keep their former sign-matrix construction as the
 reference for the fused one that ``candidate_signs`` and the recursion share.
 The node step's orientation and candidate pass keep their 0.7.0 form, which
-oriented the loading and then took |p| and its extremes a second time.
+oriented the loading and then took |p| and its extremes a second time, and
+``PartitionNode.to_dict`` keeps its 0.7.0 form, which found each group's
+parts by ``np.flatnonzero`` over all D sign entries.
 
 Policies are shared with the builders: ties within a relative 1e-12 of the
 best score go to the candidate with the fewest active parts, and a node
@@ -354,3 +356,35 @@ def test_node_step_matches_the_070_orientation_and_candidates(p):
     if want is not None:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def to_dict_070(node, part_names) -> dict:
+    """``PartitionNode.to_dict`` as 0.7.0 wrote it."""
+    payload = {"parts": [part_names[i] for i in node.part_indices]}
+    for key, signs, value in (("balance", node.chosen_signs, node.chosen_value),
+                              ("connecting", node.connecting_signs, node.connecting_value)):
+        if signs is not None:
+            payload[key] = {
+                "numerator": [part_names[i] for i in np.flatnonzero(signs == 1)],
+                "denominator": [part_names[i] for i in np.flatnonzero(signs == -1)],
+                "value": value,
+            }
+    children = {
+        key: to_dict_070(child, part_names)
+        for key, child in zip(("zero", "numerator", "denominator"),
+                              (node.zero_child, node.numerator_child, node.denominator_child))
+        if child is not None
+    }
+    if children:
+        payload["children"] = children
+    return payload
+
+
+@pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
+def test_tree_dict_matches_the_070_form(builder, rng):
+    simulated = [simulate_dataset(SimScenario(case=case, n=100, D=100, seed=2)) for case in CASES]
+    instances = [(data.X, data.y) for data in simulated]
+    instances += [random_instance(rng, n, d) for n, d in ((5, 2), (8, 3), (30, 17), (12, 40))]
+    for X, y in instances:
+        _, tree = pls_pb(X, y, return_tree=True) if builder == "pls-pb" else pca_pb(X, return_tree=True)
+        assert tree.to_dict(X.part_names) == to_dict_070(tree, X.part_names)
