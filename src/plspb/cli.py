@@ -14,7 +14,6 @@ import argparse
 import datetime
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +68,7 @@ def _map_runs(run, tasks, jobs: int) -> list:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it slows every start-up
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(run, tasks))
     return [run(task) for task in tasks]
@@ -119,8 +119,8 @@ def _load_data(config: dict, require_response: bool = True):
 
 
 def run_simulate(config: dict) -> dict:
-    out_dir = _prepare_out(config)
     scenario = _scenario_from_config(config)
+    out_dir = _prepare_out(config)
     dataset = simulate_dataset(scenario)
     outputs = {
         "X.csv": fileio.write_composition_csv(out_dir / "X.csv", dataset.X),
@@ -329,13 +329,13 @@ def run_rerun(manifest_path: str, out: str, parser: argparse.ArgumentParser) -> 
             )
     config = dict(manifest["config"], out=out)
     commands = next(a for a in parser._actions if a.dest == "command")
-    options = [a for a in commands.choices[manifest["command"]]._actions if a.dest != "help"]
-    missing = sorted({a.dest for a in options} - config.keys())
-    if missing:
-        raise ValueError(f"{manifest_path}: config lacks {', '.join(missing)}")
-    for action in options:
-        value = config.get(action.dest)
-        if action.dest != "out" and not _config_value_ok(action, value):
+    for action in commands.choices[manifest["command"]]._actions:
+        if action.dest == "help":
+            continue
+        if action.dest not in config:
+            raise ValueError(f"{manifest_path}: config lacks {action.dest}")
+        value = config[action.dest]
+        if not _config_value_ok(action, value):
             raise ValueError(
                 f"{manifest_path}: config {action.dest}={value!r} is not a valid "
                 f"{action.option_strings[0]} value"
@@ -437,31 +437,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# What each option type parses to, as a test on a config value read back
-# from JSON; an option without a type holds a string.
-_TYPE_CHECKS = {
-    int: _is_int,
-    float: lambda v: _is_int(v) or isinstance(v, float),
-    _block_sizes: lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
-    None: lambda v: isinstance(v, str),
-}
-
-
 def _config_value_ok(action: argparse.Action, value) -> bool:
-    """Whether the option ``action`` could have given ``value``: None when
-    it is optional without a default, one of its choices, a flag's bool, or
-    a value of its type."""
+    """Whether the option ``action`` could have recorded ``value``: None when
+    it is optional without a default, a flag's bool, or else a value that is
+    no bool, lies in its choices, and that its own ``type`` (an untyped
+    option: the text itself) rebuilds from its command-line text, the
+    comma-joined list for ``--blocks``."""
     if value is None:
         return action.default is None and not action.required
-    if action.choices is not None:
-        return value in action.choices
     if action.nargs == 0:  # a store_true flag
         return isinstance(value, bool)
-    return _TYPE_CHECKS[action.type](value)
+    if isinstance(value, bool) or (action.choices is not None and value not in action.choices):
+        return False
+    try:
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        return (action.type or str)(text) == value
+    except ValueError:
+        return False
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .coda import BalanceBasis, CompositionMatrix, _readonly
 
 RESPONSE_COLUMN = "y"
 _SIGN_TEXT = _readonly(np.array(["-1", "0", "1"], dtype=object))  # indexed by sign + 1
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def _fault(path: Path, width: int, fallback) -> ValueError:
@@ -108,14 +110,24 @@ def _write_text(path, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _quoted(names) -> list[str]:
+    """Part or response names as cells, quoted as ``csv``'s minimal quoting
+    quotes them: a name holding a comma, a double quote, CR or LF goes in
+    double quotes, each of its own doubled. One scan decides the table."""
+    names = list(names)
+    if _NEEDS_QUOTES.search("".join(names)) is None:
+        return names
+    return ['"' + n.replace('"', '""') + '"' if _NEEDS_QUOTES.search(n) else n for n in names]
+
+
 def _write_table(path, header, body, lead=None, fmt=repr) -> str:
-    """Write the ``header`` cells, then one line per row of the 2-d array
-    ``body``, its cells formatted by ``fmt`` (None: already text) and led by
-    the matching entry of ``lead``, if any. ``repr`` gives floats exactly."""
+    """Write the ``header`` cells, quoted as names, then one line per row of
+    the 2-d array ``body``, its cells formatted by ``fmt`` (None: already text)
+    and led by the matching entry of ``lead``, if any; ``repr`` is exact."""
     rows = map(",".join, body.tolist() if fmt is None else (map(fmt, row) for row in body.tolist()))
     if lead is not None:
         rows = map(",".join, zip(lead, rows))
-    return _write_text(path, "\n".join([",".join(header), *rows]) + "\n")
+    return _write_text(path, "\n".join([",".join(_quoted(header)), *rows]) + "\n")
 
 
 def _score_header(column_values) -> list[str]:
@@ -134,7 +146,7 @@ def write_matrix_csv(path, part_names, matrix, column_values) -> str:
     """Float matrix with parts as rows; the header row carries one value
     per column (a score such as |cov| or variance)."""
     return _write_table(path, _score_header(column_values), np.asarray(matrix, dtype=float),
-                        lead=part_names)
+                        lead=_quoted(part_names))
 
 
 def write_basis_csv(path, basis: BalanceBasis) -> str:
@@ -149,13 +161,13 @@ def write_basis_csv(path, basis: BalanceBasis) -> str:
                       [*map(repr, b.max(axis=0).tolist())]], dtype=object)
     cells = texts[basis.sign_matrix + 1, np.arange(k)]
     return _write_table(path, _score_header(basis.ordering_values), cells,
-                        lead=basis.part_names, fmt=None)
+                        lead=_quoted(basis.part_names), fmt=None)
 
 
 def write_sign_csv(path, basis: BalanceBasis) -> str:
     header = ["part", *(f"b{j + 1}" for j in range(basis.n_balances))]
-    return _write_table(path, header, _SIGN_TEXT[basis.sign_matrix + 1], lead=basis.part_names,
-                        fmt=None)
+    return _write_table(path, header, _SIGN_TEXT[basis.sign_matrix + 1],
+                        lead=_quoted(basis.part_names), fmt=None)
 
 
 def write_cv_csv(path, rows) -> str:
@@ -168,7 +180,8 @@ def write_cv_csv(path, rows) -> str:
 def write_recovery_csv(path, part_names, counts_by_method, runs: int) -> str:
     """Inclusion counts in long format: part, method, inclusion_count, runs."""
     methods = sorted(counts_by_method)
-    lead = [f"{name},{method}" for method in methods for name in part_names]
+    names = _quoted(part_names)
+    lead = [f"{name},{method}" for method in methods for name in names]
     counts = np.concatenate([np.asarray(counts_by_method[m], dtype=int) for m in methods])
     body = np.column_stack([counts, np.full_like(counts, runs)])
     return _write_table(path, ["part", "method", "inclusion_count", "runs"], body, lead, fmt=str)

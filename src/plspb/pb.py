@@ -459,25 +459,3 @@ def pca_pb(X: CompositionMatrix, max_k: int | None = None, return_tree: bool = F
     """
     return _build(np.log(X.values), None, max_k, return_tree, X.part_names)
 
-
-def nested_or_disjoint(sign_matrix: np.ndarray) -> bool:
-    """Check the partition structure of a D x k basis sign matrix.
-
-    In a valid sequential binary partition the supports of any two balances
-    are either disjoint or nested, and a balance nested inside another sits
-    entirely within one of the outer balance's sign groups.
-
-    With S the support indicator of the columns, entry (a, b) of S'S counts
-    the parts the supports of a and b share: it must be 0 or the smaller
-    support size. When a's support lies inside b's, entry (a, b) of |S's|
-    reaches that count only if b's signs agree over a's support.
-    """
-    s = np.asarray(sign_matrix, dtype=float)
-    support = (s != 0).astype(float)
-    overlap = support.T @ support
-    size = np.diag(overlap)
-    if not np.all((overlap == 0) | (overlap == np.minimum.outer(size, size))):
-        return False
-    inside = overlap == size[:, None]  # a's support within b's
-    np.fill_diagonal(inside, False)
-    return bool(np.all(np.abs(support.T @ s)[inside] == overlap[inside]))

@@ -87,8 +87,8 @@ class SimScenario:
                 raise ValueError("the one-block case takes a single block")
             if sizes[0] % 2 != 0:
                 raise ValueError("the one-block marker count must be even (2r)")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be nonnegative")
+        if not 0 <= self.noise_sd < np.inf:  # False for NaN
+            raise ValueError("noise_sd must be finite and nonnegative")
         beta = self.beta
         if beta is not None:
             beta = tuple(float(b) for b in beta)

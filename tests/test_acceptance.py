@@ -34,10 +34,9 @@ from plspb import (
 from plspb.cli import main as cli_main
 from plspb.fileio import sha256_file, write_composition_csv, write_response_csv
 from plspb.modelsel import PCA_PB, PLS_PB
-from plspb.pb import nested_or_disjoint
 from plspb.simgen import build_sigma, spawn_seeds
 
-from conftest import random_composition, random_instance
+from conftest import nested_or_disjoint, random_composition, random_instance
 
 
 def report(number: int, name: str, ok: bool, detail: str, started: float):

@@ -6,12 +6,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plspb import fit_on_balances, pca_pb, pls_pb
+from plspb import CompositionMatrix, cli, fit_on_balances, pca_pb, pls_pb
 from plspb.cli import main
 from plspb.fileio import (
     read_composition_csv,
@@ -50,6 +54,14 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["dataset"]["block_sizes"] == [30, 10, 30, 10]
         assert sum(manifest["dataset"]["marker_mask"]) == 80
+
+    @pytest.mark.parametrize("noise_sd", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_sd_rejected(self, tmp_path, capsys, noise_sd):
+        out = tmp_path / "sim"
+        argv = ("simulate", "--n", 20, "--d", 8, "--blocks", "4", f"--noise-sd={noise_sd}")
+        assert run_cli(*argv, "--out", out) == 2
+        assert capsys.readouterr().err == "error: noise_sd must be finite and nonnegative\n"
+        assert not out.exists()  # rejected before anything was written
 
     def test_round_trips_through_readers(self, tmp_path):
         out = tmp_path / "run"
@@ -162,6 +174,27 @@ class TestFit:
             "fit", "--data", tmp_path / "X.csv", "--method", "pca-pb", "--out", out
         ) == 0
         assert (out / "coefficients.csv").exists()
+
+    def test_names_needing_quotes(self, tmp_path, rng):
+        # metabolite names such as 2,3-butanediol need CSV quoting; every
+        # table keeps its rows as wide as its header and reruns OK
+        X, y = random_instance(rng, 30, 5)
+        names = ("2,3-butanediol", 'say "hi"', "line\nbreak", "cr\rname", "plain")
+        write_composition_csv(tmp_path / "X.csv", CompositionMatrix(X.values, names))
+        write_response_csv(tmp_path / "y.csv", y, name="y,1")
+        inputs = ("--data", tmp_path / "X.csv", "--response-file", tmp_path / "y.csv")
+        for method in ("pls-pb", "pca-pb", "pls"):
+            out = tmp_path / method
+            assert run_cli("fit", *inputs, "--method", method, "--out", out) == 0
+            tables = [name for name in json.loads((out / "manifest.json").read_text())["outputs"]
+                      if name.endswith(".csv")]
+            assert tables
+            for table in tables:
+                header, *rows = read_rows(out / table)
+                assert all(len(row) == len(header) for row in rows)
+                assert [row[0] for row in rows] == list(names)
+            assert run_cli("rerun", "--manifest", out / "manifest.json",
+                           "--out", tmp_path / f"{method}-replay") == 0
 
     def test_zero_entry_errors(self, tmp_path):
         data = tmp_path / "bad.csv"
@@ -319,6 +352,19 @@ class TestRecover:
         assert np.array_equal(got, rec.included)
 
 
+_INTS = st.integers(-10**6, 10**6)
+
+# Command-line texts for each option type of the parser, blanks and signs
+# included where the type accepts them
+OPTION_TEXT = {
+    int: st.one_of(_INTS.map(str), _INTS.map(lambda i: f" {i:+05d} ")),
+    float: st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     _INTS.map(str), st.sampled_from(["1e3", " .5 ", "-0", "1_0.5"])),
+    cli._block_sizes: st.lists(_INTS.map(str), min_size=1, max_size=5).map(", ".join),
+    None: st.text(),
+}
+
+
 class TestRerun:
     @pytest.mark.parametrize(
         "argv",
@@ -377,6 +423,10 @@ class TestRerun:
             ("cv", "binary", "yes"),
             ("cv", "max_k", None),
             ("cv", "metric", "mse"),
+            ("recover", "blocks", []),
+            ("recover", "noise_sd", float("nan")),
+            ("recover", "n", 4.0),
+            ("cv", "data", 5),
         ],
     )
     def test_config_value_types_checked(self, tmp_path, capsys, command, key, value):
@@ -391,6 +441,37 @@ class TestRerun:
         assert run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"config {key}={value!r} is not a valid" in err
+        assert not (tmp_path / "r").exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_recorded_configs_pass_the_check(self, data):
+        # any argv the parser accepts is recorded as main records it, and
+        # rerun's check passes every option of it on to the runner
+        parser = cli.build_parser()
+        command = data.draw(st.sampled_from(["simulate", "fit", "cv", "recover"]))
+        commands = next(a for a in parser._actions if a.dest == "command")
+        argv = [command]
+        for action in commands.choices[command]._actions:
+            if action.dest == "help" or not (action.required or data.draw(st.booleans())):
+                continue
+            flag = action.option_strings[0]
+            if action.nargs == 0:
+                argv.append(flag)
+            else:
+                texts = st.sampled_from(action.choices) if action.choices else OPTION_TEXT[action.type]
+                argv.append(f"{flag}={data.draw(texts)}")
+        config = cli._config_from_args(parser.parse_args(argv))
+        replayed = []
+
+        def runner(config):
+            replayed.append(config)
+            return {"outputs": {}}
+
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(cli._RUNNERS, {command: runner}):
+            cli._write_manifest(Path(tmp), command, config, {})
+            assert cli.run_rerun(str(Path(tmp) / "manifest.json"), "replay", parser)
+        assert replayed == [dict(config, out="replay")]
 
     @pytest.mark.parametrize(
         "content, message",

@@ -1,7 +1,9 @@
 """CSV and JSON readers and writers: exact bytes, bit-exact round trips,
 and the reader's syntax and error messages."""
 
+import csv
 import hashlib
+import io
 import json
 import tempfile
 import warnings
@@ -90,6 +92,23 @@ def matrices(draw):
     return matrix, np.array(columns)
 
 
+# part names with the characters that need CSV quoting, and any other text;
+# the reader strips blanks from names, so none starts or ends with one
+names = st.text(st.one_of(st.sampled_from(',"\r\n'), st.characters(exclude_characters="\0")),
+                min_size=1, max_size=8).filter(lambda name: name == name.strip())
+
+
+def csv_bytes(rows) -> bytes:
+    """The rows as ``csv.writer``'s default dialect quotes them (CR and LF
+    quoted as line-end characters), each ended by LF."""
+    lines = []
+    for row in rows:
+        out = io.StringIO()
+        csv.writer(out).writerow(row)
+        lines.append(out.getvalue().removesuffix("\r\n"))
+    return _text(lines)
+
+
 class TestWriters:
     @settings(max_examples=60, deadline=None)
     @given(X=compositions(), y=st.lists(signed, min_size=1, max_size=12), pm=matrices())
@@ -117,6 +136,26 @@ class TestWriters:
             assert y2.tobytes() == np.asarray(y, dtype=float).tobytes()
             write_composition_csv(tmp / "X2.csv", X2)
             assert (tmp / "X2.csv").read_bytes() == (tmp / "X.csv").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(part_names=st.lists(names, min_size=2, max_size=6))
+    def test_names_quoted_as_csv_quotes_them(self, part_names):
+        X = CompositionMatrix(np.arange(1.0, 2 * len(part_names) + 1).reshape(2, -1),
+                              tuple(part_names))
+        counts = np.arange(len(part_names))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_composition_csv(tmp / "X.csv", X)
+            write_response_csv(tmp / "y.csv", [1.5], name=part_names[0])
+            write_recovery_csv(tmp / "recovery.csv", part_names, {"pls-pb": counts}, 9)
+            assert (tmp / "X.csv").read_bytes() == csv_bytes([part_names, *X.values.tolist()])
+            assert (tmp / "y.csv").read_bytes() == csv_bytes([[part_names[0]], [1.5]])
+            assert (tmp / "recovery.csv").read_bytes() == csv_bytes(
+                [["part", "method", "inclusion_count", "runs"],
+                 *([name, "pls-pb", c, 9] for name, c in zip(part_names, counts.tolist()))])
+            X2, _ = read_composition_csv(tmp / "X.csv")
+            assert X2.part_names == X.part_names
+            assert X2.values.tobytes() == X.values.tobytes()
 
     def test_non_finite_and_signed_zero(self, tmp_path):
         y = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0]

@@ -23,9 +23,7 @@ from plspb import (
     simulate_dataset,
 )
 from plspb.errors import BalanceError, ConstantResponse, DegenerateSplit, OneSidedLoading
-from plspb.pb import nested_or_disjoint
-
-from conftest import random_composition, random_instance
+from conftest import nested_or_disjoint, random_composition, random_instance
 
 
 class TestCandidateSigns:

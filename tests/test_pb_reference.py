@@ -8,9 +8,9 @@ paths of the SIMPLS and SVD engines the package shipped up to 0.4.0,
 kept here with every rank check. The builders must reproduce its sign
 matrices exactly and its ordering values within rtol 1e-9.
 
-The partition check ``nested_or_disjoint`` keeps its former pairwise loop
-over support sets here as the reference for its matrix form, and the
-nested candidates keep their former sign-matrix construction as the
+The partition check ``nested_or_disjoint`` (in conftest) keeps its former
+pairwise loop over support sets here as the reference for its matrix form,
+and the nested candidates keep their former sign-matrix construction as the
 reference for the fused one that ``candidate_signs`` and the recursion share.
 The node step's orientation and candidate pass keep their 0.7.0 form, which
 oriented the loading and then took |p| and its extremes a second time, and
@@ -41,10 +41,10 @@ from plspb import (
 )
 from plspb.coda import signs_to_coefficient_matrix
 from plspb.errors import RankDeficient
-from plspb.pb import _candidates, _node_candidates, nested_or_disjoint
+from plspb.pb import _candidates, _node_candidates
 from plspb.simgen import CASES, SimScenario
 
-from conftest import random_instance
+from conftest import nested_or_disjoint, random_instance
 
 ORDERING_RTOL = 1e-9
 RANK_TOL = 1e-10

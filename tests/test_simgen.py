@@ -44,6 +44,11 @@ class TestScenario:
         with pytest.raises(ValueError):
             SimScenario("five-blocks")
 
+    @pytest.mark.parametrize("noise_sd", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_noise_sd_finite_and_nonnegative(self, noise_sd):
+        with pytest.raises(ValueError, match="noise_sd must be finite and nonnegative"):
+            SimScenario(CASE_ONE_BLOCK, noise_sd=noise_sd)
+
 
 class TestBuildSigma:
     def test_tiny_one_block_exact(self):
