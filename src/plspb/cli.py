@@ -1,8 +1,9 @@
 """Command line interface: simulate, fit, cv, recover, rerun.
 
-Every command resolves its parameters into a plain config dictionary,
-executes a pure runner on it and records a manifest (config, seed, tool
-version, the sha256 of each file the command wrote) next to the outputs.
+Every command resolves its parameters into a plain config dictionary and
+executes a runner on it. The runner computes everything first, then writes
+its outputs and a manifest (config, seed, tool version, the sha256 of each
+file the command wrote) in one call, so a command that fails writes nothing.
 ``rerun`` replays a manifest into a fresh directory and compares the
 digests of the files the replay wrote, so any run can be checked for
 bit-exact reproducibility.
@@ -28,7 +29,6 @@ from .modelsel import (
     METRIC_RMSEP,
     PCA_PB,
     PLS_PB,
-    PLS_RAW,
     aggregate_error_runs,
     cross_validate,
 )
@@ -40,24 +40,24 @@ _SHA256 = re.compile(r"[0-9a-f]{64}")
 _PLAIN_NAME = re.compile(r"[^/\\\0]+")  # no path separator or NUL
 
 
-def _utc_now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def _write_manifest(out_dir: Path, command: str, config: dict, outputs: dict,
-                    extra: dict | None = None) -> dict:
-    """Record the run next to its ``outputs``, {file name: sha256 hex digest}
-    of exactly the files the command wrote, and return the manifest."""
+def _write_outputs(command: str, config: dict, outputs: dict, extra: dict | None = None) -> dict:
+    """Make the ``--out`` directory, write each of ``outputs``, {file name:
+    (writer, *args)}, as ``writer(path, *args)`` and record the manifest
+    next to them, listing the sha256 of exactly those files; return it.
+    A runner calls this once, after it has computed everything, so a
+    command that fails writes nothing."""
+    out_dir = Path(config["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "config": config,
-        "seed": config.get("seed"),
+        "seed": config.get("seed"),  # fit has no seed
         "tool_version": __version__,
-        "created_utc": _utc_now(),
-        "outputs": outputs,
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "outputs": {name: writer(out_dir / name, *args)
+                    for name, (writer, *args) in outputs.items()},
+        **(extra or {}),
     }
-    if extra:
-        manifest.update(extra)
     fileio.write_json(out_dir / MANIFEST_NAME, manifest)
     return manifest
 
@@ -74,12 +74,6 @@ def _map_runs(run, tasks, jobs: int) -> list:
     return [run(task) for task in tasks]
 
 
-def _prepare_out(config: dict) -> Path:
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
 def _run_seeds(config: dict) -> list[int]:
     """One seed per run of a simulation study; ``runs`` must be at least 1."""
     if config["runs"] < 1:
@@ -92,17 +86,17 @@ def _scenario_from_config(config: dict, seed: int | None = None) -> SimScenario:
         case=config["case"],
         n=config["n"],
         D=config["d"],
-        block_sizes=tuple(config["blocks"]) if config.get("blocks") else None,
+        block_sizes=config["blocks"],
         seed=config["seed"] if seed is None else seed,
-        noise_sd=config.get("noise_sd", 1.0),
+        noise_sd=config["noise_sd"],
     )
 
 
 def _load_data(config: dict, require_response: bool = True):
     X, response = fileio.read_composition_csv(
-        config["data"], response_col=config.get("response_col")
+        config["data"], response_col=config["response_col"]
     )
-    if response is None and config.get("response_file"):
+    if response is None and config["response_file"]:
         response = fileio.read_response_csv(config["response_file"])
     if response is None:
         if require_response:
@@ -110,7 +104,7 @@ def _load_data(config: dict, require_response: bool = True):
         return X, None
     if response.shape[0] != X.n_samples:
         raise ValueError("response length does not match the data table")
-    if config.get("binary") and not np.all(np.isin(response, (0.0, 1.0))):
+    if config["binary"] and not np.all(np.isin(response, (0.0, 1.0))):
         raise NonBinary("--binary needs a 0/1-coded response")
     return X, response
 
@@ -120,17 +114,14 @@ def _load_data(config: dict, require_response: bool = True):
 
 def run_simulate(config: dict) -> dict:
     scenario = _scenario_from_config(config)
-    out_dir = _prepare_out(config)
     dataset = simulate_dataset(scenario)
-    outputs = {
-        "X.csv": fileio.write_composition_csv(out_dir / "X.csv", dataset.X),
-        "y.csv": fileio.write_response_csv(out_dir / "y.csv", dataset.y),
-    }
-    return _write_manifest(
-        out_dir,
+    return _write_outputs(
         "simulate",
         config,
-        outputs,
+        {
+            "X.csv": (fileio.write_composition_csv, dataset.X),
+            "y.csv": (fileio.write_response_csv, dataset.y),
+        },
         extra={
             "dataset": {
                 "case": scenario.case,
@@ -149,7 +140,6 @@ def run_simulate(config: dict) -> dict:
 
 
 def run_fit(config: dict) -> dict:
-    out_dir = _prepare_out(config)
     method = config["method"]
     X, y = _load_data(config, require_response=method != PCA_PB)
     if method in (PLS_PB, PCA_PB):
@@ -158,13 +148,13 @@ def run_fit(config: dict) -> dict:
         else:
             basis, tree = pca_pb(X, return_tree=True)
         outputs = {
-            "coefficients.csv": fileio.write_basis_csv(out_dir / "coefficients.csv", basis),
-            "signs.csv": fileio.write_sign_csv(out_dir / "signs.csv", basis),
-            "tree.json": fileio.write_json(out_dir / "tree.json", tree.to_dict(X.part_names)),
+            "coefficients.csv": (fileio.write_basis_csv, basis),
+            "signs.csv": (fileio.write_sign_csv, basis),
+            "tree.json": (fileio.write_json, tree.to_dict(X.part_names)),
         }
-        print(f"{method}: {basis.n_balances} balances over {X.n_parts} parts")
-    elif method == PLS_RAW:
-        model = pls_regression(X, y, config.get("k"))
+        summary = f"{basis.n_balances} balances"
+    else:  # pls
+        model = pls_regression(X, y, config["k"])
         # latent_coefficients are the scores' cross-products with y - ȳ
         covariances = np.abs(model.latent_coefficients) / (X.n_samples - 1)
         payload = {
@@ -175,15 +165,13 @@ def run_fit(config: dict) -> dict:
             "y_mean": model.y_mean,
         }
         outputs = {
-            "weights.csv": fileio.write_matrix_csv(
-                out_dir / "weights.csv", X.part_names, model.weights, covariances
-            ),
-            "model.json": fileio.write_json(out_dir / "model.json", payload),
+            "weights.csv": (fileio.write_matrix_csv, X.part_names, model.weights, covariances),
+            "model.json": (fileio.write_json, payload),
         }
-        print(f"pls: {model.n_components} components over {X.n_parts} parts")
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _write_manifest(out_dir, "fit", config, outputs)
+        summary = f"{model.n_components} components"
+    manifest = _write_outputs("fit", config, outputs)
+    print(f"{method}: {summary} over {X.n_parts} parts")
+    return manifest
 
 
 # -- cv ----------------------------------------------------------------------
@@ -211,11 +199,10 @@ def _cv_fresh_run(args):
 
 
 def run_cv(config: dict) -> dict:
-    out_dir = _prepare_out(config)
-    methods = list(METHODS) if config.get("all_methods") else [config["method"]]
+    methods = list(METHODS) if config["all_methods"] else [config["method"]]
     metric = config["metric"]
     results = {}
-    if config.get("data"):
+    if config["data"]:
         X, y = _load_data(config)
         for method in methods:
             results[method] = cross_validate(
@@ -232,7 +219,7 @@ def run_cv(config: dict) -> dict:
         # fresh-data mode: one new dataset per run, 1 repeat of k-fold each
         runs = config["runs"]
         tasks = [(config, seed, methods) for seed in _run_seeds(config)]
-        curves = _map_runs(_cv_fresh_run, tasks, config.get("jobs", 1))
+        curves = _map_runs(_cv_fresh_run, tasks, config["jobs"])
         for method in methods:
             errors = np.stack([curve[method] for curve in curves])
             results[method] = aggregate_error_runs(
@@ -241,10 +228,11 @@ def run_cv(config: dict) -> dict:
     selected = {method: result.selected_k for method, result in results.items()}
     rows = [(method, *row) for method, result in results.items()
             for row in zip(result.component_counts, result.mean_error, result.sd_error)]
-    outputs = {"cv.csv": fileio.write_cv_csv(out_dir / "cv.csv", rows)}
+    manifest = _write_outputs("cv", config, {"cv.csv": (fileio.write_cv_csv, rows)},
+                              extra={"selected_k": selected})
     for method in methods:
         print(f"{method}: selected k = {selected[method]} ({metric})")
-    return _write_manifest(out_dir, "cv", config, outputs, extra={"selected_k": selected})
+    return manifest
 
 
 # -- recover -----------------------------------------------------------------
@@ -267,23 +255,20 @@ def _recover_run(args):
 
 
 def run_recover(config: dict) -> dict:
-    out_dir = _prepare_out(config)
     methods = [PLS_PB, PCA_PB] if config["method"] == "all" else [config["method"]]
     runs = config["runs"]
     tasks = [(config, seed, methods) for seed in _run_seeds(config)]
-    results = _map_runs(_recover_run, tasks, config.get("jobs", 1))
+    results = _map_runs(_recover_run, tasks, config["jobs"])
     counts = {
         method: np.sum([res[method] for res in results], axis=0).astype(int)
         for method in methods
     }
-    outputs = {
-        "recovery.csv": fileio.write_recovery_csv(
-            out_dir / "recovery.csv", default_part_names(config["d"]), counts, runs
-        )
-    }
+    manifest = _write_outputs("recover", config, {
+        "recovery.csv": (fileio.write_recovery_csv, default_part_names(config["d"]), counts, runs)
+    })
     for method in methods:
         print(f"{method}: mean inclusions per run = {counts[method].sum() / runs:.1f}")
-    return _write_manifest(out_dir, "recover", config, outputs)
+    return manifest
 
 
 # -- rerun -------------------------------------------------------------------
@@ -459,8 +444,8 @@ def _config_value_ok(action: argparse.Action, value) -> bool:
 def _config_from_args(args: argparse.Namespace) -> dict:
     config = {k: v for k, v in vars(args).items() if k != "command"}
     if args.command == "cv":
-        if config.get("metric") is None:
-            config["metric"] = METRIC_ME if config.get("binary") else METRIC_RMSEP
+        if config["metric"] is None:
+            config["metric"] = METRIC_ME if config["binary"] else METRIC_RMSEP
         if config["metric"] == METRIC_ME:
             config["binary"] = True
     return config

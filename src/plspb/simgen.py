@@ -20,7 +20,6 @@ Three block layouts are supported:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,22 +123,17 @@ class RecoveryResult:
     nonmarker_rate: float
 
 
-def _is_positive_definite(matrix: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(matrix)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
 def build_sigma(scenario: SimScenario) -> np.ndarray:
     """Block covariance matrix of the pivot coordinates, (D-1) x (D-1).
 
     Entries follow the case layout described in the module docstring, with
     the alternating sign pattern (-1)^(i+j) taken over 1-based coordinate
-    positions. If a nonstandard configuration turns out indefinite, the
-    off-diagonal part is shrunk by the smallest factor restoring positive
-    definiteness and a warning reports the factor.
+    positions. The matrix is positive definite for every valid scenario:
+    a marker block is 0.5·s·P·T·P + (2 − 0.5·s)·I with strength s ≤ 1,
+    P the diagonal ±1 parity matrix and T the all-ones matrix or the
+    Bartlett taper 1 − |i−j|/size, both positive semidefinite, so its
+    smallest eigenvalue is at least 1.5, and the noise coordinates have
+    variance 1.
     """
     m = scenario.D - 1
     sigma = np.eye(m) * _NOISE_DIAGONAL
@@ -156,25 +150,7 @@ def build_sigma(scenario: SimScenario) -> np.ndarray:
         np.fill_diagonal(block, _MARKER_DIAGONAL)
         sigma[offset : offset + size, offset : offset + size] = block
         offset += size
-    if _is_positive_definite(sigma):
-        return sigma
-
-    diagonal = np.diag(np.diag(sigma))
-    off = sigma - diagonal
-    low, high = 0.0, 1.0
-    for _ in range(60):
-        mid = (low + high) / 2
-        if _is_positive_definite(diagonal + mid * off):
-            low = mid
-        else:
-            high = mid
-    if low == 0.0:
-        raise NotPositiveDefinite("covariance cannot be repaired by shrinking")
-    warnings.warn(
-        f"covariance was indefinite; off-diagonals shrunk by factor {low:.6f}",
-        stacklevel=2,
-    )
-    return diagonal + low * off
+    return sigma
 
 
 def mvn_sample(sigma: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -469,7 +469,7 @@ class TestRerun:
             return {"outputs": {}}
 
         with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(cli._RUNNERS, {command: runner}):
-            cli._write_manifest(Path(tmp), command, config, {})
+            cli._write_outputs(command, dict(config, out=tmp), {})
             assert cli.run_rerun(str(Path(tmp) / "manifest.json"), "replay", parser)
         assert replayed == [dict(config, out="replay")]
 
@@ -583,6 +583,40 @@ class TestRerun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "r").exists()  # rejected before anything ran
+
+
+def _cv_manifest_with_null_metric(tmp_path):
+    out = tmp_path / "orig"
+    assert run_cli("cv", "--n", 20, "--d", 8, "--blocks", "4", "--runs", 1, "--max-k", 2,
+                   "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["metric"] = None
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    return out / "manifest.json"
+
+
+def _six_part_table(tmp_path):
+    assert run_cli("simulate", "--n", 20, "--d", 6, "--blocks", 2, "--out", tmp_path / "sim") == 0
+    return tmp_path / "sim"
+
+
+class TestFailedCommand:
+    @pytest.mark.parametrize(
+        "prepare",
+        [
+            lambda tmp: ("fit", "--data", tmp / "missing.csv", "--response-file", tmp / "y.csv"),
+            lambda tmp: ("cv", "--data", _six_part_table(tmp) / "X.csv",
+                         "--response-file", tmp / "sim" / "y.csv", "--max-k", 9),
+            lambda tmp: ("rerun", "--manifest", _cv_manifest_with_null_metric(tmp)),
+        ],
+        ids=["fit-missing-data", "cv-max-k-above-d-1", "rerun-null-metric"],
+    )
+    def test_writes_nothing(self, tmp_path, capsys, prepare):
+        argv = prepare(tmp_path)
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEncoding:

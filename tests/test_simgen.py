@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from plspb import (
@@ -16,6 +18,7 @@ from plspb import (
 )
 from plspb.errors import NotPositiveDefinite
 from plspb.simgen import (
+    CASES,
     CASE_DIFFERENT_BLOCKS,
     CASE_ONE_BLOCK,
     CASE_SAME_BLOCKS,
@@ -82,6 +85,20 @@ class TestBuildSigma:
         for case in (CASE_ONE_BLOCK, CASE_SAME_BLOCKS, CASE_DIFFERENT_BLOCKS):
             sigma = build_sigma(SimScenario(case))
             np.linalg.cholesky(sigma)
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_every_valid_scenario_positive_definite(self, data):
+        # each marker block is 0.5 s P T P + (2 - 0.5 s) I with s <= 1 and T
+        # positive semidefinite, and the noise coordinates have variance 1
+        case = data.draw(st.sampled_from(CASES))
+        if case == CASE_ONE_BLOCK:
+            sizes = (2 * data.draw(st.integers(1, 30)),)
+        else:
+            sizes = tuple(data.draw(st.lists(st.integers(2, 30), min_size=1, max_size=6)))
+        D = data.draw(st.integers(sum(sizes) + 2, sum(sizes) + 20))
+        sigma = build_sigma(SimScenario(case, D=D, block_sizes=sizes))
+        assert np.linalg.eigvalsh(sigma).min() >= 1 - 1e-12
 
     def test_same_blocks_strength_ordering(self):
         sigma = build_sigma(SimScenario(CASE_SAME_BLOCKS))
