@@ -12,7 +12,7 @@ block-covariance simulator for marker recovery benchmarks. See the
 from .coda import (
     BalanceBasis,
     CompositionMatrix,
-    balance_values,
+    LogContrastModel,
     closure,
     clr,
     inverse_pivot,
@@ -20,13 +20,7 @@ from .coda import (
     pivot_coordinates,
     signs_to_coefficients,
 )
-from .latent import (
-    LatentModel,
-    classify,
-    pls_predict,
-    pls_regression,
-    predict_components,
-)
+from .latent import LatentModel, pls_regression
 from .modelsel import (
     CvResult,
     cross_validate,
@@ -36,7 +30,7 @@ from .modelsel import (
     one_se_select,
     rmsep,
 )
-from .pb import PartitionNode, best_balance, candidate_signs, pca_pb, pls_pb
+from .pb import PartitionNode, candidate_signs, pca_pb, pls_pb
 from .simgen import (
     SimScenario,
     SimulatedDataset,
@@ -53,14 +47,12 @@ __all__ = [
     "CompositionMatrix",
     "CvResult",
     "LatentModel",
+    "LogContrastModel",
     "PartitionNode",
     "SimScenario",
     "SimulatedDataset",
-    "balance_values",
-    "best_balance",
     "build_sigma",
     "candidate_signs",
-    "classify",
     "closure",
     "clr",
     "cross_validate",
@@ -75,9 +67,7 @@ __all__ = [
     "pivot_basis",
     "pivot_coordinates",
     "pls_pb",
-    "pls_predict",
     "pls_regression",
-    "predict_components",
     "rmsep",
     "signs_to_coefficients",
     "simulate_dataset",

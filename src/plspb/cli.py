@@ -314,13 +314,15 @@ def run_rerun(manifest_path: str, out: str, parser: argparse.ArgumentParser) -> 
             )
     config = dict(manifest["config"], out=out)
     commands = next(a for a in parser._actions if a.dest == "command")
-    for action in commands.choices[manifest["command"]]._actions:
-        if action.dest == "help":
-            continue
+    actions = [a for a in commands.choices[manifest["command"]]._actions if a.dest != "help"]
+    for action in actions:
         if action.dest not in config:
             raise ValueError(f"{manifest_path}: config lacks {action.dest}")
+    # main records a resolved config, such as a cv metric that is never None
+    resolved = _config_from_args(argparse.Namespace(**{**config, "command": manifest["command"]}))
+    for action in actions:
         value = config[action.dest]
-        if not _config_value_ok(action, value):
+        if not _config_value_ok(action, value) or resolved[action.dest] != value:
             raise ValueError(
                 f"{manifest_path}: config {action.dest}={value!r} is not a valid "
                 f"{action.option_strings[0]} value"

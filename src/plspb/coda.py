@@ -8,6 +8,7 @@ the log-ratio machinery built on them:
 - centered log-ratio (clr) coordinates,
 - balance coefficients derived from sign patterns: a sign vector or a
   parts x balances sign matrix with entries in {-1, 0, +1},
+- the logcontrast model that every fitted regression predicts with,
 - the pivot coordinate system and its inverse.
 
 All functions are pure; returned arrays are read-only so values can be
@@ -16,7 +17,6 @@ shared freely across threads.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +36,14 @@ def default_part_names(n_parts: int) -> tuple[str, ...]:
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _part_names(names, n_parts: int) -> tuple[str, ...]:
+    """``names`` as a tuple of n_parts strings, V1..VD when None."""
+    names = default_part_names(n_parts) if names is None else tuple(str(x) for x in names)
+    if len(names) != n_parts:
+        raise ValueError(f"expected {n_parts} part names, got {len(names)}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -67,14 +75,8 @@ class CompositionMatrix:
             raise ValueError("composition values must be nonnegative")
         if np.any(v == 0):
             raise ZeroPart("zero parts are not supported; treat zeros before use")
-        names = self.part_names
-        if names is None:
-            names = default_part_names(d)
-        names = tuple(str(x) for x in names)
-        if len(names) != d:
-            raise ValueError(f"expected {d} part names, got {len(names)}")
         object.__setattr__(self, "values", _readonly(v))
-        object.__setattr__(self, "part_names", names)
+        object.__setattr__(self, "part_names", _part_names(self.part_names, d))
 
     @property
     def n_samples(self) -> int:
@@ -83,15 +85,6 @@ class CompositionMatrix:
     @property
     def n_parts(self) -> int:
         return self.values.shape[1]
-
-    def take_samples(self, indices) -> "CompositionMatrix":
-        """Row subset (at least two rows) of the checked values, not checked again."""
-        rows = self.values[np.asarray(indices, dtype=int), :]
-        if rows.ndim != 2 or rows.shape[0] < 2:
-            raise ValueError(f"need at least 2 samples, got index shape {np.shape(indices)}")
-        subset = copy.copy(self)
-        object.__setattr__(subset, "values", _readonly(rows))
-        return subset
 
 
 def signs_to_coefficient_matrix(sign_matrix) -> np.ndarray:
@@ -161,12 +154,7 @@ class BalanceBasis:
         d, k = s.shape
         if not np.all(np.abs(b.T @ b - np.eye(k)) <= ORTHONORMAL_TOL):
             raise ValueError("balance columns are not orthonormal")
-        names = self.part_names
-        if names is None:
-            names = default_part_names(d)
-        names = tuple(str(x) for x in names)
-        if len(names) != d:
-            raise ValueError(f"expected {d} part names, got {len(names)}")
+        names = _part_names(self.part_names, d)
         for label in ("covariances", "variances"):
             vals = getattr(self, label)
             if vals is None:
@@ -204,6 +192,51 @@ class BalanceBasis:
                 f"basis has {self.n_parts} parts, data has {X.n_parts}"
             )
         return np.log(X.values) @ self.coefficient_matrix
+
+
+@dataclass(frozen=True)
+class LogContrastModel:
+    """Generalised logcontrast model y = intercept + clr(X) @ coefficients.
+
+    The coefficients, one per part, sum to zero (within 1e-12 of their
+    absolute sum), so clr(X) @ coefficients equals ln(X) @ coefficients and
+    a prediction does not change when a row of X is rescaled.
+    ``fit_on_balances`` fits one on the first k balances (coefficients
+    B_k @ slopes); ``LatentModel.logcontrast`` turns the first k SIMPLS
+    components into one (coefficients W_k @ v_k).
+    """
+
+    coefficients: np.ndarray
+    intercept: float
+    part_names: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        beta = np.array(self.coefficients, dtype=float)
+        if beta.ndim != 1 or beta.size < 2:
+            raise DimensionMismatch("coefficients must be a vector over at least 2 parts")
+        intercept = float(self.intercept)
+        if not (np.all(np.isfinite(beta)) and np.isfinite(intercept)):
+            raise ValueError("model coefficients and intercept must be finite")
+        if abs(beta.sum()) > ALGEBRA_TOL * np.abs(beta).sum():
+            raise ValueError("model coefficients must sum to zero (a logcontrast)")
+        object.__setattr__(self, "coefficients", _readonly(beta))
+        object.__setattr__(self, "intercept", intercept)
+        object.__setattr__(self, "part_names", _part_names(self.part_names, beta.size))
+
+    @property
+    def n_parts(self) -> int:
+        return self.coefficients.shape[0]
+
+    def predict(self, X: CompositionMatrix) -> np.ndarray:
+        """The predicted response of every sample of X."""
+        if X.n_parts != self.n_parts:
+            raise DimensionMismatch(f"model has {self.n_parts} parts, data has {X.n_parts}")
+        return self.intercept + clr(X) @ self.coefficients
+
+    def classify(self, X: CompositionMatrix, threshold: float = 0.5) -> np.ndarray:
+        """0/1 labels for a model of a 0/1-coded response: 1 where the
+        prediction is at least ``threshold``."""
+        return (self.predict(X) >= threshold).astype(int)
 
 
 def closure(raw, total: float = 1.0, part_names=None) -> CompositionMatrix:
@@ -267,21 +300,6 @@ def signs_to_coefficients(signs) -> np.ndarray:
         raise ValueError("signs must be a 1-d vector")
     _check_signs(signs)
     return _readonly(signs_to_coefficient_matrix(signs))
-
-
-def balance_values(X: CompositionMatrix, b) -> np.ndarray:
-    """Evaluate one balance, given its coefficient vector, on every sample:
-    ln(X) @ b.
-
-    Because the coefficients sum to zero this equals clr(X) @ b, so the
-    values are invariant to per-row rescaling of X.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.shape != (X.n_parts,):
-        raise DimensionMismatch(
-            f"balance has coefficient shape {b.shape}, data has {X.n_parts} parts"
-        )
-    return np.log(X.values) @ b
 
 
 def pivot_basis(n_parts: int) -> np.ndarray:

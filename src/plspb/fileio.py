@@ -113,8 +113,13 @@ def _write_text(path, text: str) -> str:
 def _quoted(names) -> list[str]:
     """Part or response names as cells, quoted as ``csv``'s minimal quoting
     quotes them: a name holding a comma, a double quote, CR or LF goes in
-    double quotes, each of its own doubled. One scan decides the table."""
+    double quotes, each of its own doubled. One scan decides the table.
+    The reader strips blanks from names, so a name that starts or ends with
+    one raises a ValueError instead of reading back as another name."""
     names = list(names)
+    padded = [n for n in names if n != n.strip()]
+    if padded:
+        raise ValueError(f"names {padded!r} start or end with a blank, which reading strips")
     if _NEEDS_QUOTES.search("".join(names)) is None:
         return names
     return ['"' + n.replace('"', '""') + '"' if _NEEDS_QUOTES.search(n) else n for n in names]
@@ -273,7 +278,3 @@ def read_json(path):
         raise ValueError(f"{path}: not valid {exc.encoding} text (byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-
-
-def sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

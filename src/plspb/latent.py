@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import CompositionMatrix, _check_response, clr
+from .coda import CompositionMatrix, LogContrastModel, _check_response
 from .errors import ConstantResponse, DimensionMismatch, RankDeficient
 
 _RANK_TOL = 1e-10
@@ -29,7 +29,8 @@ class LatentModel:
     ``weights`` maps centred clr rows to unit-norm, mutually orthogonal
     scores T = (clr(X) - x_mean) @ W, and ``latent_coefficients`` =
     Tᵀ(y - y_mean) regresses the centred response on them, giving
-    predictions y_mean + (clr(X) - x_mean) @ W @ v.
+    predictions y_mean + (clr(X) - x_mean) @ W @ v: ``logcontrast`` returns
+    that model.
     """
 
     weights: np.ndarray
@@ -62,9 +63,14 @@ class LatentModel:
     def n_components(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def n_parts(self) -> int:
-        return self.weights.shape[0]
+    def logcontrast(self, k: int | None = None) -> LogContrastModel:
+        """The first k components (all when None) as one logcontrast model:
+        coefficients W_k @ v_k and intercept y_mean - x_mean @ W_k @ v_k."""
+        k = self.n_components if k is None else k
+        if not 1 <= k <= self.n_components:
+            raise RankDeficient(f"k={k} outside 1..{self.n_components}")
+        beta = self.weights[:, :k] @ self.latent_coefficients[:k]
+        return LogContrastModel(beta, self.y_mean - float(self.x_mean @ beta))
 
 
 def pls_regression(X: CompositionMatrix, y, k: int | None = None) -> LatentModel:
@@ -150,28 +156,3 @@ def _simpls(log: np.ndarray, y: np.ndarray, k: int | None) -> LatentModel:
             weights[:, j] = -weights[:, j]
             scores[:, j] = -scores[:, j]
     return LatentModel(weights, scores.T @ yc, x_mean, y_mean)
-
-
-def predict_components(model: LatentModel, Xnew: CompositionMatrix, k: int) -> np.ndarray:
-    """Predict using only the first k components of a fitted PLS model."""
-    if k < 1 or k > model.n_components:
-        raise RankDeficient(f"k={k} outside 1..{model.n_components}")
-    if Xnew.n_parts != model.n_parts:
-        raise DimensionMismatch(
-            f"model expects {model.n_parts} parts, data has {Xnew.n_parts}"
-        )
-    z = clr(Xnew) - model.x_mean
-    return model.y_mean + z @ model.weights[:, :k] @ model.latent_coefficients[:k]
-
-
-def pls_predict(model: LatentModel, Xnew: CompositionMatrix) -> np.ndarray:
-    """Predict the response for new compositions with all fitted components."""
-    return predict_components(model, Xnew, model.n_components)
-
-
-def classify(model: LatentModel, Xnew: CompositionMatrix, threshold: float = 0.5) -> np.ndarray:
-    """Binary labels from a PLS-DA model fitted on a 0/1-coded response.
-
-    A sample is labeled 1 when its predicted score is at least ``threshold``.
-    """
-    return (pls_predict(model, Xnew) >= threshold).astype(int)

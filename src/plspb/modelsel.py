@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import BalanceBasis, CompositionMatrix, _check_response
+from .coda import BalanceBasis, CompositionMatrix, LogContrastModel, _check_response
 from .errors import (
     Collinear,
     EmptyInput,
@@ -39,23 +39,6 @@ CLASSIFICATION_THRESHOLD = 0.5
 # entry of R) is at most this fraction of the largest column norm is
 # rounding noise: exact collinearity, e.g. a duplicated part, leaves ~1e-15.
 _COLLINEAR_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class BalanceModel:
-    """Least-squares fit of the response on the first k balance coordinates."""
-
-    basis: BalanceBasis
-    coefficients: np.ndarray
-    intercept: float
-
-    @property
-    def n_components(self) -> int:
-        return len(self.coefficients)
-
-    def predict(self, X: CompositionMatrix) -> np.ndarray:
-        coords = self.basis.coordinates(X)[:, : self.n_components]
-        return self.intercept + coords @ self.coefficients
 
 
 @dataclass(frozen=True)
@@ -149,10 +132,9 @@ def _least_squares(Z: np.ndarray, y: np.ndarray):
     return col_means, y_mean, r, q.T @ (y - y_mean)
 
 
-def fit_on_balances(
-    X: CompositionMatrix, y, basis: BalanceBasis, k: int
-) -> BalanceModel:
-    """Ordinary least squares of y on the first k balance coordinates.
+def fit_on_balances(X: CompositionMatrix, y, basis: BalanceBasis, k: int) -> LogContrastModel:
+    """Ordinary least squares of y on the first k balance coordinates, as
+    the logcontrast model with coefficients B_k @ slopes.
 
     The coordinates are orthonormal in coefficient space but can only stay
     independent in sample space when there are more samples than
@@ -163,8 +145,8 @@ def fit_on_balances(
         raise ValueError(f"k={k} outside 1..{basis.n_balances}")
     col_means, y_mean, r, qty = _least_squares(basis.coordinates(X)[:, :k], y)
     slope = np.linalg.solve(r, qty)
-    intercept = y_mean - float(col_means @ slope)
-    return BalanceModel(basis=basis, coefficients=slope, intercept=intercept)
+    return LogContrastModel(basis.coefficient_matrix[:, :k] @ slope,
+                            y_mean - float(col_means @ slope), basis.part_names)
 
 
 def _check_folds(n: int, folds: int) -> None:
@@ -180,22 +162,17 @@ def fold_indices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarra
     The first n mod folds folds receive one extra row.
     """
     _check_folds(n, folds)
-    perm = rng.permutation(n)
-    base, extra = divmod(n, folds)
-    out = []
-    start = 0
-    for f in range(folds):
-        size = base + (1 if f < extra else 0)
-        out.append(perm[start : start + size])
-        start += size
-    return out
+    return np.array_split(rng.permutation(n), folds)
 
 
-def _repeat_errors(log_x, y, method, max_k, folds, metric, rng):
-    """One repeat: shuffle folds, fit per fold on ln X rows, pool errors per k.
+def _fold_predictions(log_x, y, method, max_k, folds, rng) -> np.ndarray:
+    """One repeat: shuffle folds, fit per fold on ln X rows, and predict
+    every row from the fold that holds it out, one column per size k.
 
-    Every size k of a fold comes from one QR of its training logcontrasts
-    and one triangular solve for its held-out rows.
+    A fold's model of size k is the logcontrast model that
+    ``fit_on_balances`` (or ``LatentModel.logcontrast``) returns, but every
+    k comes from one QR of the training logcontrasts and one triangular
+    solve for the held-out rows.
     """
     n = log_x.shape[0]
     predictions = np.empty((n, max_k))
@@ -211,10 +188,7 @@ def _repeat_errors(log_x, y, method, max_k, folds, metric, rng):
         col_means, y_mean, r, qty = _least_squares(design[train_idx], y_train)
         heldout = np.linalg.solve(r.T, (design[test_idx] - col_means).T).T
         predictions[test_idx] = y_mean + np.cumsum(heldout * qty, axis=1)
-    if metric == METRIC_ME:
-        labels = (predictions >= CLASSIFICATION_THRESHOLD).astype(int)
-        return np.array([misclassification_error(y.astype(int), col) for col in labels.T])
-    return np.array([rmsep(y, col) for col in predictions.T])
+    return predictions
 
 
 def aggregate_error_runs(error_matrix, metric, folds, repeats) -> CvResult:
@@ -269,9 +243,12 @@ def cross_validate(
         raise NonBinary("misclassification error needs a 0/1-coded response")
 
     log_x = np.log(X.values)
-    streams = np.random.SeedSequence(seed).spawn(repeats)
+    score = misclassification_error if metric == METRIC_ME else rmsep
     errors = np.empty((repeats, max_k))
-    for r in range(repeats):
-        rng = np.random.default_rng(streams[r])
-        errors[r] = _repeat_errors(log_x, y, method, max_k, folds, metric, rng)
+    for r, stream in enumerate(np.random.SeedSequence(seed).spawn(repeats)):
+        rng = np.random.default_rng(stream)
+        predictions = _fold_predictions(log_x, y, method, max_k, folds, rng)
+        if metric == METRIC_ME:
+            predictions = (predictions >= CLASSIFICATION_THRESHOLD).astype(int)
+        errors[r] = [score(y, col) for col in predictions.T]
     return aggregate_error_runs(errors, metric, folds, repeats)

@@ -61,8 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import BalanceBasis, CompositionMatrix, _check_response, _check_signs, _readonly
-from .coda import signs_to_coefficient_matrix, signs_to_coefficients
+from .coda import BalanceBasis, CompositionMatrix, _check_response, _readonly
+from .coda import signs_to_coefficient_matrix
 from .errors import ConstantResponse, OneSidedLoading
 
 _TIE_RTOL = 1e-12
@@ -182,13 +182,6 @@ def _scores(coeffs: np.ndarray, gram: np.ndarray, cross) -> np.ndarray:
     return np.einsum("ij,ij->j", coeffs, gram @ coeffs)
 
 
-def _winner(scores: np.ndarray, sign_matrix: np.ndarray) -> int:
-    """Index of the best score; ties within a relative 1e-12 go to the
-    fewest active parts, then to the lowest index."""
-    tied = np.flatnonzero(scores >= scores.max() * (1 - _TIE_RTOL))
-    return int(tied[np.argmin(np.abs(sign_matrix[:, tied]).sum(axis=0))])
-
-
 @dataclass(frozen=True)
 class _Statistics:
     """Everything the recursion reads from the data, computed once per build."""
@@ -204,25 +197,6 @@ def _statistics(log: np.ndarray, y) -> _Statistics:
     n = log.shape[0]
     cross = None if y is None else centred.T @ (y - y.mean()) / (n - 1)
     return _Statistics(log, (log * log).sum(axis=0), centred.T @ centred / (n - 1), cross)
-
-
-def best_balance(Xsub: CompositionMatrix, y, sign_matrix) -> tuple[np.ndarray, float]:
-    """Pick the candidate balance with the largest |cov| against y.
-
-    ``sign_matrix`` holds one candidate per column, over the parts of
-    ``Xsub``. Returns the winner's coefficient vector and its |cov|.
-    Covariance uses the n-1 divisor. Ties within a relative 1e-12 of the
-    largest |cov| are broken by the fewest active parts, then the lowest
-    candidate index.
-    """
-    sign_matrix = np.asarray(sign_matrix)
-    if sign_matrix.ndim != 2 or sign_matrix.shape[0] != Xsub.n_parts or sign_matrix.size == 0:
-        raise ValueError("sign matrix must be parts x candidates, with a candidate")
-    _check_signs(sign_matrix)
-    stats = _statistics(np.log(Xsub.values), _check_response(y, Xsub.n_samples))
-    scores = _scores(signs_to_coefficient_matrix(sign_matrix), stats.gram, stats.cross)
-    winner = _winner(scores, sign_matrix)
-    return signs_to_coefficients(sign_matrix[:, winner]), float(scores[winner])
 
 
 def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:

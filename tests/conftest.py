@@ -1,10 +1,16 @@
 """Shared test helpers: random instances and reference checks."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from plspb import CompositionMatrix, fold_indices, pca_pb, pls_pb, rmsep
-from plspb.latent import pls_regression, predict_components
+from plspb import CompositionMatrix, fold_indices, pb, pca_pb, pls_pb, rmsep
+from plspb.coda import _check_response, _check_signs, signs_to_coefficient_matrix
+from plspb.coda import signs_to_coefficients
+from plspb.errors import DimensionMismatch
+from plspb.latent import pls_regression
 from plspb.modelsel import PLS_PB, PLS_RAW
 
 
@@ -45,6 +51,35 @@ def nested_or_disjoint(sign_matrix: np.ndarray) -> bool:
     return bool(np.all(np.abs(support.T @ s)[inside] == overlap[inside]))
 
 
+def balance_values(X, b) -> np.ndarray:
+    """Values ln(X) @ b of one balance, given its coefficient vector."""
+    b = np.asarray(b, dtype=float)
+    if b.shape != (X.n_parts,):
+        raise DimensionMismatch(f"balance has shape {b.shape}, data has {X.n_parts} parts")
+    return np.log(X.values) @ b
+
+
+def best_balance(X, y, sign_matrix) -> tuple[np.ndarray, float]:
+    """Reference winner among arbitrary candidates: the coefficient vector
+    of the column of ``sign_matrix`` with the largest |cov| with y (n-1
+    divisor), scored on the builders' statistics, and that |cov|. Ties
+    within a relative 1e-12 of the largest go to the fewest active parts,
+    then to the lowest column."""
+    signs = np.asarray(sign_matrix)
+    if signs.ndim != 2 or signs.shape[0] != X.n_parts or signs.size == 0:
+        raise ValueError("sign matrix must be parts x candidates, with a candidate")
+    _check_signs(signs)
+    stats = pb._statistics(np.log(X.values), _check_response(y, X.n_samples))
+    scores = pb._scores(signs_to_coefficient_matrix(signs), stats.gram, stats.cross)
+    tied = np.flatnonzero(scores >= scores.max() * (1 - pb._TIE_RTOL))
+    winner = int(tied[np.argmin(np.abs(signs[:, tied]).sum(axis=0))])
+    return signs_to_coefficients(signs[:, winner]), float(scores[winner])
+
+
+def sha256_file(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def cv_oracle(X, y, method, max_k, folds, seed):
     """Brute-force one-repeat cross-validation on ``cross_validate``'s folds:
     one refit per fold, and one least-squares problem per size k."""
@@ -53,11 +88,11 @@ def cv_oracle(X, y, method, max_k, folds, seed):
     predictions = np.empty((n, max_k))
     for test in fold_indices(n, folds, rng):
         train = np.array([j for j in range(n) if j not in test])
-        X_train = X.take_samples(train)
+        X_train = CompositionMatrix(X.values[train])
         if method == PLS_RAW:
             model = pls_regression(X_train, y[train], max_k)
             for k in range(1, max_k + 1):
-                predictions[test, k - 1] = predict_components(model, X, k)[test]
+                predictions[test, k - 1] = model.logcontrast(k).predict(X)[test]
             continue
         basis = pls_pb(X_train, y[train]) if method == PLS_PB else pca_pb(X_train)
         coords = basis.coordinates(X)

@@ -25,18 +25,17 @@ from plspb import (
     pca_pb,
     pivot_coordinates,
     pls_pb,
-    pls_predict,
     pls_regression,
     rmsep,
     signs_to_coefficients,
     simulate_dataset,
 )
 from plspb.cli import main as cli_main
-from plspb.fileio import sha256_file, write_composition_csv, write_response_csv
+from plspb.fileio import write_composition_csv, write_response_csv
 from plspb.modelsel import PCA_PB, PLS_PB
 from plspb.simgen import build_sigma, spawn_seeds
 
-from conftest import nested_or_disjoint, random_composition, random_instance
+from conftest import nested_or_disjoint, random_composition, random_instance, sha256_file
 
 
 def report(number: int, name: str, ok: bool, detail: str, started: float):
@@ -106,7 +105,7 @@ def test_criterion_3_full_rank_pls_least_squares():
         C = clr(X)
         Cc = C - C.mean(axis=0)
         oracle = y.mean() + Cc @ np.linalg.pinv(Cc) @ (y - y.mean())
-        worst = max(worst, np.max(np.abs(pls_predict(model, X) - oracle)))
+        worst = max(worst, np.max(np.abs(model.logcontrast().predict(X) - oracle)))
     report(
         3,
         "full-rank PLS equals least squares",

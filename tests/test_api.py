@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import plspb
+import plspb.fileio
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -15,11 +16,33 @@ def test_every_exported_name_resolves():
         assert getattr(plspb, name) is not None, name
 
 
-@pytest.mark.parametrize("name", ["ClrMatrix", "center_columns", "pca_fit", "pls_fit"])
+def _resolves(owner, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        # removed in 0.5.0: clr returns an array and PLS runs through pls_regression
+        "ClrMatrix", "center_columns", "pca_fit", "pls_fit",
+        # removed in 0.7.0 without a caller: fitted models are LogContrastModel
+        "BalanceModel", "predict_components", "pls_predict", "classify", "best_balance",
+        "balance_values", "CompositionMatrix.take_samples", "fileio.sha256_file", "pb._winner",
+    ],
+)
 def test_removed_names_are_gone(name):
-    # removed in 0.5.0: clr returns an array and PLS runs through pls_regression
     assert name not in plspb.__all__
-    assert not hasattr(plspb, name)
+    for owner in (plspb, plspb.coda, plspb.latent, plspb.modelsel, plspb.pb):
+        assert not _resolves(owner, name), owner.__name__
+
+
+def test_logcontrast_model_is_exported():
+    assert "LogContrastModel" in plspb.__all__
+    assert plspb.LogContrastModel is plspb.coda.LogContrastModel
 
 
 def test_version_matches_pyproject():

@@ -20,13 +20,12 @@ from plspb.cli import main
 from plspb.fileio import (
     read_composition_csv,
     read_response_csv,
-    sha256_file,
     write_composition_csv,
     write_response_csv,
 )
 from plspb.modelsel import PCA_PB, PLS_PB
 
-from conftest import cv_oracle, random_instance
+from conftest import cv_oracle, random_instance, sha256_file
 
 
 def run_cli(*argv):
@@ -427,6 +426,7 @@ class TestRerun:
             ("recover", "noise_sd", float("nan")),
             ("recover", "n", 4.0),
             ("cv", "data", 5),
+            ("cv", "metric", None),
         ],
     )
     def test_config_value_types_checked(self, tmp_path, capsys, command, key, value):
@@ -602,20 +602,25 @@ def _six_part_table(tmp_path):
 
 class TestFailedCommand:
     @pytest.mark.parametrize(
-        "prepare",
+        "prepare, message",
         [
-            lambda tmp: ("fit", "--data", tmp / "missing.csv", "--response-file", tmp / "y.csv"),
-            lambda tmp: ("cv", "--data", _six_part_table(tmp) / "X.csv",
-                         "--response-file", tmp / "sim" / "y.csv", "--max-k", 9),
-            lambda tmp: ("rerun", "--manifest", _cv_manifest_with_null_metric(tmp)),
+            (lambda tmp: ("fit", "--data", tmp / "missing.csv", "--response-file", tmp / "y.csv"),
+             "No such file or directory"),
+            (lambda tmp: ("cv", "--data", _six_part_table(tmp) / "X.csv",
+                          "--response-file", tmp / "sim" / "y.csv", "--max-k", 9),
+             "max_k=9 outside 1..5"),
+            # main records a resolved metric, so a null one is the config check's error
+            (lambda tmp: ("rerun", "--manifest", _cv_manifest_with_null_metric(tmp)),
+             "manifest.json: config metric=None is not a valid --metric value"),
         ],
         ids=["fit-missing-data", "cv-max-k-above-d-1", "rerun-null-metric"],
     )
-    def test_writes_nothing(self, tmp_path, capsys, prepare):
+    def test_writes_nothing(self, tmp_path, capsys, prepare, message):
         argv = prepare(tmp_path)
         capsys.readouterr()
         assert run_cli(*argv, "--out", tmp_path / "out") == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not (tmp_path / "out").exists()
 
 

@@ -4,19 +4,24 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from plspb import (
     BalanceBasis,
     CompositionMatrix,
     LatentModel,
-    balance_values,
+    LogContrastModel,
     closure,
     clr,
+    fit_on_balances,
     inverse_pivot,
     pivot_basis,
     pivot_coordinates,
+    pca_pb,
     pls_pb,
+    pls_regression,
     signs_to_coefficients,
 )
 from plspb.coda import _check_signs
@@ -61,21 +66,6 @@ class TestCompositionMatrix:
     def test_default_names(self, rng):
         X = random_composition(rng, 3, 4)
         assert X.part_names == ("V1", "V2", "V3", "V4")
-
-    def test_take_samples(self, rng):
-        X = CompositionMatrix(np.exp(rng.standard_normal((6, 4))), ("a", "b", "c", "d"))
-        idx = [4, 0, 4, 2]
-        sub = X.take_samples(idx)
-        assert np.array_equal(sub.values, X.values[idx])
-        assert sub.part_names is X.part_names
-        with pytest.raises(ValueError):
-            sub.values[0, 0] = 2.0
-
-    @pytest.mark.parametrize("idx", [[3], [], [[0, 1], [2, 3]]])
-    def test_take_samples_needs_two_rows(self, rng, idx):
-        X = random_composition(rng, 5, 3)
-        with pytest.raises(ValueError, match="at least 2 samples"):
-            X.take_samples(idx)
 
 
 class TestClr:
@@ -293,27 +283,86 @@ def test_nan_rejected(build):
 
 
 class TestBalanceValues:
+    """A balance's values ln(X) @ b are the logcontrast model with
+    coefficients b and intercept 0."""
+
     def test_row_of_ones(self):
         X = CompositionMatrix(np.ones((3, 4)))
         b = signs_to_coefficients(np.array([1, 1, -1, -1]))
-        assert_allclose(balance_values(X, b), 0.0)
+        assert_allclose(LogContrastModel(b, 0.0).predict(X), 0.0)
 
     def test_two_part_formula(self):
         X = CompositionMatrix(np.array([[3.0, 1.0], [2.0, 8.0]]))
         b = signs_to_coefficients(np.array([1, -1]))
         expected = np.log(X.values[:, 0] / X.values[:, 1]) / np.sqrt(2)
-        assert_allclose(balance_values(X, b), expected, atol=1e-15)
+        assert_allclose(LogContrastModel(b, 0.0).predict(X), expected, atol=1e-15)
 
     def test_matches_clr_projection(self, rng):
+        # the model reads clr(X); zero-sum coefficients make that ln(X) @ b
         X = random_composition(rng, 15, 9)
         b = signs_to_coefficients(np.array([1, 1, 1, -1, -1, 0, 0, 0, -1]))
-        assert np.max(np.abs(balance_values(X, b) - clr(X) @ b)) < 1e-12
+        values = LogContrastModel(b, 0.0).predict(X)
+        assert np.max(np.abs(values - np.log(X.values) @ b)) < 1e-12
 
     def test_dimension_mismatch(self, rng):
         X = random_composition(rng, 4, 5)
         b = signs_to_coefficients(np.array([1, -1]))
         with pytest.raises(DimensionMismatch):
-            balance_values(X, b)
+            LogContrastModel(b, 0.0).predict(X)
+
+
+class TestLogContrastModel:
+    def test_fields_read_only_and_named(self):
+        model = LogContrastModel([0.5, -0.5], 2)
+        assert model.intercept == 2.0 and model.n_parts == 2
+        assert model.part_names == ("V1", "V2")
+        with pytest.raises(ValueError):
+            model.coefficients[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "coefficients, intercept, names, error",
+        [
+            ([1.0], 0.0, None, DimensionMismatch),
+            ([[1.0, -1.0]], 0.0, None, DimensionMismatch),
+            ([np.nan, np.nan], 0.0, None, ValueError),
+            ([1.0, -1.0], np.inf, None, ValueError),
+            ([1.0, -1.0], 0.0, ("a",), ValueError),
+            ([1.0, -1.0 + 1e-9], 0.0, None, ValueError),
+        ],
+        ids=["one-part", "matrix", "nan", "inf-intercept", "names", "nonzero-sum"],
+    )
+    def test_malformed_rejected(self, coefficients, intercept, names, error):
+        with pytest.raises(error):
+            LogContrastModel(coefficients, intercept, names)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 40),
+        d=st.integers(2, 12),
+        route=st.sampled_from(["pls-pb", "pca-pb", "pls"]),
+        log_scales=st.lists(st.floats(-20.0, 20.0), min_size=8, max_size=8),
+    )
+    def test_row_rescaling_moves_no_prediction(self, seed, n, d, route, log_scales):
+        # clr cancels each row's own factor, for the balance and the SIMPLS route
+        rng = np.random.default_rng(seed)
+        X, y = random_instance(rng, n, d)
+        k = int(rng.integers(1, min(d - 1, n - 2) + 1))
+        if route == "pls":
+            model = pls_regression(X, y).logcontrast()
+        else:
+            basis = pls_pb(X, y) if route == "pls-pb" else pca_pb(X)
+            model = fit_on_balances(X, y, basis, k)
+        Xnew = random_composition(rng, 8, d)
+        scaled = CompositionMatrix(Xnew.values * np.exp(log_scales)[:, None])
+        yhat = model.predict(Xnew)
+        assert np.max(np.abs(model.predict(scaled) - yhat)) <= 1e-11 * np.max(np.abs(yhat))
+
+    def test_classify_cuts_at_threshold(self):
+        X = CompositionMatrix(np.array([[1.0, 1.0], [np.e, 1.0], [1.0, np.e]]))
+        model = LogContrastModel([0.5, -0.5], 0.5)  # predictions 0.5, 1.0, 0.0
+        assert model.classify(X).tolist() == [1, 1, 0]
+        assert model.classify(X, threshold=0.75).tolist() == [0, 1, 0]
 
 
 class TestPivotCoordinates:

@@ -92,9 +92,11 @@ def matrices(draw):
     return matrix, np.array(columns)
 
 
-# part names with the characters that need CSV quoting, and any other text;
-# the reader strips blanks from names, so none starts or ends with one
-names = st.text(st.one_of(st.sampled_from(',"\r\n'), st.characters(exclude_characters="\0")),
+# part names with the characters that need CSV quoting, and any other text
+# that UTF-8 encodes (no lone surrogate); the writer rejects a name that
+# starts or ends with a blank, which the reader strips
+names = st.text(st.one_of(st.sampled_from(',"\r\n'),
+                          st.characters(codec="utf-8", exclude_characters="\0")),
                 min_size=1, max_size=8).filter(lambda name: name == name.strip())
 
 
@@ -156,6 +158,24 @@ class TestWriters:
             X2, _ = read_composition_csv(tmp / "X.csv")
             assert X2.part_names == X.part_names
             assert X2.values.tobytes() == X.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "part_names", [(" a", "b "), ("a", "b\t"), ("a", "\ud800")],
+        ids=["blanks", "tab", "surrogate"],
+    )
+    def test_unwritable_names_rejected(self, tmp_path, part_names):
+        # " a" and "b " would read back as "a" and "b"; a lone surrogate is no UTF-8
+        X = CompositionMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), part_names)
+        writes = [
+            lambda: write_composition_csv(tmp_path / "X.csv", X),
+            lambda: write_response_csv(tmp_path / "y.csv", [1.0, 2.0], name=part_names[1]),
+            lambda: write_recovery_csv(tmp_path / "r.csv", part_names, {"pls-pb": [1, 2]}, 3),
+        ]
+        for write in writes:
+            with pytest.raises(ValueError) as caught:
+                write()
+            assert repr(part_names[1]) in str(caught.value)
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_and_signed_zero(self, tmp_path):
         y = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0]

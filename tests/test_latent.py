@@ -6,19 +6,15 @@ from numpy.testing import assert_allclose
 
 from plspb import (
     CompositionMatrix,
-    best_balance,
     candidate_signs,
-    classify,
     clr,
     inverse_pivot,
     pls_pb,
-    pls_predict,
     pls_regression,
-    predict_components,
 )
 from plspb.errors import BalanceError, ConstantResponse, DimensionMismatch, RankDeficient
 
-from conftest import random_composition, random_instance
+from conftest import best_balance, random_composition, random_instance
 
 
 def centered_clr(X):
@@ -45,14 +41,14 @@ class TestPlsFit:
             d = int(rng.integers(3, 10))
             X, y = random_instance(rng, n, d)
             model = pls_regression(X, y, k=min(d - 1, n - 1))
-            assert np.max(np.abs(pls_predict(model, X) - pinv_fitted(X, y))) < 1e-6
+            assert np.max(np.abs(model.logcontrast().predict(X) - pinv_fitted(X, y))) < 1e-6
 
     def test_default_fits_every_component_on_full_rank_data(self, rng):
         for n, d in ((20, 6), (12, 9), (6, 15)):
             X, y = random_instance(rng, n, d)
             model = pls_regression(X, y)
             assert model.n_components == min(d - 1, n - 1)
-            assert np.max(np.abs(pls_predict(model, X) - pinv_fitted(X, y))) < 1e-6
+            assert np.max(np.abs(model.logcontrast().predict(X) - pinv_fitted(X, y))) < 1e-6
 
     def test_single_component_captures_planted_contrast(self, rng):
         # When the centered clr Gram matrix is the hyperplane projector,
@@ -67,7 +63,7 @@ class TestPlsFit:
         a -= a.mean()
         y = clr(X) @ a
         model = pls_regression(X, y, k=1)
-        residual = y - pls_predict(model, X)
+        residual = y - model.logcontrast().predict(X)
         assert np.linalg.norm(residual) < 1e-6 * np.linalg.norm(y)
         # the cross-product deflates to rounding noise after one component:
         # the default stops there, an explicit second component is refused
@@ -167,12 +163,12 @@ class TestPrediction:
         X, y = random_instance(rng, 20, 6)
         model = pls_regression(X, y, k=3)
         in_sample = model.y_mean + model_scores(model, X) @ model.latent_coefficients
-        assert np.max(np.abs(pls_predict(model, X) - in_sample)) < 1e-12
+        assert np.max(np.abs(model.logcontrast().predict(X) - in_sample)) < 1e-12
 
     def test_full_rank_predictions_match_least_squares(self, rng):
         X, y = random_instance(rng, 25, 6)
         model = pls_regression(X, y, k=5)
-        assert np.max(np.abs(pls_predict(model, X) - pinv_fitted(X, y))) < 1e-6
+        assert np.max(np.abs(model.logcontrast().predict(X) - pinv_fitted(X, y))) < 1e-6
 
     def test_row_scale_invariance(self, rng):
         X, y = random_instance(rng, 18, 5)
@@ -180,7 +176,7 @@ class TestPrediction:
         Xnew = random_composition(rng, 6, 5)
         scaled = CompositionMatrix(Xnew.values * rng.uniform(0.1, 10.0, size=(6, 1)))
         assert_allclose(
-            pls_predict(model, scaled), pls_predict(model, Xnew), atol=1e-10
+            model.logcontrast().predict(scaled), model.logcontrast().predict(Xnew), atol=1e-10
         )
 
     def test_component_truncation_is_nested(self, rng):
@@ -188,14 +184,30 @@ class TestPrediction:
         full = pls_regression(X, y, k=5)
         sub = pls_regression(X, y, k=2)
         assert_allclose(
-            predict_components(full, X, 2), pls_predict(sub, X), atol=1e-10
+            full.logcontrast(2).predict(X), sub.logcontrast().predict(X), atol=1e-10
         )
+
+    def test_logcontrast_is_the_component_model(self, rng):
+        # coefficients W_k v_k sum to zero; the intercept is y_mean - x_mean·β
+        X, y = random_instance(rng, 24, 7)
+        model = pls_regression(X, y, k=4)
+        Xnew = random_composition(rng, 9, 7)
+        for k in range(1, 5):
+            logcontrast = model.logcontrast(k)
+            assert abs(logcontrast.coefficients.sum()) < 1e-12
+            expected = model.y_mean + (clr(Xnew) - model.x_mean) @ (
+                model.weights[:, :k] @ model.latent_coefficients[:k])
+            assert_allclose(logcontrast.predict(Xnew), expected, atol=1e-12)
+        assert np.array_equal(model.logcontrast().coefficients, model.logcontrast(4).coefficients)
+        for k in (0, 5):
+            with pytest.raises(RankDeficient):
+                model.logcontrast(k)
 
     def test_dimension_mismatch(self, rng):
         X, y = random_instance(rng, 15, 5)
         model = pls_regression(X, y, k=2)
         with pytest.raises(DimensionMismatch):
-            pls_predict(model, random_composition(rng, 4, 6))
+            model.logcontrast().predict(random_composition(rng, 4, 6))
 
 
 class TestClassify:
@@ -208,19 +220,20 @@ class TestClassify:
         logs = 3.0 * labels[:, None] * a[None, :] + 0.05 * rng.standard_normal((n, 4))
         X = CompositionMatrix(np.exp(logs))
         model = pls_regression(X, labels, k=1)
-        assert np.array_equal(classify(model, X, threshold=0.5), labels.astype(int))
+        labels_hat = model.logcontrast().classify(X, threshold=0.5)
+        assert np.array_equal(labels_hat, labels.astype(int))
 
     def test_zero_threshold_marks_nonnegative(self, rng):
         X, y = random_instance(rng, 16, 5)
         model = pls_regression(X, y, k=2)
-        scores = pls_predict(model, X)
+        scores = model.logcontrast().predict(X)
         expected = (scores >= 0).astype(int)
-        assert np.array_equal(classify(model, X, threshold=0.0), expected)
+        assert np.array_equal(model.logcontrast().classify(X, threshold=0.0), expected)
 
     def test_explicit_scores(self, rng):
         X = random_composition(rng, 10, 4)
         y = np.array([0.9, 0.1] * 5)
         model = pls_regression(X, y, k=1)
-        scores = pls_predict(model, X)
+        scores = model.logcontrast().predict(X)
         expected = (scores >= 0.5).astype(int)
-        assert np.array_equal(classify(model, X), expected)
+        assert np.array_equal(model.logcontrast().classify(X), expected)

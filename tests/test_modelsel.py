@@ -13,9 +13,10 @@ from plspb import (
     one_se_select,
     pca_pb,
     pls_pb,
+    pls_regression,
     rmsep,
 )
-from plspb.modelsel import PCA_PB, PLS_PB, PLS_RAW, aggregate_error_runs
+from plspb.modelsel import PCA_PB, PLS_PB, PLS_RAW, _fold_predictions, aggregate_error_runs
 from plspb.errors import (
     BalanceError,
     Collinear,
@@ -177,6 +178,30 @@ class TestCrossValidate:
         expected = cv_oracle(X, y, method, 3, folds, seed=11)
         assert np.max(np.abs(result.mean_error - expected)) < 1e-10
 
+    @pytest.mark.parametrize("method", [PLS_PB, PCA_PB, PLS_RAW])
+    def test_fold_predictions_are_the_logcontrast_models(self, rng, method):
+        # one QR and one triangular solve per fold predict, at every k, what
+        # the fold's own LogContrastModel predicts for the rows it holds out
+        X, y = random_instance(rng, 40, 12)
+        max_k, folds, seed = 8, 4, 5
+        stream = np.random.SeedSequence(seed).spawn(1)[0]
+        got = _fold_predictions(np.log(X.values), y, method, max_k, folds,
+                                np.random.default_rng(stream))
+        result = cross_validate(X, y, method, max_k=max_k, folds=folds, seed=seed)
+        assert np.array_equal(result.mean_error, [rmsep(y, col) for col in got.T])
+        for test in fold_indices(X.n_samples, folds, np.random.default_rng(stream)):
+            train = np.delete(np.arange(X.n_samples), test)
+            X_train, y_train = CompositionMatrix(X.values[train]), y[train]
+            if method == PLS_RAW:
+                latent = pls_regression(X_train, y_train, max_k)
+                models = [latent.logcontrast(k) for k in range(1, max_k + 1)]
+            else:
+                basis = pls_pb(X_train, y_train) if method == PLS_PB else pca_pb(X_train)
+                models = [fit_on_balances(X_train, y_train, basis, k)
+                          for k in range(1, max_k + 1)]
+            want = np.column_stack([m.predict(CompositionMatrix(X.values[test])) for m in models])
+            assert np.max(np.abs(got[test] - want)) <= 1e-10 * np.max(np.abs(want))
+
     def test_deterministic_given_seed(self, rng):
         X, y = random_instance(rng, 20, 6)
         a = cross_validate(X, y, PLS_PB, max_k=4, folds=5, repeats=2, seed=3)
@@ -282,15 +307,15 @@ class TestCrossValidate:
         y_mut = y.copy()
         y_mut[test_idx] = rng.standard_normal(len(test_idx))
 
-        basis = pls_pb(X.take_samples(train_idx), y[train_idx])
-        basis_mut = pls_pb(X_mut.take_samples(train_idx), y_mut[train_idx])
+        X_train = CompositionMatrix(X.values[train_idx])
+        X_mut_train = CompositionMatrix(X_mut.values[train_idx])
+        basis = pls_pb(X_train, y[train_idx])
+        basis_mut = pls_pb(X_mut_train, y_mut[train_idx])
         assert np.array_equal(
             basis.coefficient_matrix, basis_mut.coefficient_matrix
         )
-        fit = fit_on_balances(X.take_samples(train_idx), y[train_idx], basis, 2)
-        fit_mut = fit_on_balances(
-            X_mut.take_samples(train_idx), y_mut[train_idx], basis_mut, 2
-        )
+        fit = fit_on_balances(X_train, y[train_idx], basis, 2)
+        fit_mut = fit_on_balances(X_mut_train, y_mut[train_idx], basis_mut, 2)
         assert np.array_equal(fit.coefficients, fit_mut.coefficients)
         assert fit.intercept == fit_mut.intercept
 

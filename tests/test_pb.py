@@ -12,8 +12,6 @@ from numpy.testing import assert_allclose
 from plspb import (
     CompositionMatrix,
     SimScenario,
-    balance_values,
-    best_balance,
     candidate_signs,
     clr,
     pb,
@@ -23,7 +21,8 @@ from plspb import (
     simulate_dataset,
 )
 from plspb.errors import BalanceError, ConstantResponse, DegenerateSplit, OneSidedLoading
-from conftest import nested_or_disjoint, random_composition, random_instance
+from conftest import balance_values, best_balance, nested_or_disjoint, random_composition
+from conftest import random_instance
 
 
 class TestCandidateSigns:
@@ -69,6 +68,9 @@ class TestCandidateSigns:
 
 
 class TestBestBalance:
+    """The reference winner among arbitrary candidates, which the node and
+    2-part checks below compare the builders with."""
+
     def test_single_candidate_returned(self, rng):
         X = random_composition(rng, 10, 4)
         y = rng.standard_normal(10)
