@@ -1,9 +1,9 @@
 """Command line interface: simulate, fit, cv, recover, rerun.
 
-Every command resolves its parameters into a plain config dictionary and
-executes a runner on it. The runner computes everything first, then writes
-its outputs and a manifest (config, seed, tool version, the sha256 of each
-file the command wrote) in one call, so a command that fails writes nothing.
+Every command hands its parsed options, as a plain config dictionary, to a
+runner. The runner computes everything first, then writes its outputs and a
+manifest (that config, tool version, the sha256 of each file the command
+wrote) in one call, so a command that fails writes nothing.
 ``rerun`` replays a manifest into a fresh directory and compares the
 digests of the files the replay wrote, so any run can be checked for
 bit-exact reproducibility.
@@ -51,7 +51,6 @@ def _write_outputs(command: str, config: dict, outputs: dict, extra: dict | None
     manifest = {
         "command": command,
         "config": config,
-        "seed": config.get("seed"),  # fit has no seed
         "tool_version": __version__,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": {name: writer(out_dir / name, *args)
@@ -179,7 +178,7 @@ def run_fit(config: dict) -> dict:
 
 def _cv_fresh_run(args):
     """One simulation run of the fresh-data mode (top level for pickling)."""
-    config, run_seed, methods = args
+    config, run_seed, methods, metric = args
     scenario = _scenario_from_config(config, seed=run_seed)
     dataset = simulate_dataset(scenario)
     out = {}
@@ -192,7 +191,7 @@ def _cv_fresh_run(args):
             folds=config["folds"],
             repeats=1,
             seed=run_seed,
-            metric=config["metric"],
+            metric=metric,
         )
         out[method] = result.mean_error
     return out
@@ -200,7 +199,7 @@ def _cv_fresh_run(args):
 
 def run_cv(config: dict) -> dict:
     methods = list(METHODS) if config["all_methods"] else [config["method"]]
-    metric = config["metric"]
+    metric = METRIC_ME if config["binary"] else METRIC_RMSEP
     results = {}
     if config["data"]:
         X, y = _load_data(config)
@@ -218,7 +217,7 @@ def run_cv(config: dict) -> dict:
     else:
         # fresh-data mode: one new dataset per run, 1 repeat of k-fold each
         runs = config["runs"]
-        tasks = [(config, seed, methods) for seed in _run_seeds(config)]
+        tasks = [(config, seed, methods, metric) for seed in _run_seeds(config)]
         curves = _map_runs(_cv_fresh_run, tasks, config["jobs"])
         for method in methods:
             errors = np.stack([curve[method] for curve in curves])
@@ -318,11 +317,9 @@ def run_rerun(manifest_path: str, out: str, parser: argparse.ArgumentParser) -> 
     for action in actions:
         if action.dest not in config:
             raise ValueError(f"{manifest_path}: config lacks {action.dest}")
-    # main records a resolved config, such as a cv metric that is never None
-    resolved = _config_from_args(argparse.Namespace(**{**config, "command": manifest["command"]}))
     for action in actions:
         value = config[action.dest]
-        if not _config_value_ok(action, value) or resolved[action.dest] != value:
+        if not _config_value_ok(action, value):
             raise ValueError(
                 f"{manifest_path}: config {action.dest}={value!r} is not a valid "
                 f"{action.option_strings[0]} value"
@@ -368,7 +365,7 @@ def _add_data_flags(parser):
         "--response-file", help="single-column response CSV (header + values)"
     )
     parser.add_argument(
-        "--binary", action="store_true", help="treat the response as 0/1 labels"
+        "--binary", action="store_true", help="0/1 labels; cv scores misclassification error"
     )
 
 
@@ -405,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--repeats", type=int, default=1, help="fold reshuffles (--data mode)")
     p.add_argument("--runs", type=int, default=100, help="fresh datasets (scenario mode)")
-    p.add_argument("--metric", choices=(METRIC_RMSEP, METRIC_ME), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
@@ -443,24 +439,13 @@ def _config_value_ok(action: argparse.Action, value) -> bool:
         return False
 
 
-def _config_from_args(args: argparse.Namespace) -> dict:
-    config = {k: v for k, v in vars(args).items() if k != "command"}
-    if args.command == "cv":
-        if config["metric"] is None:
-            config["metric"] = METRIC_ME if config["binary"] else METRIC_RMSEP
-        if config["metric"] == METRIC_ME:
-            config["binary"] = True
-    return config
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "rerun":
             return 0 if run_rerun(args.manifest, args.out, parser) else 1
-        config = _config_from_args(args)
-        _RUNNERS[args.command](config)
+        _RUNNERS[args.command]({k: v for k, v in vars(args).items() if k != "command"})
         return 0
     except (BalanceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

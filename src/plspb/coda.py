@@ -27,6 +27,9 @@ from .errors import BalanceError, DegenerateSplit, DimensionMismatch, ZeroPart
 ORTHONORMAL_TOL = 1e-10
 ALGEBRA_TOL = 1e-12
 
+# A model of a 0/1-coded response labels a sample 1 from this prediction up.
+CLASSIFICATION_THRESHOLD = 0.5
+
 
 def default_part_names(n_parts: int) -> tuple[str, ...]:
     """Signal-style labels V1..VD used when a table carries no header."""
@@ -133,8 +136,9 @@ class BalanceBasis:
     denominator, 0 elsewhere); ``coefficient_matrix`` is derived from it by
     the balance formula. ``covariances`` carries |cov| with the response for
     supervised bases; ``variances`` carries balance variances for
-    unsupervised ones, one value per balance. Columns are sorted by the
-    available ordering values, non-increasing.
+    unsupervised ones, one value per balance; a basis carries at most one
+    of them. Columns are sorted by the available ordering values,
+    non-increasing.
     """
 
     coefficient_matrix: np.ndarray = field(init=False)
@@ -155,6 +159,8 @@ class BalanceBasis:
         if not np.all(np.abs(b.T @ b - np.eye(k)) <= ORTHONORMAL_TOL):
             raise ValueError("balance columns are not orthonormal")
         names = _part_names(self.part_names, d)
+        if self.covariances is not None and self.variances is not None:
+            raise ValueError("a basis carries covariances or variances, not both")
         for label in ("covariances", "variances"):
             vals = getattr(self, label)
             if vals is None:
@@ -233,7 +239,8 @@ class LogContrastModel:
             raise DimensionMismatch(f"model has {self.n_parts} parts, data has {X.n_parts}")
         return self.intercept + clr(X) @ self.coefficients
 
-    def classify(self, X: CompositionMatrix, threshold: float = 0.5) -> np.ndarray:
+    def classify(self, X: CompositionMatrix,
+                 threshold: float = CLASSIFICATION_THRESHOLD) -> np.ndarray:
         """0/1 labels for a model of a 0/1-coded response: 1 where the
         prediction is at least ``threshold``."""
         return (self.predict(X) >= threshold).astype(int)

@@ -42,7 +42,7 @@ class NonBinary(BalanceError):
 
 
 class TooFewSamples(BalanceError):
-    """Fewer samples than the requested cross-validation layout needs."""
+    """Fewer samples than a basis build or a cross-validation layout needs."""
 
 
 class NotPositiveDefinite(BalanceError):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import BalanceBasis, CompositionMatrix, LogContrastModel, _check_response
+from .coda import CLASSIFICATION_THRESHOLD, BalanceBasis, CompositionMatrix, LogContrastModel
+from .coda import _check_response
 from .errors import (
     Collinear,
     EmptyInput,
@@ -32,8 +33,6 @@ METHODS = (PLS_PB, PCA_PB, PLS_RAW)
 
 METRIC_RMSEP = "rmsep"
 METRIC_ME = "me"
-
-CLASSIFICATION_THRESHOLD = 0.5
 
 # A design column whose residual after the earlier columns (its diagonal
 # entry of R) is at most this fraction of the largest column norm is

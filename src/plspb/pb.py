@@ -63,7 +63,7 @@ import numpy as np
 
 from .coda import BalanceBasis, CompositionMatrix, _check_response, _readonly
 from .coda import signs_to_coefficient_matrix
-from .errors import ConstantResponse, OneSidedLoading
+from .errors import ConstantResponse, OneSidedLoading, TooFewSamples
 
 _TIE_RTOL = 1e-12
 # Relative thresholds of the no-signal fallbacks.
@@ -388,7 +388,7 @@ def _build(log: np.ndarray, y, max_k: int | None = None, return_tree=False, part
     None: the leading ``max_k`` balances (all D-1 when None) as a validated
     ``BalanceBasis``. ``cross_validate`` calls it on each fold's log rows."""
     if log.shape[0] < 3:
-        raise ValueError("need at least 3 samples")
+        raise TooFewSamples(f"a basis build needs at least 3 samples, got {log.shape[0]}")
     if y is not None and np.ptp(y) == 0.0:
         raise ConstantResponse("response has zero variance")
     n_parts = log.shape[1]

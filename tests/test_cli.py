@@ -245,6 +245,14 @@ class TestCv:
         errors = [float(r[2]) for r in rows[1:]]
         assert all(0.0 <= e <= 1.0 for e in errors)
 
+    def test_metric_option_is_gone(self, tmp_path, capsys):
+        # --binary is cv's one classification switch
+        with pytest.raises(SystemExit) as exc:
+            run_cli("cv", "--max-k", 2, "--metric", "me", "--out", tmp_path / "cv")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --metric me" in capsys.readouterr().err
+        assert not (tmp_path / "cv").exists()
+
     def test_fresh_mode_parallel_matches_serial(self, tmp_path):
         args = [
             "cv", "--case", "one-block", "--n", 24, "--d", 8, "--blocks", "4",
@@ -421,12 +429,10 @@ class TestRerun:
             ("recover", "noise_sd", "1.0"),
             ("cv", "binary", "yes"),
             ("cv", "max_k", None),
-            ("cv", "metric", "mse"),
+            ("cv", "data", 5),
             ("recover", "blocks", []),
             ("recover", "noise_sd", float("nan")),
             ("recover", "n", 4.0),
-            ("cv", "data", 5),
-            ("cv", "metric", None),
         ],
     )
     def test_config_value_types_checked(self, tmp_path, capsys, command, key, value):
@@ -446,14 +452,14 @@ class TestRerun:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_recorded_configs_pass_the_check(self, data):
-        # any argv the parser accepts is recorded as main records it, and
-        # rerun's check passes every option of it on to the runner
+        # main records the parsed options of any argv the parser accepts as
+        # they are, and rerun's check hands that config on to the runner
         parser = cli.build_parser()
         command = data.draw(st.sampled_from(["simulate", "fit", "cv", "recover"]))
         commands = next(a for a in parser._actions if a.dest == "command")
         argv = [command]
         for action in commands.choices[command]._actions:
-            if action.dest == "help" or not (action.required or data.draw(st.booleans())):
+            if action.dest in ("help", "out") or not (action.required or data.draw(st.booleans())):
                 continue
             flag = action.option_strings[0]
             if action.nargs == 0:
@@ -461,17 +467,50 @@ class TestRerun:
             else:
                 texts = st.sampled_from(action.choices) if action.choices else OPTION_TEXT[action.type]
                 argv.append(f"{flag}={data.draw(texts)}")
-        config = cli._config_from_args(parser.parse_args(argv))
-        replayed = []
+        runs = []
 
         def runner(config):
-            replayed.append(config)
-            return {"outputs": {}}
+            runs.append(config)
+            return cli._write_outputs(command, config, {})
 
         with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(cli._RUNNERS, {command: runner}):
-            cli._write_outputs(command, dict(config, out=tmp), {})
-            assert cli.run_rerun(str(Path(tmp) / "manifest.json"), "replay", parser)
-        assert replayed == [dict(config, out="replay")]
+            argv += ["--out", tmp]
+            assert cli.main(argv) == 0
+            manifest = json.loads((Path(tmp) / "manifest.json").read_text(encoding="utf-8"))
+            assert cli.main(["rerun", "--manifest", str(Path(tmp) / "manifest.json"),
+                             "--out", tmp]) == 0
+        config = {k: v for k, v in vars(parser.parse_args(argv)).items() if k != "command"}
+        assert runs == [config, config]
+        assert manifest["config"] == config
+        assert set(manifest) == {"command", "config", "tool_version", "created_utc", "outputs"}
+
+    @pytest.mark.parametrize(
+        "binary, metric, status",
+        [(False, "rmsep", "OK"), (True, "me", "OK"), (True, "rmsep", "MISMATCH")],
+        ids=["rmsep", "binary-me", "binary-rmsep"],
+    )
+    def test_manifest_with_a_metric_replays(self, tmp_path, capsys, binary, metric, status):
+        # a 0.7.0 cv config holds the former --metric option: me exactly when
+        # --binary is set, except --binary --metric rmsep (RMSEP on 0/1 labels).
+        # --binary alone now picks the metric, so only that one replays to
+        # another cv.csv
+        n = 20
+        labels = np.array([0.0, 1.0] * (n // 2))
+        X = CompositionMatrix(np.exp(labels[:, None] * [1.0, -1.0, 0.4, -0.4, 0.0]
+                                     + 0.5 * np.random.default_rng(3).standard_normal((n, 5))))
+        write_composition_csv(tmp_path / "X.csv", X)
+        write_response_csv(tmp_path / "y.csv", labels)
+        out = tmp_path / "orig"
+        argv = ("cv", "--data", tmp_path / "X.csv", "--response-file", tmp_path / "y.csv",
+                "--all-methods", "--max-k", 3, "--folds", 4, "--out", out)
+        assert run_cli(*argv, *(("--binary",) if metric == "me" else ())) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"].update(binary=binary, metric=metric)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r")
+        assert code == (0 if status == "OK" else 1)
+        assert capsys.readouterr().out.splitlines()[-1] == f"{status} cv.csv"
 
     @pytest.mark.parametrize(
         "content, message",
@@ -585,19 +624,14 @@ class TestRerun:
         assert not (tmp_path / "r").exists()  # rejected before anything ran
 
 
-def _cv_manifest_with_null_metric(tmp_path):
-    out = tmp_path / "orig"
-    assert run_cli("cv", "--n", 20, "--d", 8, "--blocks", "4", "--runs", 1, "--max-k", 2,
-                   "--out", out) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["config"]["metric"] = None
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    return out / "manifest.json"
-
-
 def _six_part_table(tmp_path):
     assert run_cli("simulate", "--n", 20, "--d", 6, "--blocks", 2, "--out", tmp_path / "sim") == 0
     return tmp_path / "sim"
+
+
+def _response_file(tmp_path, n):
+    write_response_csv(tmp_path / "y_other.csv", np.arange(n, dtype=float))
+    return tmp_path / "y_other.csv"
 
 
 class TestFailedCommand:
@@ -609,11 +643,14 @@ class TestFailedCommand:
             (lambda tmp: ("cv", "--data", _six_part_table(tmp) / "X.csv",
                           "--response-file", tmp / "sim" / "y.csv", "--max-k", 9),
              "max_k=9 outside 1..5"),
-            # main records a resolved metric, so a null one is the config check's error
-            (lambda tmp: ("rerun", "--manifest", _cv_manifest_with_null_metric(tmp)),
-             "manifest.json: config metric=None is not a valid --metric value"),
+            (lambda tmp: ("fit", "--data", _six_part_table(tmp) / "X.csv",
+                          "--response-file", _response_file(tmp, 19)),
+             "response length does not match the data table"),
+            (lambda tmp: ("cv", "--data", _six_part_table(tmp) / "X.csv",
+                          "--response-file", tmp / "sim" / "y.csv", "--binary", "--max-k", 2),
+             "--binary needs a 0/1-coded response"),
         ],
-        ids=["fit-missing-data", "cv-max-k-above-d-1", "rerun-null-metric"],
+        ids=["fit-missing-data", "cv-max-k-above-d-1", "fit-response-length", "cv-binary-continuous"],
     )
     def test_writes_nothing(self, tmp_path, capsys, prepare, message):
         argv = prepare(tmp_path)

@@ -247,6 +247,13 @@ class TestBalanceChecks:
         with pytest.raises(DimensionMismatch, match="one value per balance"):
             BalanceBasis(full.sign_matrix[:, :k], variances=full.covariances[: k - 1])
 
+    def test_ordering_values_and_part_count_checked(self, rng):
+        basis = BalanceBasis([[1, 1], [-1, 1], [0, -1]])
+        with pytest.raises(ValueError, match="neither covariances nor variances"):
+            basis.ordering_values
+        with pytest.raises(DimensionMismatch, match="basis has 3 parts, data has 4"):
+            basis.coordinates(random_composition(rng, 5, 4))
+
     def test_crossing_supports_rejected(self):
         # each column is a valid balance, but the supports neither nest nor
         # stay disjoint, so the columns are not orthogonal
@@ -269,16 +276,19 @@ def _basis_with_covariances(covariances):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, message",
     [
-        lambda: _basis_with_covariances([np.nan, 1.0]),
-        lambda: _latent_model([[1.0], [-1.0], [np.nan]]),
+        (lambda: _basis_with_covariances([np.nan, 1.0]), "non-increasing"),
+        (lambda: _latent_model([[1.0], [-1.0], [np.nan]]), "sum to zero"),
+        (lambda: BalanceBasis([[1], [-1]], covariances=[1.0], variances=[1.0]),
+         "covariances or variances, not both"),
     ],
-    ids=["covariance", "weight"],
+    ids=["covariance", "weight", "both-orderings"],
 )
-def test_nan_rejected(build):
-    # every check reads "not all(|x| <= tol)", which NaN fails
-    with pytest.raises(ValueError):
+def test_nan_rejected(build, message):
+    # every check reads "not all(|x| <= tol)", which NaN fails; a basis
+    # with both orderings has no one sort key
+    with pytest.raises(ValueError, match=message):
         build()
 
 

@@ -371,6 +371,21 @@ class TestReader:
         with pytest.raises(ValueError, match=message):
             self.read(tmp_path, text)
 
+    @pytest.mark.parametrize(
+        "read, text, message",
+        [
+            (lambda path: read_composition_csv(path, response_col="y"), "a,b\n1,2\n",
+             "no column named 'y'"),
+            (read_response_csv, "y,z\n1,2\n", "expected one header cell and one value per row"),
+        ],
+        ids=["response-col-absent", "response-two-columns"],
+    )
+    def test_missing_columns_named(self, tmp_path, read, text, message):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read(path)
+
     def test_digit_separators_rejected(self, tmp_path):
         # float() reads 1_000; C strtod, and so the table reader, does not
         with pytest.raises(ValueError, match="1_000"):

@@ -157,6 +157,20 @@ class TestPlsFit:
         with pytest.raises(RankDeficient):
             pls_regression(X, y, k=4)
 
+    @pytest.mark.parametrize(
+        "rows, y, message",
+        [
+            ([[1.0, 2.0, 4.0], [1.0, 2.0, 4.0]], [0.0, 1.0], "clr data is constant"),
+            # clr rows -c, +c, -c, +c against the centred response ±0.5
+            ([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0], [2.0, 1.0]], [1.0, 1.0, 0.0, 0.0],
+             "response is orthogonal to the clr data"),
+        ],
+        ids=["constant-clr", "orthogonal-response"],
+    )
+    def test_no_covariance_rejected(self, rows, y, message):
+        with pytest.raises(RankDeficient, match=message):
+            pls_regression(CompositionMatrix(rows), y)
+
 
 class TestPrediction:
     def test_training_predictions_match_fit(self, rng):

@@ -240,6 +240,10 @@ class TestCrossValidate:
             cross_validate(X, y, PLS_PB, max_k=2, folds=5)
         with pytest.raises(ValueError, match="need at least 2 folds"):
             cross_validate(X, y, PLS_PB, max_k=2, folds=1)
+        # two folds of two rows: every basis build sees only two samples
+        for method in (PLS_PB, PCA_PB):
+            with pytest.raises(TooFewSamples, match="needs at least 3 samples, got 2"):
+                cross_validate(X, y, method, max_k=1, folds=2)
 
     def test_non_finite_response_rejected(self, rng):
         X, y = random_instance(rng, 12, 5)
@@ -275,6 +279,27 @@ class TestCrossValidate:
         X, y = random_instance(rng, 12, 5)
         with pytest.raises(ValueError):
             cross_validate(X, y, PLS_PB, max_k=5, folds=4)
+        # wide data: the largest training fold of 12 rows in 5 folds holds 9
+        X, y = random_instance(rng, 12, 30)
+        with pytest.raises(RankDeficient, match="max_k=10 exceeds trainable rank 8"):
+            cross_validate(X, y, PLS_RAW, max_k=10, folds=5)
+        for method in (PLS_PB, PCA_PB):
+            with pytest.raises(Collinear, match="max_k=10 regressors need more than 9 rows"):
+                cross_validate(X, y, method, max_k=10, folds=5)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"method": "lasso"}, "unknown method 'lasso'"),
+            ({"metric": "mse"}, "unknown metric 'mse'"),
+            ({"repeats": 0}, "need at least one repeat"),
+        ],
+        ids=["method", "metric", "repeats"],
+    )
+    def test_bad_arguments_rejected(self, rng, kwargs, message):
+        X, y = random_instance(rng, 12, 5)
+        with pytest.raises(ValueError, match=message):
+            cross_validate(X, y, **{"method": PLS_PB, "max_k": 2, **kwargs})
 
     def test_one_block_curves_nearly_coincide_at_small_k(self):
         # in the single-block setting both balance systems recover the same

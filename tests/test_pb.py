@@ -21,6 +21,7 @@ from plspb import (
     simulate_dataset,
 )
 from plspb.errors import BalanceError, ConstantResponse, DegenerateSplit, OneSidedLoading
+from plspb.errors import TooFewSamples
 from conftest import balance_values, best_balance, nested_or_disjoint, random_composition
 from conftest import random_instance
 
@@ -463,6 +464,12 @@ class TestTopK:
             pls_pb(X, y, max_k=max_k)
         with pytest.raises(ValueError, match="max_k"):
             pca_pb(X, max_k=max_k)
+
+    @pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
+    def test_two_samples_rejected(self, builder):
+        X = CompositionMatrix([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]])
+        with pytest.raises(TooFewSamples, match="needs at least 3 samples, got 2"):
+            build(builder, X, np.array([0.0, 1.0]))
 
     def test_tree_needs_the_full_basis(self, rng):
         # unexpanded subtrees would read as None, like single parts
