@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, fileio
 from .coda import default_part_names
-from .errors import BalanceError, NonBinary
+from .errors import BalanceError
 from .latent import pls_regression
 from .modelsel import (
     METHODS,
@@ -103,8 +103,6 @@ def _load_data(config: dict, require_response: bool = True):
         return X, None
     if response.shape[0] != X.n_samples:
         raise ValueError("response length does not match the data table")
-    if config["binary"] and not np.all(np.isin(response, (0.0, 1.0))):
-        raise NonBinary("--binary needs a 0/1-coded response")
     return X, response
 
 
@@ -199,6 +197,8 @@ def _cv_fresh_run(args):
 
 def run_cv(config: dict) -> dict:
     methods = list(METHODS) if config["all_methods"] else [config["method"]]
+    if config["binary"] and not config["data"]:
+        raise ValueError("--binary needs --data: the simulator makes only continuous responses")
     metric = METRIC_ME if config["binary"] else METRIC_RMSEP
     results = {}
     if config["data"]:
@@ -364,9 +364,6 @@ def _add_data_flags(parser):
     parser.add_argument(
         "--response-file", help="single-column response CSV (header + values)"
     )
-    parser.add_argument(
-        "--binary", action="store_true", help="0/1 labels; cv scores misclassification error"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,6 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cv", help="cross-validated model size selection")
     _add_data_flags(p)
+    p.add_argument(
+        "--binary", action="store_true", help="0/1 --data response; scores misclassification error"
+    )
     _add_scenario_flags(p)
     p.add_argument("--method", choices=METHODS, default=PLS_PB)
     p.add_argument(

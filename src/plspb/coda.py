@@ -90,22 +90,10 @@ class CompositionMatrix:
         return self.values.shape[1]
 
 
-def signs_to_coefficient_matrix(sign_matrix) -> np.ndarray:
-    """Balance coefficients of a sign vector, or of every column of a sign
-    matrix.
-
-    With r parts coded +1 and s parts coded -1 in a column, its positive
-    entries become sqrt(s / ((r + s) * r)) and its negative entries
-    -sqrt(r / ((r + s) * s)); zeros stay zero. Columns need both groups
-    nonempty. The input is not checked here: public callers check the
-    signs with ``_check_signs`` first.
-    """
-    signs = np.asarray(sign_matrix)
-    r = (signs == 1).sum(axis=0)
-    s = (signs == -1).sum(axis=0)
-    pos = np.sqrt(s / ((r + s) * r))
-    neg = -np.sqrt(r / ((r + s) * s))
-    return np.where(signs == 1, pos, 0.0) + np.where(signs == -1, neg, 0.0)
+def _balance_entries(r, s):
+    """The coefficients of a balance's r numerator and s denominator parts:
+    sqrt(s / ((r + s) * r)) and -sqrt(r / ((r + s) * s))."""
+    return np.sqrt(s / ((r + s) * r)), -np.sqrt(r / ((r + s) * s))
 
 
 def _check_signs(signs: np.ndarray) -> None:
@@ -115,6 +103,30 @@ def _check_signs(signs: np.ndarray) -> None:
         raise ValueError("sign entries must be in {-1, 0, +1}")
     if not (np.all(np.any(signs == 1, axis=0)) and np.all(np.any(signs == -1, axis=0))):
         raise DegenerateSplit("balance needs nonempty numerator and denominator")
+
+
+def signs_to_coefficients(signs) -> np.ndarray:
+    """Read-only coefficients of a balance, given its sign vector, or of
+    every column of a D x k sign matrix: zero-sum with unit norm.
+
+    With r parts coded +1 and s parts coded -1, the positive entries become
+    sqrt(s / ((r + s) * r)) and the negative entries -sqrt(r / ((r + s) * s));
+    zeros stay zero.
+
+    Raises
+    ------
+    ValueError
+        If ``signs`` is not a vector or a D x k matrix with k >= 1, with
+        entries in {-1, 0, +1}.
+    DegenerateSplit
+        If either group of the vector, or of a column, is empty.
+    """
+    signs = np.asarray(signs)
+    if signs.ndim not in (1, 2) or signs.shape[-1] == 0:
+        raise ValueError("signs must be a vector or a D x k matrix with k >= 1")
+    _check_signs(signs)
+    pos, neg = _balance_entries((signs == 1).sum(axis=0), (signs == -1).sum(axis=0))
+    return _readonly(np.where(signs == 1, pos, 0.0) + np.where(signs == -1, neg, 0.0))
 
 
 def _check_response(y, n: int) -> np.ndarray:
@@ -134,44 +146,36 @@ class BalanceBasis:
 
     ``sign_matrix`` holds one balance per column (+1 numerator, -1
     denominator, 0 elsewhere); ``coefficient_matrix`` is derived from it by
-    the balance formula. ``covariances`` carries |cov| with the response for
-    supervised bases; ``variances`` carries balance variances for
-    unsupervised ones, one value per balance; a basis carries at most one
-    of them. Columns are sorted by the available ordering values,
+    ``signs_to_coefficients``. ``ordering_values``, one per balance, is the
+    sort key: |cov| with the response for a supervised basis, the balance
+    variance for an unsupervised one. Columns are sorted by it,
     non-increasing.
     """
 
     coefficient_matrix: np.ndarray = field(init=False)
     sign_matrix: np.ndarray
-    covariances: np.ndarray | None = None
-    variances: np.ndarray | None = None
+    ordering_values: np.ndarray | None = None
     part_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         s = np.array(self.sign_matrix)
         if s.ndim != 2 or not 1 <= s.shape[1] <= s.shape[0] - 1:
             raise ValueError("sign matrix must be D x k with 1 <= k <= D-1")
-        # Before the int cast, which would truncate 0.5 or NaN to 0.
-        _check_signs(s)
+        # Checks the entries before the int cast, which would truncate 0.5 or NaN to 0.
+        b = signs_to_coefficients(s)
         s = s.astype(int)
-        b = signs_to_coefficient_matrix(s)
         d, k = s.shape
         if not np.all(np.abs(b.T @ b - np.eye(k)) <= ORTHONORMAL_TOL):
             raise ValueError("balance columns are not orthonormal")
         names = _part_names(self.part_names, d)
-        if self.covariances is not None and self.variances is not None:
-            raise ValueError("a basis carries covariances or variances, not both")
-        for label in ("covariances", "variances"):
-            vals = getattr(self, label)
-            if vals is None:
-                continue
-            vals = np.array(vals, dtype=float)
+        if self.ordering_values is not None:
+            vals = np.array(self.ordering_values, dtype=float)
             if vals.shape != (k,):
-                raise DimensionMismatch(f"{label} must have one value per balance")
+                raise DimensionMismatch("ordering_values must have one value per balance")
             if not np.all(np.diff(vals) <= ALGEBRA_TOL):
-                raise ValueError(f"{label} must be non-increasing")
-            object.__setattr__(self, label, _readonly(vals))
-        object.__setattr__(self, "coefficient_matrix", _readonly(b))
+                raise ValueError("ordering_values must be non-increasing")
+            object.__setattr__(self, "ordering_values", _readonly(vals))
+        object.__setattr__(self, "coefficient_matrix", b)
         object.__setattr__(self, "sign_matrix", _readonly(s))
         object.__setattr__(self, "part_names", names)
 
@@ -182,14 +186,6 @@ class BalanceBasis:
     @property
     def n_balances(self) -> int:
         return self.coefficient_matrix.shape[1]
-
-    @property
-    def ordering_values(self) -> np.ndarray:
-        """The sort key: covariances when supervised, else variances."""
-        vals = self.covariances if self.covariances is not None else self.variances
-        if vals is None:
-            raise ValueError("basis carries neither covariances nor variances")
-        return vals
 
     def coordinates(self, X: CompositionMatrix) -> np.ndarray:
         """Balance coordinate values ln(X) @ B, one column per balance."""
@@ -289,24 +285,6 @@ def clr(X: CompositionMatrix) -> np.ndarray:
     """
     logs = np.log(X.values)
     return _readonly(logs - logs.mean(axis=1, keepdims=True))
-
-
-def signs_to_coefficients(signs) -> np.ndarray:
-    """Read-only coefficient vector of one balance, given its sign vector:
-    zero-sum with unit norm (formula: ``signs_to_coefficient_matrix``).
-
-    Raises
-    ------
-    ValueError
-        If ``signs`` is not a 1-d vector with entries in {-1, 0, +1}.
-    DegenerateSplit
-        If either group is empty.
-    """
-    signs = np.asarray(signs)
-    if signs.ndim != 1:
-        raise ValueError("signs must be a 1-d vector")
-    _check_signs(signs)
-    return _readonly(signs_to_coefficient_matrix(signs))
 
 
 def pivot_basis(n_parts: int) -> np.ndarray:

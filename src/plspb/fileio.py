@@ -160,6 +160,8 @@ def write_basis_csv(path, basis: BalanceBasis) -> str:
     one negative value (its minimum), 0.0 and one positive value (its
     maximum), so its cells are picked from those three texts by sign + 1:
     the bytes of ``write_matrix_csv`` with one ``repr`` per column."""
+    if basis.ordering_values is None:
+        raise ValueError("a basis written to CSV needs its ordering_values")
     b = basis.coefficient_matrix
     k = b.shape[1]
     texts = np.array([[*map(repr, b.min(axis=0).tolist())], ["0.0"] * k,

@@ -56,13 +56,12 @@ full build computes none and expands every node once.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import BalanceBasis, CompositionMatrix, _check_response, _readonly
-from .coda import signs_to_coefficient_matrix
+from .coda import BalanceBasis, CompositionMatrix, _balance_entries, _check_response, _readonly
+from .coda import signs_to_coefficients
 from .errors import ConstantResponse, OneSidedLoading, TooFewSamples
 
 _TIE_RTOL = 1e-12
@@ -122,7 +121,7 @@ class PartitionNode:
 def _candidates(p: np.ndarray, magnitudes: np.ndarray, hi, lo):
     """The d x (d-1) activity mask, part signs (+1 where p >= 0, else -1) and
     coefficients of the nested candidates of a two-sided loading p, given |p|
-    and its extremes hi, lo: bit for bit ``signs_to_coefficient_matrix(candidate_signs(p))``."""
+    and its extremes hi, lo: bit for bit ``signs_to_coefficients(candidate_signs(p))``."""
     key = -magnitudes
     key[hi] = key[lo] = -np.inf  # the two extremes first
     order = key.argsort(kind="stable")
@@ -131,8 +130,7 @@ def _candidates(p: np.ndarray, magnitudes: np.ndarray, hi, lo):
     active = rank[:, None] < counts
     positive = p >= 0
     r = positive[order].cumsum()[1:]  # of which r are positive
-    s = counts - r
-    coeffs = np.where(positive[:, None], np.sqrt(s / (counts * r)), -np.sqrt(r / (counts * s)))
+    coeffs = np.where(positive[:, None], *_balance_entries(r, counts - r))
     return active, np.where(positive, 1, -1), np.where(active, coeffs, 0.0)
 
 
@@ -271,7 +269,7 @@ def _embed(signs: np.ndarray, indices: np.ndarray, n_parts: int) -> np.ndarray:
 _CHOSEN, _CONNECTING = 0, 1
 _CHILD_SLOTS = ((2, 0), (3, 1), (4, -1))  # (slot, side of the chosen signs)
 # Coefficients of a 2-part node's balance (+1, -1), as one column.
-PAIR = _readonly(signs_to_coefficient_matrix(np.array([[1], [-1]])))
+PAIR = signs_to_coefficients(np.array([[1], [-1]]))
 
 
 def _open_node(stats: _Statistics, heap: list, finish, path: tuple, indices: np.ndarray, cap):
@@ -358,9 +356,8 @@ def _partition(stats: _Statistics, max_k: int):
 
         link_score = None
         r = d - 2 - winner  # candidate j leaves d-j-2 parts out
-        if r:  # r left-out parts against d - r, by signs_to_coefficient_matrix's formula
-            a, b = math.sqrt((d - r) / (d * r)), -math.sqrt(r / (d * (d - r)))
-            column = np.where(signs == 0, a, b)[:, None]
+        if r:  # r left-out parts against d - r
+            column = np.where(signs == 0, *_balance_entries(r, d - r))[:, None]
             link_score = 0.0 if candidates is None else float(_scores(column, gram, cross)[0])
         finish(path, indices, signs, score, link_score)
 
@@ -403,8 +400,7 @@ def _build(log: np.ndarray, y, max_k: int | None = None, return_tree=False, part
     signs = np.zeros((n_parts, k), dtype=int)
     columns = np.repeat(np.arange(k), [indices.shape[0] for indices in parts])
     signs[np.concatenate(parts), columns] = np.concatenate(local)
-    label = "variances" if y is None else "covariances"
-    basis = BalanceBasis(signs, part_names=part_names, **{label: np.array(scores)})
+    basis = BalanceBasis(signs, np.array(scores), part_names)
     return (basis, _tree(expanded, n_parts)) if return_tree else basis
 
 

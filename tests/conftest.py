@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from plspb import CompositionMatrix, fold_indices, pb, pca_pb, pls_pb, rmsep
-from plspb.coda import _check_response, _check_signs, signs_to_coefficient_matrix
-from plspb.coda import signs_to_coefficients
+from plspb.coda import _check_response, signs_to_coefficients
 from plspb.errors import DimensionMismatch
 from plspb.latent import pls_regression
 from plspb.modelsel import PLS_PB, PLS_RAW
@@ -68,9 +67,8 @@ def best_balance(X, y, sign_matrix) -> tuple[np.ndarray, float]:
     signs = np.asarray(sign_matrix)
     if signs.ndim != 2 or signs.shape[0] != X.n_parts or signs.size == 0:
         raise ValueError("sign matrix must be parts x candidates, with a candidate")
-    _check_signs(signs)
     stats = pb._statistics(np.log(X.values), _check_response(y, X.n_samples))
-    scores = pb._scores(signs_to_coefficient_matrix(signs), stats.gram, stats.cross)
+    scores = pb._scores(signs_to_coefficients(signs), stats.gram, stats.cross)
     tied = np.flatnonzero(scores >= scores.max() * (1 - pb._TIE_RTOL))
     winner = int(tied[np.argmin(np.abs(signs[:, tied]).sum(axis=0))])
     return signs_to_coefficients(signs[:, winner]), float(scores[winner])

@@ -253,6 +253,14 @@ class TestCv:
         assert "unrecognized arguments: --metric me" in capsys.readouterr().err
         assert not (tmp_path / "cv").exists()
 
+    def test_fit_has_no_binary_option(self, tmp_path, capsys):
+        # --binary belongs to cv, where it picks the metric
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fit", "--data", tmp_path / "X.csv", "--binary", "--out", tmp_path / "fit")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --binary" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
     def test_fresh_mode_parallel_matches_serial(self, tmp_path):
         args = [
             "cv", "--case", "one-block", "--n", 24, "--d", 8, "--blocks", "4",
@@ -370,6 +378,15 @@ OPTION_TEXT = {
     cli._block_sizes: st.lists(_INTS.map(str), min_size=1, max_size=5).map(", ".join),
     None: st.text(),
 }
+
+
+def _write_labelled_table(tmp_path):
+    """X.csv of 20 samples over 5 parts, and y.csv of their 0/1 labels."""
+    labels = np.array([0.0, 1.0] * 10)
+    X = CompositionMatrix(np.exp(labels[:, None] * [1.0, -1.0, 0.4, -0.4, 0.0]
+                                 + 0.5 * np.random.default_rng(3).standard_normal((20, 5))))
+    write_composition_csv(tmp_path / "X.csv", X)
+    write_response_csv(tmp_path / "y.csv", labels)
 
 
 class TestRerun:
@@ -494,12 +511,7 @@ class TestRerun:
         # --binary is set, except --binary --metric rmsep (RMSEP on 0/1 labels).
         # --binary alone now picks the metric, so only that one replays to
         # another cv.csv
-        n = 20
-        labels = np.array([0.0, 1.0] * (n // 2))
-        X = CompositionMatrix(np.exp(labels[:, None] * [1.0, -1.0, 0.4, -0.4, 0.0]
-                                     + 0.5 * np.random.default_rng(3).standard_normal((n, 5))))
-        write_composition_csv(tmp_path / "X.csv", X)
-        write_response_csv(tmp_path / "y.csv", labels)
+        _write_labelled_table(tmp_path)
         out = tmp_path / "orig"
         argv = ("cv", "--data", tmp_path / "X.csv", "--response-file", tmp_path / "y.csv",
                 "--all-methods", "--max-k", 3, "--folds", 4, "--out", out)
@@ -511,6 +523,22 @@ class TestRerun:
         code = run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r")
         assert code == (0 if status == "OK" else 1)
         assert capsys.readouterr().out.splitlines()[-1] == f"{status} cv.csv"
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_fit_manifest_with_binary_replays(self, tmp_path, capsys, binary):
+        # a 0.7.0 fit config holds the former fit --binary flag, which changed
+        # no output; rerun reads only the keys of fit's options
+        _write_labelled_table(tmp_path)
+        out = tmp_path / "orig"
+        assert run_cli("fit", "--data", tmp_path / "X.csv", "--response-file", tmp_path / "y.csv",
+                       "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["binary"] = binary
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r") == 0
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "OK coefficients.csv", "OK signs.csv", "OK tree.json"]
 
     @pytest.mark.parametrize(
         "content, message",
@@ -648,9 +676,13 @@ class TestFailedCommand:
              "response length does not match the data table"),
             (lambda tmp: ("cv", "--data", _six_part_table(tmp) / "X.csv",
                           "--response-file", tmp / "sim" / "y.csv", "--binary", "--max-k", 2),
-             "--binary needs a 0/1-coded response"),
+             "misclassification error needs a 0/1-coded response"),
+            (lambda tmp: ("cv", "--case", "one-block", "--n", 30, "--d", 8, "--blocks", "4",
+                          "--runs", 1, "--max-k", 2, "--binary"),
+             "--binary needs --data"),
         ],
-        ids=["fit-missing-data", "cv-max-k-above-d-1", "fit-response-length", "cv-binary-continuous"],
+        ids=["fit-missing-data", "cv-max-k-above-d-1", "fit-response-length", "cv-binary-continuous",
+             "cv-binary-simulated"],
     )
     def test_writes_nothing(self, tmp_path, capsys, prepare, message):
         argv = prepare(tmp_path)

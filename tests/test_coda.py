@@ -130,10 +130,12 @@ class TestSignsToCoefficients:
 
     @pytest.mark.parametrize(
         "signs",
-        [[1, 2, -1], [1, 0.5, -1], [1, np.nan, -1], [[1, -1], [-1, 1]], 1],
-        ids=["two", "half", "nan", "matrix", "scalar"],
+        [[1, 2, -1], [1, 0.5, -1], [1, np.nan, -1], [[1, 1], [-1, 1], [0, 1]], 1,
+         [[[1], [-1]]], np.zeros((3, 0), dtype=int)],
+        ids=["two", "half", "nan", "matrix", "scalar", "3-d", "3x0"],
     )
     def test_malformed_signs_rejected(self, signs):
+        # "matrix" is a valid first column next to one without a -1 part
         with pytest.raises(ValueError):
             signs_to_coefficients(np.array(signs))
 
@@ -202,23 +204,31 @@ class TestBalanceChecks:
     def test_coefficients_follow_the_signs(self, rng):
         X, y = random_instance(rng, 20, 6)
         signs = pls_pb(X, y).sign_matrix
-        basis = BalanceBasis(signs, variances=[5.0, 4.0, 3.0, 2.0, 1.0])
+        basis = BalanceBasis(signs, [5.0, 4.0, 3.0, 2.0, 1.0])
         expected = np.column_stack([signs_to_coefficients(col) for col in signs.T])
         assert np.array_equal(basis.coefficient_matrix, expected)
         assert not basis.coefficient_matrix.flags.writeable
+        # the matrix form is the vector form of every column, bit for bit
+        matrix = signs_to_coefficients(signs)
+        assert matrix.tobytes() == expected.tobytes() and not matrix.flags.writeable
+        for d in range(2, 6):
+            columns = np.array([c for c in itertools.product((-1, 0, 1), repeat=d)
+                                if 1 in c and -1 in c]).T
+            expected = np.column_stack([signs_to_coefficients(col) for col in columns.T])
+            assert signs_to_coefficients(columns).tobytes() == expected.tobytes()
 
     def test_basis_with_one_sided_columns_rejected(self):
         with pytest.raises(DegenerateSplit):
-            BalanceBasis(np.eye(3, dtype=int)[:, :2], variances=[1.0, 0.5])
+            BalanceBasis(np.eye(3, dtype=int)[:, :2], [1.0, 0.5])
 
     @pytest.mark.parametrize("entry", [0.5, np.nan])
     def test_malformed_sign_entry_rejected(self, entry):
         # a valid basis whose entry [0, 1] moves off {-1, 0, +1}
         signs = np.array([[1.0, 0, -1], [-1, 1, -1], [-1, -1, -1], [0, 0, 1]])
-        BalanceBasis(signs, variances=[3.0, 2.0, 1.0])
+        BalanceBasis(signs, [3.0, 2.0, 1.0])
         signs[0, 1] = entry
         with pytest.raises(ValueError, match="sign entries"):
-            BalanceBasis(signs, variances=[3.0, 2.0, 1.0])
+            BalanceBasis(signs, [3.0, 2.0, 1.0])
 
     @pytest.mark.parametrize(
         "signs",
@@ -239,18 +249,17 @@ class TestBalanceChecks:
         # the first k balances of a basis over D=6 parts, with k values each
         X, y = random_instance(rng, 20, 6)
         full = pls_pb(X, y)
-        basis = BalanceBasis(full.sign_matrix[:, :k], covariances=full.covariances[:k])
+        basis = BalanceBasis(full.sign_matrix[:, :k], full.ordering_values[:k])
         assert basis.n_parts == 6 and basis.n_balances == k
         assert np.array_equal(basis.coefficient_matrix, full.coefficient_matrix[:, :k])
         with pytest.raises(DimensionMismatch, match="one value per balance"):
-            BalanceBasis(full.sign_matrix[:, :k], covariances=np.append(full.covariances[:k], 0.0))
+            BalanceBasis(full.sign_matrix[:, :k], np.append(full.ordering_values[:k], 0.0))
         with pytest.raises(DimensionMismatch, match="one value per balance"):
-            BalanceBasis(full.sign_matrix[:, :k], variances=full.covariances[: k - 1])
+            BalanceBasis(full.sign_matrix[:, :k], full.ordering_values[: k - 1])
 
     def test_ordering_values_and_part_count_checked(self, rng):
         basis = BalanceBasis([[1, 1], [-1, 1], [0, -1]])
-        with pytest.raises(ValueError, match="neither covariances nor variances"):
-            basis.ordering_values
+        assert basis.ordering_values is None
         with pytest.raises(DimensionMismatch, match="basis has 3 parts, data has 4"):
             basis.coordinates(random_composition(rng, 5, 4))
 
@@ -271,23 +280,20 @@ def _latent_model(weights):
     )
 
 
-def _basis_with_covariances(covariances):
-    return BalanceBasis(np.array([[1, 1], [-1, 1], [0, -1]]), covariances=covariances)
+def _basis_with_ordering(values):
+    return BalanceBasis(np.array([[1, 1], [-1, 1], [0, -1]]), values)
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: _basis_with_covariances([np.nan, 1.0]), "non-increasing"),
+        (lambda: _basis_with_ordering([np.nan, 1.0]), "non-increasing"),
         (lambda: _latent_model([[1.0], [-1.0], [np.nan]]), "sum to zero"),
-        (lambda: BalanceBasis([[1], [-1]], covariances=[1.0], variances=[1.0]),
-         "covariances or variances, not both"),
     ],
-    ids=["covariance", "weight", "both-orderings"],
+    ids=["covariance", "weight"],
 )
 def test_nan_rejected(build, message):
-    # every check reads "not all(|x| <= tol)", which NaN fails; a basis
-    # with both orderings has no one sort key
+    # every check reads "not all(|x| <= tol)", which NaN fails
     with pytest.raises(ValueError, match=message):
         build()
 

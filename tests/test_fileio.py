@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plspb import CompositionMatrix
+from plspb import BalanceBasis, CompositionMatrix
 from plspb.fileio import (
     _json_text,
     read_composition_csv,
@@ -218,6 +218,12 @@ class TestWriters:
              "a,pca-pb,1,3", "b,pca-pb,2,3", "a,pls-pb,3,3", "b,pls-pb,0,3"]
         )
 
+    def test_basis_without_ordering_values_rejected(self, tmp_path):
+        # its header row would have no values to carry
+        basis = BalanceBasis([[1, 1], [-1, 1], [0, -1]])
+        with pytest.raises(ValueError, match="needs its ordering_values"):
+            write_basis_csv(tmp_path / "coefficients.csv", basis)
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -155,7 +155,7 @@ class TestPlsPb:
         coords = basis.coordinates(X)
         yc = y - y.mean()
         recomputed = np.abs((coords - coords.mean(0)).T @ yc) / (X.n_samples - 1)
-        assert_allclose(basis.covariances, recomputed, atol=1e-12)
+        assert_allclose(basis.ordering_values, recomputed, atol=1e-12)
 
     def test_scale_invariant_signs(self, rng):
         for _ in range(5):
@@ -181,7 +181,7 @@ class TestPlsPb:
                 t = balance_values(X, signs_to_coefficients(cand))
                 tc = t - t.mean()
                 cand_cov = abs(tc @ yc) / (X.n_samples - 1)
-                assert basis.covariances[0] >= cand_cov - 1e-10
+                assert basis.ordering_values[0] >= cand_cov - 1e-10
 
     def test_tied_candidates_and_tied_lead(self, rng):
         # g is (1, t, -t, -1 - 1e-13) up to scale, t = sqrt(2) - 1. The two
@@ -200,7 +200,7 @@ class TestPlsPb:
         basis = pls_pb(CompositionMatrix(np.exp(logs)), yc)
         assert basis.sign_matrix.T.tolist() == [[1, 0, 0, -1], [0, 1, -1, 0], [-1, 1, 1, -1]]
         scale = yc @ yc / (n - 1)
-        assert_allclose(basis.covariances, [np.sqrt(2) * scale, np.sqrt(2) * t * scale, 0.0],
+        assert_allclose(basis.ordering_values, [np.sqrt(2) * scale, np.sqrt(2) * t * scale, 0.0],
                         rtol=1e-9, atol=1e-12 * scale)
 
     @settings(max_examples=40, deadline=None)
@@ -247,10 +247,10 @@ class TestPlsPb:
         second = pls_pb(X, y)
         assert np.array_equal(first.coefficient_matrix, second.coefficient_matrix)
         check_basis(X, first)
-        assert np.all(first.covariances < 1e-12)
+        assert np.all(first.ordering_values < 1e-12)
         unsupervised = pca_pb(X)
         check_basis(X, unsupervised)
-        assert np.all(unsupervised.variances < 1e-12)
+        assert np.all(unsupervised.ordering_values < 1e-12)
 
     def test_fitted_values_match_pca_basis(self, rng):
         # both bases span the clr hyperplane, so full regressions agree
@@ -288,7 +288,7 @@ class TestPcaPb:
         C = clr(X)
         Cc = C - C.mean(axis=0)
         total = np.sum(Cc**2) / (X.n_samples - 1)
-        assert abs(basis.variances.sum() - total) < 1e-8
+        assert abs(basis.ordering_values.sum() - total) < 1e-8
 
     def test_variances_match_recomputation(self, rng):
         X = random_composition(rng, 25, 7)
@@ -296,7 +296,7 @@ class TestPcaPb:
         coords = basis.coordinates(X)
         centered = coords - coords.mean(axis=0)
         recomputed = (centered**2).sum(axis=0) / (X.n_samples - 1)
-        assert_allclose(basis.variances, recomputed, atol=1e-12)
+        assert_allclose(basis.ordering_values, recomputed, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,10 +509,10 @@ class TestTwoPartNodes:
         assert basis.sign_matrix.tolist() == [[1], [-1]]
         if builder == "pls-pb":
             _, score = best_balance(X, y, [[1], [-1]])
-            assert basis.covariances[0] == score
+            assert basis.ordering_values[0] == score
         else:
             values = balance_values(X, basis.coefficient_matrix[:, 0])
-            assert_allclose(basis.variances[0], values.var(ddof=1), rtol=1e-12)
+            assert_allclose(basis.ordering_values[0], values.var(ddof=1), rtol=1e-12)
 
     @pytest.mark.parametrize("max_k", [None, 1])
     @pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
@@ -571,7 +571,7 @@ class TestTwoPartNodes:
             loading = pb._loading(stats, np.arange(2), stats.gram, None, vector)
             kept = loading is not None and loading.max() > 0 > loading.min()
             paired = float(pb._scores(pb.PAIR, stats.gram, None)[0])
-            assert pca_pb(X).variances[0] == (paired if kept else 0.0) >= 0.0
+            assert pca_pb(X).ordering_values[0] == (paired if kept else 0.0) >= 0.0
             outcomes.add((kept, paired < 0))
         assert outcomes == {(True, False), (False, False), (False, True)}
 

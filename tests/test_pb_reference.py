@@ -39,7 +39,6 @@ from plspb import (
     signs_to_coefficients,
     simulate_dataset,
 )
-from plspb.coda import signs_to_coefficient_matrix
 from plspb.errors import RankDeficient
 from plspb.pb import _candidates, _node_candidates
 from plspb.simgen import CASES, SimScenario
@@ -240,7 +239,7 @@ def test_orthogonal_response_falls_back(rng):
     basis, tree = pls_pb(X, y, return_tree=True)
     assert_matches_reference(X, y)
     assert {1, 2, 3, 4} in _parts_of_nodes(tree)
-    assert np.all(basis.covariances[-3:] == 0.0)
+    assert np.all(basis.ordering_values[-3:] == 0.0)
 
 
 def nested_or_disjoint_loop(sign_matrix) -> bool:
@@ -313,7 +312,7 @@ def test_fused_candidates_match_the_sign_matrix(p):
     public = candidate_signs(p)
     assert public.dtype == signs.dtype and np.array_equal(public, signs)
     _, _, coeffs = _candidates(p, np.abs(p), p.argmax(), p.argmin())
-    assert coeffs.tobytes() == signs_to_coefficient_matrix(signs).tobytes()
+    assert coeffs.tobytes() == signs_to_coefficients(candidate_signs(p)).tobytes()
 
 
 def node_candidates_070(p):
