@@ -299,6 +299,108 @@ class TestPcaPb:
         assert_allclose(basis.ordering_values, recomputed, atol=1e-12)
 
 
+def gram_with_spectrum(rng, eigenvalues, top=None):
+    """A symmetric d x d matrix with the constant vector in its null space
+    and the given d-1 eigenvalues on an orthonormal basis of the rest, so
+    it is its own H G H; and that basis, one eigenvector per column. A zero-sum
+    unit vector ``top`` is the first eigenvector."""
+    d = len(eigenvalues) + 1
+    first = rng.standard_normal((d, 1)) if top is None else np.asarray(top)[:, None]
+    q, _ = np.linalg.qr(np.column_stack([np.ones(d), first, rng.standard_normal((d, d - 2))]))
+    vectors = q[:, 1:]
+    return (vectors * np.asarray(eigenvalues, dtype=float)) @ vectors.T, vectors
+
+
+class TestTopEigenpair:
+    """For node sizes in ``pb._SQUARING_PARTS``, ``_top_eigenpair`` squares
+    H G H instead of calling eigh; at other sizes it returns eigh's pair bit
+    for bit."""
+
+    SIZES = (pb._SQUARING_PARTS.start, 64, 100, pb._SQUARING_PARTS.stop - 1)
+
+    @staticmethod
+    def squaring(gram, monkeypatch):
+        def no_eigh(matrix):
+            raise AssertionError("eigh called on the squaring route")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", no_eigh)
+            return pb._top_eigenpair(gram)
+
+    @staticmethod
+    def assert_matches_eigh(gram, value, vector):
+        h = np.eye(gram.shape[0]) - 1 / gram.shape[0]  # H formed as a matrix
+        eigenvalues, eigenvectors = np.linalg.eigh(h @ gram @ h)
+        assert abs(np.linalg.norm(vector) - 1) <= 1e-14
+        assert abs(vector @ eigenvectors[:, -1]) >= 1 - 1e-12
+        assert abs(value - eigenvalues[-1]) <= 1e-12 * eigenvalues[-1]
+
+    @pytest.mark.parametrize("d", SIZES)
+    @pytest.mark.parametrize("n", [10, 150])
+    def test_random_gram(self, rng, d, n, monkeypatch):
+        gram = pb._statistics(np.log(random_composition(rng, n, d).values), None).gram
+        self.assert_matches_eigh(gram, *self.squaring(gram, monkeypatch))
+
+    @pytest.mark.parametrize("d", SIZES)
+    def test_close_top_eigenvalues(self, rng, d, monkeypatch):
+        gram, _ = gram_with_spectrum(rng, [1.0, 1 - 1e-6, *rng.uniform(0, 0.5, d - 3)])
+        self.assert_matches_eigh(gram, *self.squaring(gram, monkeypatch))
+
+    @pytest.mark.parametrize("d", SIZES)
+    def test_top_eigenvector_zero_on_most_parts(self, rng, d, monkeypatch):
+        # B's column of largest diagonal entry keeps v; a column where v is
+        # zero would hold only rounding
+        top = np.zeros(d)
+        top[[1, 2]] = np.sqrt(0.5), -np.sqrt(0.5)
+        gram, _ = gram_with_spectrum(rng, [1.0, *rng.uniform(0, 0.9, d - 2)], top)
+        value, vector = self.squaring(gram, monkeypatch)
+        self.assert_matches_eigh(gram, value, vector)
+        assert abs(vector @ top) >= 1 - 1e-12
+
+    @pytest.mark.parametrize("d", SIZES)
+    def test_rank_one(self, rng, d, monkeypatch):
+        gram, vectors = gram_with_spectrum(rng, [3.0, *np.zeros(d - 2)])
+        value, vector = self.squaring(gram, monkeypatch)
+        self.assert_matches_eigh(gram, value, vector)
+        assert abs(vector @ vectors[:, 0]) >= 1 - 1e-12
+
+    @pytest.mark.parametrize("d", SIZES)
+    def test_equal_top_eigenvalues(self, rng, d, monkeypatch):
+        # never rank one: the loop stops at its cap, inside the top eigenspace
+        gram, vectors = gram_with_spectrum(rng, [1.0, 1.0, *rng.uniform(0, 0.5, d - 3)])
+        value, vector = self.squaring(gram, monkeypatch)
+        assert abs(value - 1.0) <= 1e-12
+        assert np.linalg.norm(gram @ vector - value * vector) <= 1e-12 * np.linalg.norm(gram, 2)
+        assert np.linalg.norm(vectors[:, :2].T @ vector) >= 1 - 1e-12
+
+    @pytest.mark.parametrize("d", SIZES)
+    def test_zero_block_takes_eigh(self, d):
+        gram = np.zeros((d, d))
+        eigenvalues, eigenvectors = np.linalg.eigh(gram)
+        value, vector = pb._top_eigenpair(gram)
+        assert value == eigenvalues[-1] == 0.0
+        assert np.array_equal(vector, eigenvectors[:, -1])
+
+    def test_dominant_negative_eigenvalue_takes_eigh(self, rng):
+        # squaring finds the eigenvalue of largest magnitude, here -3 with a
+        # positive trace: its Rayleigh quotient is negative, so eigh decides
+        d = pb._SQUARING_PARTS.start
+        gram, vectors = gram_with_spectrum(rng, [2.0, -3.0, 1.5, *np.zeros(d - 4)])
+        value, vector = pb._top_eigenpair(gram)
+        eigenvalues, eigenvectors = np.linalg.eigh(centred_070(gram))
+        assert value == eigenvalues[-1]
+        assert np.array_equal(vector, eigenvectors[:, -1])
+        assert abs(vector @ vectors[:, 0]) >= 1 - 1e-12
+
+    @pytest.mark.parametrize("d", [pb._SQUARING_PARTS.start - 1, pb._SQUARING_PARTS.stop])
+    def test_other_sizes_are_eigh(self, rng, d):
+        gram = pb._statistics(np.log(random_composition(rng, 40, d).values), None).gram
+        eigenvalues, eigenvectors = np.linalg.eigh(centred_070(gram))
+        value, vector = pb._top_eigenpair(gram)
+        assert value == eigenvalues[-1]
+        assert np.array_equal(vector, eigenvectors[:, -1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -432,6 +534,29 @@ class TestTopK:
         full = build(builder, X, y)
         assert_leading_columns(full, build(builder, X, y, max_k=k), k)
         assert_leading_columns(full, build(builder, X, y, max_k=d - 1), d - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 80),
+        d=st.integers(2, 64),
+        copies=st.integers(1, 32),
+        builder=st.sampled_from(["pls-pb", "pca-pb"]),
+        data=st.data(),
+    )
+    @example(seed=1, n=30, d=64, copies=32, builder="pca-pb", data=None)
+    def test_duplicated_parts(self, seed, n, d, copies, builder, data):
+        # copies of other parts: exact zero eigenvalues of H G H and tied |p|
+        # entries, also in nodes whose top eigenpair comes from squaring
+        rng = np.random.default_rng(seed)
+        X, y = random_instance(rng, n, d)
+        values = X.values.copy()
+        values[:, rng.integers(0, d, copies)] = values[:, rng.integers(0, d, copies)]
+        X = CompositionMatrix(values)
+        full = build(builder, X, y)
+        check_basis(X, full)
+        k = d // 2 if data is None else data.draw(st.integers(1, d - 1), label="k")
+        assert_leading_columns(full, build(builder, X, y, max_k=k), k)
 
     @pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
     def test_simulated_data_every_k(self, builder):
