@@ -38,24 +38,23 @@ balances. It expands nodes from a heap keyed by an upper bound on the score
 of every balance inside the node. Any such balance is a unit zero-sum
 contrast c on the node's parts, so for pls-pb |c'g[idx]| <= ||H g[idx]||
 (Cauchy-Schwarz), and for pca-pb c'G[idx, idx]c is at most the top
-eigenvalue of H G[idx, idx] H and at most its trace. A node's bound is the
-smaller of its own and its parent's, so a pca-pb child inherits its
-parent's top eigenvalue. A pca-pb node's own top eigenvalue comes with the
-top eigenvector its expansion needs anyway: on its first pop the node
-computes the pair and, when it lowers the bound, goes back into the heap
-under it. From 20 to 149 parts the pair comes from repeated squaring of
-H G[idx, idx] H, which is faster there, and otherwise from eigh. The route
-changes no output: the loading matters only through the order and signs of
-its entries, scores come from G, and the squaring's eigenvalue, a Rayleigh
-quotient, is within about 1e-15 of eigh's, far inside the stop slack. The engine
-stops once the k-th best kept score exceeds the largest open bound by a
-slack of 1e-9 of the root's uncentred scale (||g|| or tr G): that slack
-covers the rounding of scores and bounds, and being strictly positive it
-keeps a pruned node from holding a balance tied with the k-th that comes
-earlier in preorder. Every node's work depends only on its parts, so the
-first k balances, their order and their scores are bit-identical to the
-full build's. With k = D-1 the heap drains whatever the bounds, so the
-full build computes none and expands every node once.
+eigenvalue of H G[idx, idx] H. Each bound comes with the loading the node's
+expansion needs: a node computes both when its parent opens it and enters
+the heap once, keyed by the smaller of its own bound and its parent's. For
+pca-pb, nodes of 20 to 149 parts take the top eigenpair from repeated
+squaring of H G[idx, idx] H, which is faster there, when it converges within
+16 squarings, and otherwise from eigh. The route changes no output: the
+loading matters only through the order and signs of its entries, scores
+come from G, and the squaring's eigenvalue, a Rayleigh quotient, is within
+about 1e-15 of eigh's, far inside the stop slack. The engine stops once the
+k-th best kept score exceeds the largest open bound by a slack of 1e-9 of
+the root's uncentred scale (||g|| or tr G): that slack covers the rounding
+of scores and bounds, and being strictly positive it keeps a pruned node
+from holding a balance tied with the k-th that comes earlier in preorder.
+Every node's work depends only on its parts, so the first k balances, their
+order and their scores are bit-identical to the full build's. With k = D-1
+the heap drains whatever the bounds, so the full build expands every node
+once.
 """
 
 from __future__ import annotations
@@ -83,8 +82,10 @@ _STOP_RTOL = 1e-9
 # parts on, where the squarings' d^3 products outweigh its own.
 _SQUARING_PARTS = range(20, 150)
 _RANK_ONE_TOL = 1e-8
-# An exactly repeated top eigenvalue never reaches rank one.
-_MAX_SQUARINGS = 64
+# A node not rank one after this many squarings has its top two eigenvalues
+# within about 6e-4 of each other (an exactly repeated one never gets there)
+# and takes eigh instead.
+_MAX_SQUARINGS = 16
 
 
 @dataclass(frozen=True)
@@ -217,8 +218,9 @@ def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
     ``_RANK_ONE_TOL``), at most ``_MAX_SQUARINGS`` times: B is then v v' up
     to about 1e-16, and A times B's column of largest diagonal entry,
     normalised, is v, with its Rayleigh quotient as the eigenvalue. Other
-    sizes, a trace <= 0 and a non-positive quotient (a negative eigenvalue
-    of larger magnitude) take ``eigh``.
+    sizes, a trace <= 0, a B not rank one after the last squaring and a
+    non-positive quotient (a negative eigenvalue of larger magnitude) take
+    ``eigh``.
     """
     d = gram.shape[0]
     col_means = np.add.reduce(gram) / d
@@ -231,19 +233,20 @@ def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
             purity = power.trace()  # tr B^2 of the B just squared
             power /= purity
             if 1 - purity <= _RANK_ONE_TOL:
+                vector = centred @ power[:, power.diagonal().argmax()]
+                vector /= np.sqrt(vector @ vector)
+                value = float(vector @ centred @ vector)
+                if value > 0:
+                    return value, vector
                 break
-        vector = centred @ power[:, power.diagonal().argmax()]
-        vector /= np.sqrt(vector @ vector)
-        value = float(vector @ centred @ vector)
-        if value > 0:
-            return value, vector
     eigenvalues, eigenvectors = np.linalg.eigh(centred)
     return float(eigenvalues[-1]), eigenvectors[:, -1]
 
 
-def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross, direction):
-    """Loading of a node, not yet oriented, or None when it has no usable signal;
-    ``direction`` is the top eigenvector of H G[idx, idx] H (pca-pb only)."""
+def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, loading: np.ndarray):
+    """A node's ``loading``, H g[idx] for pls-pb (``stats.cross`` set) or the
+    top eigenvector of H G[idx, idx] H for pca-pb, not yet oriented; None when
+    the node has no usable signal."""
     n, d = stats.log.shape[0], gram.shape[0]
     trace = gram.trace()
     energy = float(trace - np.add.reduce(np.add.reduce(gram) / d))  # tr(H G[idx, idx] H)
@@ -255,19 +258,18 @@ def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross, d
         block = block - np.add.reduce(block, 1, keepdims=True) / d
         if np.linalg.norm(block - np.add.reduce(block) / n) <= _CONSTANT_TOL * np.sqrt(scale_sq):
             return None
-    if cross is None:
-        return direction
-    p = cross - np.add.reduce(cross) / d
+    if stats.cross is None:
+        return loading
     # SIMPLS rank boundary: the score t = Xc p / ||p|| and the x-loading
     # Xc't / ||t|| must stay above 1e-10 of ||Xc||, where Xc'Xc is
     # (n-1) H G[idx, idx] H and ||Xc||^2 is (n-1) * energy.
-    gp = gram @ p
+    gp = gram @ loading
     gp -= np.add.reduce(gp) / d
-    t_sq = float(p @ gp)
+    t_sq = float(loading @ gp)
     tol = _RANK_TOL**2 * energy
-    if t_sq <= tol * float(p @ p) or float(gp @ gp) <= tol * t_sq:
+    if t_sq <= tol * float(loading @ loading) or float(gp @ gp) <= tol * t_sq:
         return None
-    return p
+    return loading
 
 
 def _pair_signal(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross) -> bool:
@@ -289,7 +291,8 @@ def _pair_signal(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cros
     window = (n - 1) * energy <= _CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace
     if not signal or safe and not window:
         return signal
-    return _loading(stats, indices, gram, cross, np.array([1.0, h])) is not None
+    loading = np.array([1.0, h]) if cross is None else cross - np.add.reduce(cross) / 2
+    return _loading(stats, indices, gram, loading) is not None
 
 
 def _embed(signs: np.ndarray, indices: np.ndarray, n_parts: int) -> np.ndarray:
@@ -309,10 +312,12 @@ PAIR = signs_to_coefficients(np.array([[1], [-1]]))
 
 
 def _open_node(stats: _Statistics, heap: list, finish, path: tuple, indices: np.ndarray, cap):
-    """Push a node of at least 3 parts with its score bound, at most ``cap``
-    (-inf in a full build, which keys it by -inf without computing one). A
-    2-part node goes to ``finish`` at once, +1 on its first part (its loading
-    +-(1, -1) is an exact tie), scored 0 without ``_pair_signal``; no eigh."""
+    """Push a node of at least 3 parts once, with its loading, keyed by its
+    score bound, at most ``cap``: for pca-pb the top eigenpair of
+    H G[idx, idx] H gives both, for pls-pb p = H g[idx] is the loading and
+    ||p|| the bound. A 2-part node goes to ``finish`` at once, +1 on its first
+    part (its loading +-(1, -1) is an exact tie), scored 0 without
+    ``_pair_signal``; no eigh."""
     d = indices.shape[0]
     if d == 2:
         gram = stats.gram.take(indices, 0).take(indices, 1)
@@ -322,17 +327,13 @@ def _open_node(stats: _Statistics, heap: list, finish, path: tuple, indices: np.
         return
     if d < 3:
         return
-    if cap == -np.inf:
-        heapq.heappush(heap, (np.inf, path, indices, None))
-        return
     if stats.cross is None:
-        gram = stats.gram.take(indices, 0).take(indices, 1)
-        own = gram.trace() - np.add.reduce(gram, None) / d  # tr(H G[idx, idx] H)
+        own, loading = _top_eigenpair(stats.gram.take(indices, 0).take(indices, 1))
     else:
-        cross = stats.cross[indices]
-        cross = cross - np.add.reduce(cross) / d
-        own = np.sqrt(cross @ cross)  # ||H g[idx]||
-    heapq.heappush(heap, (-min(cap, float(own)), path, indices, None))
+        loading = stats.cross[indices]
+        loading = loading - np.add.reduce(loading) / d
+        own = np.sqrt(loading @ loading)
+    heapq.heappush(heap, (-min(cap, float(own)), path, indices, loading))
 
 
 def _partition(stats: _Statistics, max_k: int):
@@ -360,26 +361,15 @@ def _partition(stats: _Statistics, max_k: int):
                 if len(kept) > max_k:
                     heapq.heappop(kept)
 
-    # min-heap of (-bound, path, indices, top eigenpair once a pca-pb node has
-    # it); in a full build every bound is -inf, so no node is re-queued.
-    heap: list = []
-    cap = -np.inf if max_k == n_parts - 1 else np.inf
-    _open_node(stats, heap, finish, (), np.arange(n_parts), cap)
+    heap: list = []  # min-heap of (-bound, path, indices, loading)
+    _open_node(stats, heap, finish, (), np.arange(n_parts), np.inf)
 
     while heap and not (len(kept) == max_k and kept[0][0] > slack - heap[0][0]):
-        neg_bound, path, indices, eigenpair = heapq.heappop(heap)
+        neg_bound, path, indices, loading = heapq.heappop(heap)
         gram = stats.gram.take(indices, 0).take(indices, 1)
-        if stats.cross is None and eigenpair is None:
-            # A pca-pb node's first pop: its own top eigenvalue bounds its
-            # balances, so it goes back under that bound if it is lower.
-            eigenpair = _top_eigenpair(gram)
-            if eigenpair[0] < -neg_bound:
-                heapq.heappush(heap, (-eigenpair[0], path, indices, eigenpair))
-                continue
         cross = None if stats.cross is None else stats.cross[indices]
-        direction = None if eigenpair is None else eigenpair[1]
         d = indices.shape[0]
-        loading = _loading(stats, indices, gram, cross, direction)
+        loading = _loading(stats, indices, gram, loading)
         candidates = None if loading is None else _node_candidates(loading)
         if candidates is None:  # the first part against the last: d-2 left out, as in candidate 0
             signs, score, winner = np.r_[1, np.zeros(d - 2, dtype=int), -1], 0.0, 0

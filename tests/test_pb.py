@@ -1,7 +1,9 @@
 """Tests for principal balance construction."""
 
 import dataclasses
+import heapq
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -313,8 +315,9 @@ def gram_with_spectrum(rng, eigenvalues, top=None):
 
 class TestTopEigenpair:
     """For node sizes in ``pb._SQUARING_PARTS``, ``_top_eigenpair`` squares
-    H G H instead of calling eigh; at other sizes it returns eigh's pair bit
-    for bit."""
+    H G H instead of calling eigh while that reaches rank one within
+    ``pb._MAX_SQUARINGS`` squarings; otherwise it returns eigh's pair bit for
+    bit."""
 
     SIZES = (pb._SQUARING_PARTS.start, 64, 100, pb._SQUARING_PARTS.stop - 1)
 
@@ -341,10 +344,23 @@ class TestTopEigenpair:
         gram = pb._statistics(np.log(random_composition(rng, n, d).values), None).gram
         self.assert_matches_eigh(gram, *self.squaring(gram, monkeypatch))
 
+    @staticmethod
+    def assert_is_eigh(gram, value, vector):
+        eigenvalues, eigenvectors = np.linalg.eigh(centred_070(gram))
+        assert value == eigenvalues[-1]
+        assert np.array_equal(vector, eigenvectors[:, -1])
+
     @pytest.mark.parametrize("d", SIZES)
-    def test_close_top_eigenvalues(self, rng, d, monkeypatch):
-        gram, _ = gram_with_spectrum(rng, [1.0, 1 - 1e-6, *rng.uniform(0, 0.5, d - 3)])
+    def test_top_eigenvalues_1e_2_apart_still_square(self, rng, d, monkeypatch):
+        # about 12 squarings, inside the cap of 16
+        gram, _ = gram_with_spectrum(rng, [1.0, 0.99, *rng.uniform(0, 0.5, d - 3)])
         self.assert_matches_eigh(gram, *self.squaring(gram, monkeypatch))
+
+    @pytest.mark.parametrize("d", SIZES)
+    def test_close_top_eigenvalues(self, rng, d):
+        # about 26 squarings would reach rank one: past the cap, eigh decides
+        gram, _ = gram_with_spectrum(rng, [1.0, 1 - 1e-6, *rng.uniform(0, 0.5, d - 3)])
+        self.assert_is_eigh(gram, *pb._top_eigenpair(gram))
 
     @pytest.mark.parametrize("d", SIZES)
     def test_top_eigenvector_zero_on_most_parts(self, rng, d, monkeypatch):
@@ -365,13 +381,10 @@ class TestTopEigenpair:
         assert abs(vector @ vectors[:, 0]) >= 1 - 1e-12
 
     @pytest.mark.parametrize("d", SIZES)
-    def test_equal_top_eigenvalues(self, rng, d, monkeypatch):
-        # never rank one: the loop stops at its cap, inside the top eigenspace
-        gram, vectors = gram_with_spectrum(rng, [1.0, 1.0, *rng.uniform(0, 0.5, d - 3)])
-        value, vector = self.squaring(gram, monkeypatch)
-        assert abs(value - 1.0) <= 1e-12
-        assert np.linalg.norm(gram @ vector - value * vector) <= 1e-12 * np.linalg.norm(gram, 2)
-        assert np.linalg.norm(vectors[:, :2].T @ vector) >= 1 - 1e-12
+    def test_equal_top_eigenvalues(self, rng, d):
+        # never rank one: after the cap of squarings, eigh decides
+        gram, _ = gram_with_spectrum(rng, [1.0, 1.0, *rng.uniform(0, 0.5, d - 3)])
+        self.assert_is_eigh(gram, *pb._top_eigenpair(gram))
 
     @pytest.mark.parametrize("d", SIZES)
     def test_zero_block_takes_eigh(self, d):
@@ -387,18 +400,13 @@ class TestTopEigenpair:
         d = pb._SQUARING_PARTS.start
         gram, vectors = gram_with_spectrum(rng, [2.0, -3.0, 1.5, *np.zeros(d - 4)])
         value, vector = pb._top_eigenpair(gram)
-        eigenvalues, eigenvectors = np.linalg.eigh(centred_070(gram))
-        assert value == eigenvalues[-1]
-        assert np.array_equal(vector, eigenvectors[:, -1])
+        self.assert_is_eigh(gram, value, vector)
         assert abs(vector @ vectors[:, 0]) >= 1 - 1e-12
 
     @pytest.mark.parametrize("d", [pb._SQUARING_PARTS.start - 1, pb._SQUARING_PARTS.stop])
     def test_other_sizes_are_eigh(self, rng, d):
         gram = pb._statistics(np.log(random_composition(rng, 40, d).values), None).gram
-        eigenvalues, eigenvectors = np.linalg.eigh(centred_070(gram))
-        value, vector = pb._top_eigenpair(gram)
-        assert value == eigenvalues[-1]
-        assert np.array_equal(vector, eigenvectors[:, -1])
+        self.assert_is_eigh(gram, *pb._top_eigenpair(gram))
 
 
 @settings(max_examples=60, deadline=None)
@@ -582,6 +590,29 @@ class TestTopK:
         for k in range(1, 9):
             assert_leading_columns(full, build(builder, X, y, max_k=k), k)
 
+    @pytest.mark.parametrize("max_k", [None, 3])
+    @pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
+    def test_each_node_enters_the_heap_once(self, rng, builder, max_k, monkeypatch):
+        # a node of 3 or more parts is pushed once, with its final bound and
+        # its loading, and a pca-pb node computes its top eigenpair once
+        X, y = random_instance(rng, 30, 25)
+        _, tree = build(builder, X, y, return_tree=True)
+        pushed, eigenpairs, top_eigenpair = [], [], pb._top_eigenpair
+
+        def heappush(heap, entry):
+            if isinstance(entry[3], np.ndarray):  # (-bound, path, indices, loading)
+                pushed.append(entry[1])
+            heapq.heappush(heap, entry)
+
+        monkeypatch.setattr(pb, "heapq", SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
+        monkeypatch.setattr(pb, "_top_eigenpair", lambda gram: eigenpairs.append(gram) or
+                            top_eigenpair(gram))
+        build(builder, X, y, max_k=max_k)
+        assert pushed and len(set(pushed)) == len(pushed)
+        assert len(eigenpairs) == (len(pushed) if builder == "pca-pb" else 0)
+        if max_k is None:
+            assert len(pushed) == sum(len(node.part_indices) >= 3 for node in partition_nodes(tree))
+
     @pytest.mark.parametrize("max_k", [0, 6, -1, 2.5])
     def test_max_k_outside_range_rejected(self, rng, max_k):
         X, y = random_instance(rng, 12, 6)
@@ -693,7 +724,7 @@ class TestTwoPartNodes:
             X = CompositionMatrix(np.exp(logs))
             stats = pb._statistics(np.log(X.values), None)
             _, vector = pb._top_eigenpair(stats.gram)
-            loading = pb._loading(stats, np.arange(2), stats.gram, None, vector)
+            loading = pb._loading(stats, np.arange(2), stats.gram, vector)
             kept = loading is not None and loading.max() > 0 > loading.min()
             paired = float(pb._scores(pb.PAIR, stats.gram, None)[0])
             assert pca_pb(X).ordering_values[0] == (paired if kept else 0.0) >= 0.0
@@ -739,7 +770,8 @@ class TestTwoPartNodes:
             for cross in (stats.cross, None):
                 pair_stats = dataclasses.replace(stats, cross=cross)
                 direction = np.array([1.0, centred_070(stats.gram)[0, 1]])
-                loading = pb._loading(pair_stats, idx, stats.gram, cross, direction)
+                own = direction if cross is None else cross - np.add.reduce(cross) / 2  # H g[idx]
+                loading = pb._loading(pair_stats, idx, stats.gram, own)
                 expected = loading is not None and loading.max() > 0 > loading.min()
                 assert pb._pair_signal(pair_stats, idx, stats.gram, cross) == expected
 

@@ -110,8 +110,10 @@ def quartiles(values):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--rounds", type=int, default=15, help="timing rounds, at least 2")
     args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2: the quartiles need two values")
     report, ok = {"seed": args.seed, "rounds": args.rounds}, True
     for name in ("build", "cv"):
         ops = pca_ops(name, args.seed)
