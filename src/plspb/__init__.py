@@ -40,7 +40,7 @@ from .simgen import (
     simulate_dataset,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "BalanceBasis",

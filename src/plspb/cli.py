@@ -62,10 +62,7 @@ def _write_outputs(command: str, config: dict, outputs: dict, extra: dict | None
 
 
 def _map_runs(run, tasks, jobs: int) -> list:
-    """``run`` over every task, in a process pool when ``jobs`` > 1;
-    ``jobs`` must be at least 1."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    """``run`` over every task, in a process pool when ``jobs`` > 1."""
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it slows every start-up
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -78,6 +75,14 @@ def _run_seeds(config: dict) -> list[int]:
     if config["runs"] < 1:
         raise ValueError(f"runs must be at least 1, got {config['runs']}")
     return spawn_seeds(config["seed"], config["runs"])
+
+
+def _jobs(config: dict) -> int:
+    """The worker count of ``cv`` or ``recover``, which must be at least 1
+    in every mode, whether or not the mode runs a pool."""
+    if config["jobs"] < 1:
+        raise ValueError(f"jobs must be at least 1, got {config['jobs']}")
+    return config["jobs"]
 
 
 def _scenario_from_config(config: dict, seed: int | None = None) -> SimScenario:
@@ -197,6 +202,7 @@ def _cv_fresh_run(args):
 
 def run_cv(config: dict) -> dict:
     methods = list(METHODS) if config["all_methods"] else [config["method"]]
+    jobs = _jobs(config)
     if config["binary"] and not config["data"]:
         raise ValueError("--binary needs --data: the simulator makes only continuous responses")
     metric = METRIC_ME if config["binary"] else METRIC_RMSEP
@@ -218,7 +224,7 @@ def run_cv(config: dict) -> dict:
         # fresh-data mode: one new dataset per run, 1 repeat of k-fold each
         runs = config["runs"]
         tasks = [(config, seed, methods, metric) for seed in _run_seeds(config)]
-        curves = _map_runs(_cv_fresh_run, tasks, config["jobs"])
+        curves = _map_runs(_cv_fresh_run, tasks, jobs)
         for method in methods:
             errors = np.stack([curve[method] for curve in curves])
             results[method] = aggregate_error_runs(
@@ -257,7 +263,7 @@ def run_recover(config: dict) -> dict:
     methods = [PLS_PB, PCA_PB] if config["method"] == "all" else [config["method"]]
     runs = config["runs"]
     tasks = [(config, seed, methods) for seed in _run_seeds(config)]
-    results = _map_runs(_recover_run, tasks, config["jobs"])
+    results = _map_runs(_recover_run, tasks, _jobs(config))
     counts = {
         method: np.sum([res[method] for res in results], axis=0).astype(int)
         for method in methods
@@ -324,6 +330,10 @@ def run_rerun(manifest_path: str, out: str, parser: argparse.ArgumentParser) -> 
                 f"{manifest_path}: config {action.dest}={value!r} is not a valid "
                 f"{action.option_strings[0]} value"
             )
+    recorded = manifest.get("tool_version", "(unrecorded)")
+    if recorded != __version__:
+        print(f"note: manifest written by plspb {recorded}, replayed by {__version__}; "
+              "written bytes may differ", file=sys.stderr)
     produced = _RUNNERS[manifest["command"]](config)["outputs"]
     ok = True
     for name, digest in manifest["outputs"].items():

@@ -5,11 +5,6 @@ trips exactly, so rerunning a command with the same inputs reproduces its
 output files byte for byte. Every file is UTF-8 text whatever the locale,
 and every writer returns the sha256 hex digest of the bytes it wrote.
 Tables are read by numpy's C text reader.
-
-JSON goes through one small recursive writer, ``_json_text``, which gives
-the text of ``json.dumps(value, indent=2, sort_keys=True)`` with json's C
-string escaper and ``float.__repr__``, but without the pure-Python encoder
-that ``json.dumps`` runs for every value whenever an indent is given.
 """
 
 from __future__ import annotations
@@ -194,82 +189,10 @@ def write_recovery_csv(path, part_names, counts_by_method, runs: int) -> str:
     return _write_table(path, ["part", "method", "inclusion_count", "runs"], body, lead, fmt=str)
 
 
-_escape = json.encoder.encode_basestring_ascii
-_INF = float("inf")
-
-
-def _scalar_text(value) -> str | None:
-    """json's text of None, a bool, an int or a float (NaN and ±Infinity
-    spelled by name); None for any other value."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INF:
-            return "Infinity"
-        if value == -_INF:
-            return "-Infinity"
-        return float.__repr__(value)
-    return None
-
-
-def _emit(value, newline: str, out: list) -> None:
-    """Append the text of ``value`` to ``out``; ``newline`` is a line break
-    plus the indent of the line that ``value`` starts on, and its items go
-    two blanks deeper. Types are tested with ``isinstance``, as json does,
-    so subclasses of str, int, float, list, tuple and dict are written as
-    json writes them, and anything else raises json's TypeError."""
-    if isinstance(value, str):
-        out.append(_escape(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _emit(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            text = key if isinstance(key, str) else _scalar_text(key)
-            if text is None:
-                raise TypeError("keys must be str, int, float, bool or None, "
-                                f"not {key.__class__.__name__}")
-            out.append(sep + _escape(text) + ": ")
-            _emit(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        text = _scalar_text(value)
-        if text is None:
-            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-        out.append(text)
-
-
-def _json_text(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, character for character."""
-    out: list = []
-    _emit(value, "\n", out)
-    return "".join(out) + "\n"
-
-
 def write_json(path, payload) -> str:
-    return _write_text(path, _json_text(payload))
+    """One line of compact, key-sorted JSON; a value json cannot write
+    raises its TypeError before the file is opened."""
+    return _write_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_json(path):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plspb import CompositionMatrix, cli, fit_on_balances, pca_pb, pls_pb
+from plspb import CompositionMatrix, __version__, cli, fit_on_balances, pca_pb, pls_pb
 from plspb.cli import main
 from plspb.fileio import (
     read_composition_csv,
@@ -421,11 +421,17 @@ class TestRerun:
         assert run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r") == 2
         assert capsys.readouterr().err.startswith("error: runs must be at least 1")
 
-    @pytest.mark.parametrize("command, extra", [("cv", ("--max-k", 2)), ("recover", ())])
+    @pytest.mark.parametrize("command, extra", [("cv", ("--max-k", 2)), ("recover", ()),
+                                                pytest.param("cv", ("--max-k", 2, "--data"),
+                                                             id="cv-data")])
     def test_zero_jobs_rejected(self, tmp_path, capsys, command, extra):
         argv = (command, "--n", 20, "--d", 8, "--blocks", "4", "--runs", 1, "--seed", 1, *extra)
+        if "--data" in extra:  # a table, which --data mode reads without a pool
+            assert run_cli("simulate", *argv[1:7], "--out", tmp_path / "sim") == 0
+            argv += (tmp_path / "sim" / "X.csv", "--response-file", tmp_path / "sim" / "y.csv")
         assert run_cli(*argv, "--jobs", 0, "--out", tmp_path / "direct") == 2
         assert capsys.readouterr().err.startswith("error: jobs must be at least 1")
+        assert not (tmp_path / "direct").exists()
         out = tmp_path / "orig"
         assert run_cli(*argv, "--out", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -539,6 +545,32 @@ class TestRerun:
         assert run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r") == 0
         assert capsys.readouterr().out.splitlines()[-3:] == [
             "OK coefficients.csv", "OK signs.csv", "OK tree.json"]
+
+    @pytest.mark.parametrize("version, note", [
+        ("0.7.0", f"note: manifest written by plspb 0.7.0, replayed by {__version__}; "
+                  "written bytes may differ\n"),
+        (None, f"note: manifest written by plspb (unrecorded), replayed by {__version__}; "
+               "written bytes may differ\n"),
+        (__version__, ""),
+    ], ids=["older", "unrecorded", "same"])
+    def test_other_version_noted(self, tmp_path, capsys, version, note):
+        # stderr carries the note; stdout and the exit code are the replay's own
+        _write_labelled_table(tmp_path)
+        out = tmp_path / "orig"
+        assert run_cli("fit", "--data", tmp_path / "X.csv", "--response-file", tmp_path / "y.csv",
+                       "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        if version is None:
+            del manifest["tool_version"]
+        else:
+            manifest["tool_version"] = version
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("rerun", "--manifest", out / "manifest.json", "--out", tmp_path / "r") == 0
+        captured = capsys.readouterr()
+        assert captured.err == note
+        assert captured.out.splitlines() == ["pls-pb: 4 balances over 5 parts", "OK coefficients.csv",
+                                             "OK signs.csv", "OK tree.json"]
 
     @pytest.mark.parametrize(
         "content, message",

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plspb import BalanceBasis, CompositionMatrix
+from plspb import BalanceBasis, CompositionMatrix, fileio
+from plspb.cli import main
 from plspb.fileio import (
-    _json_text,
     read_composition_csv,
+    read_json,
     read_response_csv,
     write_composition_csv,
     write_basis_csv,
@@ -259,75 +260,53 @@ class TestWriters:
         assert digest == hashlib.sha256(written).hexdigest()
 
 
-# -- JSON: the writer against json.dumps(indent=2, sort_keys=True) -------------
+# -- JSON: one line of compact, key-sorted json.dumps text ---------------------
 
 NOT_JSON = [np.int64(1), np.float32(0.5), np.bool_(True), {1, 2}, frozenset(), b"x", 1j]
-FLOAT_EDGES = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-4, 1.7976931348623157e308,
-               float("nan"), float("inf"), -float("inf")]
-texts = st.text(st.characters(codec="utf-8") | st.sampled_from("\x00\x1f\x7f\"\\/\u2028\ud800"))
-json_leaves = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=2**64, max_value=2**200),
-    st.floats(),
-    st.sampled_from(FLOAT_EDGES),
-    st.floats().map(np.float64),  # a float subclass, which json writes
-    texts,
-)
-json_keys = st.one_of(texts, st.integers(), st.floats(), st.booleans(), st.none())
-
-
-def json_values(leaves):
-    def containers(children):
-        return st.one_of(
-            st.lists(children, max_size=4),
-            st.lists(children, max_size=4).map(tuple),
-            st.dictionaries(texts, children, max_size=4),
-            # keys of other types, and mixed keys that cannot be sorted
-            st.dictionaries(json_keys, children, max_size=3),
-        )
-
-    return st.recursive(leaves, containers, max_leaves=20)
-
-
-def dumps_outcome(dump, value):
-    try:
-        return dump(value)
-    except TypeError as exc:
-        return f"TypeError: {exc}"
 
 
 class TestJson:
-    @settings(max_examples=400, deadline=None)
-    @given(value=json_values(json_leaves))
-    def test_text_equals_json_dumps(self, value):
-        expected = dumps_outcome(lambda v: json.dumps(v, indent=2, sort_keys=True) + "\n", value)
-        assert dumps_outcome(_json_text, value) == expected
-
-    @settings(max_examples=200, deadline=None)
-    @given(value=json_values(json_leaves | st.sampled_from(NOT_JSON)))
-    def test_raises_where_json_dumps_raises(self, value):
-        expected = dumps_outcome(lambda v: json.dumps(v, indent=2, sort_keys=True) + "\n", value)
-        assert dumps_outcome(_json_text, value) == expected
-
     @pytest.mark.parametrize("bad", NOT_JSON, ids=repr)
     @pytest.mark.parametrize("where", ["value", "list item", "dict value", "dict key"])
-    def test_type_error_messages(self, bad, where):
+    def test_type_error_messages(self, tmp_path, bad, where):
+        # json's own TypeError, raised before the file is opened
         value = {"value": bad, "list item": ["a", bad], "dict value": {"k": bad},
                  "dict key": {bad: 1} if bad.__hash__ else {"k": [bad]}}[where]
         with pytest.raises(TypeError) as want:
-            json.dumps(value, indent=2, sort_keys=True)
+            json.dumps(value, sort_keys=True)
         with pytest.raises(TypeError) as got:
-            _json_text(value)
+            write_json(tmp_path / "t.json", value)
         assert str(got.value) == str(want.value)
+        assert not (tmp_path / "t.json").exists()
 
     def test_file_is_utf8_text_with_its_digest(self, tmp_path):
-        payload = {"parts": ["α", "b\n"], "value": -0.0, "empty": [{}, []]}
+        payload = {"parts": ["α", "b\n"], "value": -0.0, "empty": [{}, []], "z": [1e16, None]}
         digest = write_json(tmp_path / "t.json", payload)
         data = (tmp_path / "t.json").read_bytes()
-        assert data == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        assert data == b'{"empty":[{},[]],"parts":["\\u03b1","b\\n"],"value":-0.0,"z":[1e+16,null]}\n'
         assert digest == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("method", ["pls-pb", "pca-pb", "pls"])
+    def test_fit_files_round_trip(self, tmp_path, monkeypatch, method):
+        # every payload a real fit hands to write_json reads back equal
+        written = {}
+
+        def recording(path, payload):
+            written[Path(path).name] = payload
+            return write_json(path, payload)
+
+        monkeypatch.setattr(fileio, "write_json", recording)
+        X = CompositionMatrix(np.random.default_rng(4).lognormal(size=(12, 6)))
+        write_composition_csv(tmp_path / "X.csv", X)
+        write_response_csv(tmp_path / "y.csv", np.arange(12.0))
+        assert main(["fit", "--method", method, "--data", str(tmp_path / "X.csv"),
+                     "--response-file", str(tmp_path / "y.csv"), "--out", str(tmp_path / "fit")]) == 0
+        json_file = "model.json" if method == "pls" else "tree.json"
+        assert set(written) == {json_file, "manifest.json"}
+        for name, payload in written.items():
+            data = (tmp_path / "fit" / name).read_bytes()
+            assert data == (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+            assert read_json(tmp_path / "fit" / name) == payload
 
 
 class TestReader:
