@@ -70,19 +70,13 @@ def _map_runs(run, tasks, jobs: int) -> list:
     return [run(task) for task in tasks]
 
 
-def _run_seeds(config: dict) -> list[int]:
-    """One seed per run of a simulation study; ``runs`` must be at least 1."""
-    if config["runs"] < 1:
-        raise ValueError(f"runs must be at least 1, got {config['runs']}")
-    return spawn_seeds(config["seed"], config["runs"])
-
-
-def _jobs(config: dict) -> int:
-    """The worker count of ``cv`` or ``recover``, which must be at least 1
-    in every mode, whether or not the mode runs a pool."""
-    if config["jobs"] < 1:
-        raise ValueError(f"jobs must be at least 1, got {config['jobs']}")
-    return config["jobs"]
+def _at_least_one(config: dict, key: str) -> int:
+    """``config[key]``, a count that must be at least 1: the ``runs`` of a
+    simulation study, or the ``jobs`` of ``cv`` and ``recover`` in every mode,
+    whether or not the mode runs a pool."""
+    if config[key] < 1:
+        raise ValueError(f"{key} must be at least 1, got {config[key]}")
+    return config[key]
 
 
 def _scenario_from_config(config: dict, seed: int | None = None) -> SimScenario:
@@ -202,7 +196,7 @@ def _cv_fresh_run(args):
 
 def run_cv(config: dict) -> dict:
     methods = list(METHODS) if config["all_methods"] else [config["method"]]
-    jobs = _jobs(config)
+    jobs = _at_least_one(config, "jobs")
     if config["binary"] and not config["data"]:
         raise ValueError("--binary needs --data: the simulator makes only continuous responses")
     metric = METRIC_ME if config["binary"] else METRIC_RMSEP
@@ -222,8 +216,8 @@ def run_cv(config: dict) -> dict:
             )
     else:
         # fresh-data mode: one new dataset per run, 1 repeat of k-fold each
-        runs = config["runs"]
-        tasks = [(config, seed, methods, metric) for seed in _run_seeds(config)]
+        runs = _at_least_one(config, "runs")
+        tasks = [(config, seed, methods, metric) for seed in spawn_seeds(config["seed"], runs)]
         curves = _map_runs(_cv_fresh_run, tasks, jobs)
         for method in methods:
             errors = np.stack([curve[method] for curve in curves])
@@ -261,9 +255,9 @@ def _recover_run(args):
 
 def run_recover(config: dict) -> dict:
     methods = [PLS_PB, PCA_PB] if config["method"] == "all" else [config["method"]]
-    runs = config["runs"]
-    tasks = [(config, seed, methods) for seed in _run_seeds(config)]
-    results = _map_runs(_recover_run, tasks, _jobs(config))
+    runs = _at_least_one(config, "runs")
+    tasks = [(config, seed, methods) for seed in spawn_seeds(config["seed"], runs)]
+    results = _map_runs(_recover_run, tasks, _at_least_one(config, "jobs"))
     counts = {
         method: np.sum([res[method] for res in results], axis=0).astype(int)
         for method in methods

@@ -139,6 +139,14 @@ def _check_response(y, n: int) -> np.ndarray:
     return y
 
 
+def _check_integer(value, name: str):
+    """``value`` when it is an int or a numpy integer, not a bool; else a
+    ValueError naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}={value!r} is not an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class BalanceBasis:
     """Ordered orthonormal set of k balances over D parts, 1 <= k <= D-1:

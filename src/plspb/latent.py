@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import CompositionMatrix, LogContrastModel, _check_response
+from .coda import CompositionMatrix, LogContrastModel, _check_integer, _check_response
 from .errors import ConstantResponse, DimensionMismatch, RankDeficient
 
 _RANK_TOL = 1e-10
@@ -66,7 +66,7 @@ class LatentModel:
     def logcontrast(self, k: int | None = None) -> LogContrastModel:
         """The first k components (all when None) as one logcontrast model:
         coefficients W_k @ v_k and intercept y_mean - x_mean @ W_k @ v_k."""
-        k = self.n_components if k is None else k
+        k = self.n_components if k is None else _check_integer(k, "k")
         if not 1 <= k <= self.n_components:
             raise RankDeficient(f"k={k} outside 1..{self.n_components}")
         beta = self.weights[:, :k] @ self.latent_coefficients[:k]
@@ -85,6 +85,8 @@ def pls_regression(X: CompositionMatrix, y, k: int | None = None) -> LatentModel
     reached least squares, at most min(D-1, n-1); an explicit k past it
     raises ``RankDeficient``. The training means are kept for prediction.
     """
+    if k is not None:
+        _check_integer(k, "k")
     return _simpls(np.log(X.values), _check_response(y, X.n_samples), k)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coda import CLASSIFICATION_THRESHOLD, BalanceBasis, CompositionMatrix, LogContrastModel
-from .coda import _check_response
+from .coda import _check_integer, _check_response
 from .errors import (
     Collinear,
     EmptyInput,
@@ -56,8 +56,8 @@ class CvResult:
         sd = np.array(self.sd_error, dtype=float)
         if mean.ndim != 1 or mean.size == 0 or mean.shape != sd.shape:
             raise ValueError("error curves must be nonempty 1-d with one length")
-        if np.any(mean < 0) or np.any(sd < 0):
-            raise ValueError("error summaries must be nonnegative")
+        if not np.all(np.isfinite(mean) & np.isfinite(sd) & (mean >= 0) & (sd >= 0)):
+            raise ValueError("error summaries must be finite and nonnegative")
         for name, arr in (("mean_error", mean), ("sd_error", sd)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -108,6 +108,8 @@ def one_se_select(mean_error, sd_error) -> int:
         raise ValueError("mean and sd curves must be 1-d with equal length")
     if mean_error.size == 0:
         raise EmptyInput("need at least one candidate size")
+    if not np.all(np.isfinite(mean_error) & np.isfinite(sd_error)):
+        raise ValueError("mean and sd curves must be finite")
     k_star = int(np.argmin(mean_error))
     threshold = mean_error[k_star] + sd_error[k_star]
     return int(np.flatnonzero(mean_error <= threshold)[0]) + 1
@@ -140,7 +142,7 @@ def fit_on_balances(X: CompositionMatrix, y, basis: BalanceBasis, k: int) -> Log
     regressors; otherwise the fit is reported as collinear.
     """
     y = _check_response(y, X.n_samples)
-    if not 1 <= k <= basis.n_balances:
+    if not 1 <= _check_integer(k, "k") <= basis.n_balances:
         raise ValueError(f"k={k} outside 1..{basis.n_balances}")
     col_means, y_mean, r, qty = _least_squares(basis.coordinates(X)[:, :k], y)
     slope = np.linalg.solve(r, qty)
@@ -149,7 +151,7 @@ def fit_on_balances(X: CompositionMatrix, y, basis: BalanceBasis, k: int) -> Log
 
 
 def _check_folds(n: int, folds: int) -> None:
-    if folds < 2:
+    if _check_integer(folds, "folds") < 2:
         raise ValueError("need at least 2 folds")
     if n < folds:
         raise TooFewSamples(f"{n} samples cannot fill {folds} folds")
@@ -226,13 +228,13 @@ def cross_validate(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if metric not in (METRIC_RMSEP, METRIC_ME):
         raise ValueError(f"unknown metric {metric!r}")
-    if repeats < 1:
+    if _check_integer(repeats, "repeats") < 1:
         raise ValueError("need at least one repeat")
     n = X.n_samples
     _check_folds(n, folds)
     min_train = n - (n // folds + (1 if n % folds else 0))
     limit = min(X.n_parts - 1, min_train - 1)
-    if not 1 <= max_k <= X.n_parts - 1:
+    if not 1 <= _check_integer(max_k, "max_k") <= X.n_parts - 1:
         raise ValueError(f"max_k={max_k} outside 1..{X.n_parts - 1}")
     if max_k > limit:
         if method == PLS_RAW:

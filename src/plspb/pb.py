@@ -7,8 +7,8 @@ g = Lc'(y - mean y) / (n-1). A node over the parts idx, with H the centring
 projector on them, takes as loading H g[idx] (the one-component SIMPLS
 direction of its subcomposition) for pls-pb, or the top eigenvector of
 H G[idx, idx] H (its first principal direction) for pca-pb. One fused pass
-builds the coefficients of the loading's d-1 nested candidates, whose signs
-are the columns of ``candidate_signs``; each is scored by |c'g[idx]| or
+builds the loading's d-1 nested candidates as coefficient columns c, whose
+signs are the columns of ``candidate_signs``; each is scored by |c'g[idx]| or
 c'G[idx, idx]c, the best wins, and ties within a relative 1e-12 go to the
 fewest active parts: candidate j has j+2, so the first tied one wins.
 The node's children are the parts left out of the chosen balance, its
@@ -38,9 +38,9 @@ balances. It expands nodes from a heap keyed by an upper bound on the score
 of every balance inside the node. Any such balance is a unit zero-sum
 contrast c on the node's parts, so for pls-pb |c'g[idx]| <= ||H g[idx]||
 (Cauchy-Schwarz), and for pca-pb c'G[idx, idx]c is at most the top
-eigenvalue of H G[idx, idx] H. Each bound comes with the loading the node's
-expansion needs: a node computes both when its parent opens it and enters
-the heap once, keyed by the smaller of its own bound and its parent's. For
+eigenvalue of H G[idx, idx] H. Opened by its parent, a node slices G[idx, idx]
+and g[idx] once, computes its bound and loading from them, and enters the heap
+once with all four, keyed by the smaller of its own bound and its parent's. For
 pca-pb, nodes of 20 to 149 parts take the top eigenpair from repeated
 squaring of H G[idx, idx] H, which is faster there, when it converges within
 16 squarings, and otherwise from eigh. The route changes no output: the
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coda import BalanceBasis, CompositionMatrix, _balance_entries, _check_response, _readonly
-from .coda import signs_to_coefficients
+from .coda import _check_integer, signs_to_coefficients
 from .errors import ConstantResponse, OneSidedLoading, TooFewSamples
 
 _TIE_RTOL = 1e-12
@@ -131,20 +131,21 @@ class PartitionNode:
         return payload
 
 
-def _candidates(p: np.ndarray, magnitudes: np.ndarray, hi, lo):
-    """The d x (d-1) activity mask, part signs (+1 where p >= 0, else -1) and
-    coefficients of the nested candidates of a two-sided loading p, given |p|
-    and its extremes hi, lo: bit for bit ``signs_to_coefficients(candidate_signs(p))``."""
+def _candidates(p: np.ndarray, magnitudes: np.ndarray, hi, lo) -> np.ndarray:
+    """The d x (d-1) coefficients of the nested candidates of a two-sided
+    loading p, given |p| and its extremes hi, lo: bit for bit
+    ``signs_to_coefficients(candidate_signs(p))``. A part enters a candidate
+    with +1 where p >= 0, else -1, and no active entry is 0, so a candidate's
+    signs are the signs of its column."""
     key = -magnitudes
     key[hi] = key[lo] = -np.inf  # the two extremes first
     order = key.argsort(kind="stable")
     rank = order.argsort()
     counts = np.arange(2, p.shape[0] + 1)  # candidate j holds the first j+2 parts of the order
-    active = rank[:, None] < counts
     positive = p >= 0
     r = positive[order].cumsum()[1:]  # of which r are positive
     coeffs = np.where(positive[:, None], *_balance_entries(r, counts - r))
-    return active, np.where(positive, 1, -1), np.where(active, coeffs, 0.0)
+    return np.where(rank[:, None] < counts, coeffs, 0.0)
 
 
 def _node_candidates(p: np.ndarray):
@@ -181,8 +182,7 @@ def candidate_signs(p) -> np.ndarray:
         raise ValueError("loading must be a finite 1-d vector with at least 2 entries")
     if not (np.any(p > 0) and np.any(p < 0)):
         raise OneSidedLoading("loading entries all share one sign")
-    active, signs, _ = _candidates(p, np.abs(p), p.argmax(), p.argmin())
-    return _readonly(np.where(active, signs[:, None], 0))
+    return _readonly(np.sign(_candidates(p, np.abs(p), p.argmax(), p.argmin())).astype(int))
 
 
 def _scores(coeffs: np.ndarray, gram: np.ndarray, cross) -> np.ndarray:
@@ -243,10 +243,10 @@ def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
     return float(eigenvalues[-1]), eigenvectors[:, -1]
 
 
-def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, loading: np.ndarray):
-    """A node's ``loading``, H g[idx] for pls-pb (``stats.cross`` set) or the
-    top eigenvector of H G[idx, idx] H for pca-pb, not yet oriented; None when
-    the node has no usable signal."""
+def _has_signal(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, loading) -> bool:
+    """Whether a node's ``loading``, H g[idx] for pls-pb (``stats.cross`` set)
+    or the top eigenvector of H G[idx, idx] H for pca-pb, is usable signal:
+    False for a constant subcomposition or a SIMPLS fit at its rank boundary."""
     n, d = stats.log.shape[0], gram.shape[0]
     trace = gram.trace()
     energy = float(trace - np.add.reduce(np.add.reduce(gram) / d))  # tr(H G[idx, idx] H)
@@ -257,9 +257,9 @@ def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, loading:
         block = stats.log[:, indices]
         block = block - np.add.reduce(block, 1, keepdims=True) / d
         if np.linalg.norm(block - np.add.reduce(block) / n) <= _CONSTANT_TOL * np.sqrt(scale_sq):
-            return None
+            return False
     if stats.cross is None:
-        return loading
+        return True
     # SIMPLS rank boundary: the score t = Xc p / ||p|| and the x-loading
     # Xc't / ||t|| must stay above 1e-10 of ||Xc||, where Xc'Xc is
     # (n-1) H G[idx, idx] H and ||Xc||^2 is (n-1) * energy.
@@ -267,16 +267,14 @@ def _loading(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, loading:
     gp -= np.add.reduce(gp) / d
     t_sq = float(loading @ gp)
     tol = _RANK_TOL**2 * energy
-    if t_sq <= tol * float(loading @ loading) or float(gp @ gp) <= tol * t_sq:
-        return None
-    return loading
+    return not (t_sq <= tol * float(loading @ loading) or float(gp @ gp) <= tol * t_sq)
 
 
 def _pair_signal(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross) -> bool:
-    """Whether ``_loading`` finds a two-sided loading in a 2-part node, on
+    """Whether a 2-part node's loading is two-sided and ``_has_signal``, on
     Python floats in its operation order (see the module docstring). For
     pls-pb, t^2 is about energy * p'p: with p'p, energy * p'p and energy^2 *
-    p'p far from under- and overflow no rank test can fire, else _loading runs."""
+    p'p far from under- and overflow no rank test can fire, else _has_signal runs."""
     (g00, g01), (g10, g11) = gram.tolist()
     m0, m1 = (g00 + g10) / 2, (g01 + g11) / 2
     trace, energy = g00 + g11, g00 + g11 - (m0 + m1)  # energy = tr(H G H)
@@ -292,7 +290,7 @@ def _pair_signal(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cros
     if not signal or safe and not window:
         return signal
     loading = np.array([1.0, h]) if cross is None else cross - np.add.reduce(cross) / 2
-    return _loading(stats, indices, gram, loading) is not None
+    return _has_signal(stats, indices, gram, loading)
 
 
 def _embed(signs: np.ndarray, indices: np.ndarray, n_parts: int) -> np.ndarray:
@@ -312,28 +310,27 @@ PAIR = signs_to_coefficients(np.array([[1], [-1]]))
 
 
 def _open_node(stats: _Statistics, heap: list, finish, path: tuple, indices: np.ndarray, cap):
-    """Push a node of at least 3 parts once, with its loading, keyed by its
-    score bound, at most ``cap``: for pca-pb the top eigenpair of
-    H G[idx, idx] H gives both, for pls-pb p = H g[idx] is the loading and
-    ||p|| the bound. A 2-part node goes to ``finish`` at once, +1 on its first
-    part (its loading +-(1, -1) is an exact tie), scored 0 without
-    ``_pair_signal``; no eigh."""
+    """Take a node's slices G[idx, idx] and g[idx] and push a node of 3 or more
+    parts once with them and its loading, keyed by its score bound, at most
+    ``cap``: for pca-pb the top eigenpair of H G[idx, idx] H gives both, for
+    pls-pb p = H g[idx] is the loading and ||p|| the bound. A 2-part node goes
+    to ``finish`` at once, +1 on its first part (its loading +-(1, -1) is an
+    exact tie), scored 0 without ``_pair_signal``; no eigh."""
     d = indices.shape[0]
+    if d < 2:
+        return
+    gram = stats.gram.take(indices, 0).take(indices, 1)
+    cross = None if stats.cross is None else stats.cross[indices]
     if d == 2:
-        gram = stats.gram.take(indices, 0).take(indices, 1)
-        cross = None if stats.cross is None else stats.cross[indices]
         score = _scores(PAIR, gram, cross)[0] if _pair_signal(stats, indices, gram, cross) else 0.0
         finish(path, indices, np.array([1, -1]), float(score))
         return
-    if d < 3:
-        return
-    if stats.cross is None:
-        own, loading = _top_eigenpair(stats.gram.take(indices, 0).take(indices, 1))
+    if cross is None:
+        own, loading = _top_eigenpair(gram)
     else:
-        loading = stats.cross[indices]
-        loading = loading - np.add.reduce(loading) / d
+        loading = cross - np.add.reduce(cross) / d
         own = np.sqrt(loading @ loading)
-    heapq.heappush(heap, (-min(cap, float(own)), path, indices, loading))
+    heapq.heappush(heap, (-min(cap, float(own)), path, indices, loading, gram, cross))
 
 
 def _partition(stats: _Statistics, max_k: int):
@@ -361,30 +358,26 @@ def _partition(stats: _Statistics, max_k: int):
                 if len(kept) > max_k:
                     heapq.heappop(kept)
 
-    heap: list = []  # min-heap of (-bound, path, indices, loading)
+    heap: list = []  # min-heap of (-bound, path, indices, loading, gram, cross)
     _open_node(stats, heap, finish, (), np.arange(n_parts), np.inf)
 
     while heap and not (len(kept) == max_k and kept[0][0] > slack - heap[0][0]):
-        neg_bound, path, indices, loading = heapq.heappop(heap)
-        gram = stats.gram.take(indices, 0).take(indices, 1)
-        cross = None if stats.cross is None else stats.cross[indices]
+        neg_bound, path, indices, loading, gram, cross = heapq.heappop(heap)
         d = indices.shape[0]
-        loading = _loading(stats, indices, gram, loading)
-        candidates = None if loading is None else _node_candidates(loading)
-        if candidates is None:  # the first part against the last: d-2 left out, as in candidate 0
+        coeffs = _node_candidates(loading) if _has_signal(stats, indices, gram, loading) else None
+        if coeffs is None:  # the first part against the last: d-2 left out, as in candidate 0
             signs, score, winner = np.r_[1, np.zeros(d - 2, dtype=int), -1], 0.0, 0
         else:
-            active, part_signs, coeffs = candidates
             scores = _scores(coeffs, gram, cross)
             # Candidate j has j+2 active parts, so the first tied is the fewest.
             winner = int((scores >= scores.max() * (1 - _TIE_RTOL)).argmax())
-            signs, score = np.where(active[:, winner], part_signs, 0), float(scores[winner])
+            signs, score = np.sign(coeffs[:, winner]).astype(int), float(scores[winner])
 
         link_score = None
         r = d - 2 - winner  # candidate j leaves d-j-2 parts out
         if r:  # r left-out parts against d - r
             column = np.where(signs == 0, *_balance_entries(r, d - r))[:, None]
-            link_score = 0.0 if candidates is None else float(_scores(column, gram, cross)[0])
+            link_score = 0.0 if coeffs is None else float(_scores(column, gram, cross)[0])
         finish(path, indices, signs, score, link_score)
 
         for slot, side in _CHILD_SLOTS:
@@ -415,9 +408,9 @@ def _build(log: np.ndarray, y, max_k: int | None = None, return_tree=False, part
     if y is not None and np.ptp(y) == 0.0:
         raise ConstantResponse("response has zero variance")
     n_parts = log.shape[1]
-    k = n_parts - 1 if max_k is None else max_k
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= n_parts - 1):
-        raise ValueError(f"max_k={max_k} is not an integer in 1..{n_parts - 1}")
+    k = n_parts - 1 if max_k is None else _check_integer(max_k, "max_k")
+    if not 1 <= k <= n_parts - 1:
+        raise ValueError(f"max_k={max_k} outside 1..{n_parts - 1}")
     if return_tree and k < n_parts - 1:
         # unexpanded subtrees would read as None, like single parts
         raise ValueError("return_tree needs the full basis (max_k=None)")

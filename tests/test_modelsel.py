@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from plspb import (
     CompositionMatrix,
+    CvResult,
     cross_validate,
     fit_on_balances,
     fold_indices,
@@ -99,6 +100,14 @@ class TestOneSeSelect:
         means = np.array([2.0, 1.0, 1.0])
         sds = np.array([0.0, 0.0, 5.0])
         assert one_se_select(means, sds) == 2
+
+    @pytest.mark.parametrize("means, sds", [([np.nan, 1.0], [0.0, 0.0]), ([1.0, 2.0], [0.0, np.inf]),
+                                            ([np.inf], [0.0])], ids=["nan-mean", "inf-sd", "inf-mean"])
+    def test_non_finite_curves_rejected(self, means, sds):
+        with pytest.raises(ValueError, match="finite"):
+            one_se_select(means, sds)
+        with pytest.raises(ValueError, match="finite"):
+            CvResult(np.array(means), np.array(sds), "rmsep", 5, 1)
 
 
 class TestFitOnBalances:
@@ -356,3 +365,41 @@ class TestAggregateErrorRuns:
         result = aggregate_error_runs(np.array([[1.0, 0.5]]), "rmsep", 5, 1)
         assert_allclose(result.sd_error, 0.0)
         assert result.selected_k == 2
+
+
+# Every integer argument goes through one check: an int or a numpy integer,
+# never a bool, else a ValueError naming the argument.
+_NON_INTEGERS = {
+    "cv-max_k-float": (lambda X, y: cross_validate(X, y, PLS_PB, max_k=2.5), "max_k"),
+    "cv-max_k-bool": (lambda X, y: cross_validate(X, y, PLS_PB, max_k=True), "max_k"),
+    "cv-repeats": (lambda X, y: cross_validate(X, y, PLS_PB, max_k=2, repeats=1.5), "repeats"),
+    "cv-folds": (lambda X, y: cross_validate(X, y, PCA_PB, max_k=2, folds=2.5), "folds"),
+    "fold_indices": (lambda X, y: fold_indices(10, 2.5, np.random.default_rng(0)), "folds"),
+    "fit_on_balances": (lambda X, y: fit_on_balances(X, y, pls_pb(X, y), k=1.5), "k"),
+    "pls_regression": (lambda X, y: pls_regression(X, y, 1.5), "k"),
+    "logcontrast": (lambda X, y: pls_regression(X, y).logcontrast(1.5), "k"),
+    "pls_pb-bool": (lambda X, y: pls_pb(X, y, max_k=True), "max_k"),
+    "pca_pb-bool": (lambda X, y: pca_pb(X, max_k=np.True_), "max_k"),
+}
+
+
+@pytest.mark.parametrize("call, name", _NON_INTEGERS.values(), ids=_NON_INTEGERS.keys())
+def test_non_integer_arguments_rejected(rng, call, name):
+    X, y = random_instance(rng, 12, 5)
+    with pytest.raises(ValueError, match=rf"^{name}=\S+ is not an integer$"):
+        call(X, y)
+
+
+def test_numpy_integers_accepted(rng):
+    X, y = random_instance(rng, 12, 5)
+    result = cross_validate(X, y, PLS_PB, max_k=np.int64(2), folds=np.int32(3), repeats=np.int8(2))
+    assert np.array_equal(result.mean_error,
+                          cross_validate(X, y, PLS_PB, max_k=2, folds=3, repeats=2).mean_error)
+    basis = pls_pb(X, y, max_k=np.int16(3))
+    assert basis.n_balances == 3
+    fits = fit_on_balances(X, y, basis, np.int64(2)), fit_on_balances(X, y, basis, 2)
+    model = pls_regression(X, y, np.uint8(2))
+    assert model.n_components == 2
+    fits += model.logcontrast(np.int64(1)), model.logcontrast(1)
+    for a, b in (fits[:2], fits[2:]):
+        assert np.array_equal(a.coefficients, b.coefficients) and a.intercept == b.intercept

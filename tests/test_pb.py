@@ -600,7 +600,7 @@ class TestTopK:
         pushed, eigenpairs, top_eigenpair = [], [], pb._top_eigenpair
 
         def heappush(heap, entry):
-            if isinstance(entry[3], np.ndarray):  # (-bound, path, indices, loading)
+            if isinstance(entry[3], np.ndarray):  # (-bound, path, indices, loading, gram, cross)
                 pushed.append(entry[1])
             heapq.heappush(heap, entry)
 
@@ -612,6 +612,53 @@ class TestTopK:
         assert len(eigenpairs) == (len(pushed) if builder == "pca-pb" else 0)
         if max_k is None:
             assert len(pushed) == sum(len(node.part_indices) >= 3 for node in partition_nodes(tree))
+
+    @pytest.mark.parametrize("max_k", [None, 3])
+    @pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
+    def test_each_node_slices_the_statistics_once(self, rng, builder, max_k, monkeypatch):
+        # a node of 2 or more parts takes G[idx, idx] and g[idx] once, when its
+        # parent opens it, and its heap entry carries both to its expansion
+        X, y = random_instance(rng, 30, 25)
+        slices, opened, pushed, built = [], [], [], []
+
+        class CountingGram(np.ndarray):
+            def take(self, *args, **kwargs):
+                slices.append(args)
+                return np.asarray(super().take(*args, **kwargs))
+
+            def __getitem__(self, key):
+                slices.append(key)
+                return np.asarray(super().__getitem__(key))
+
+        statistics, open_node = pb._statistics, pb._open_node
+
+        def counting_statistics(log, y):
+            built.append(statistics(log, y))
+            return dataclasses.replace(built[-1], gram=built[-1].gram.view(CountingGram))
+
+        def counting_open_node(stats, heap, finish, path, indices, cap):
+            if indices.shape[0] >= 2:
+                opened.append(path)
+            open_node(stats, heap, finish, path, indices, cap)
+
+        def heappush(heap, entry):
+            if isinstance(entry[2], np.ndarray):  # a node: (-bound, path, indices, ...)
+                pushed.append(entry)
+            heapq.heappush(heap, entry)
+
+        monkeypatch.setattr(pb, "_statistics", counting_statistics)
+        monkeypatch.setattr(pb, "_open_node", counting_open_node)
+        monkeypatch.setattr(pb, "heapq", SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
+        build(builder, X, y, max_k=max_k)
+        (stats,) = built
+        assert opened and len(slices) == len(opened)
+        assert pushed
+        for _, _, indices, _, gram, cross in pushed:
+            assert gram.tobytes() == stats.gram[np.ix_(indices, indices)].tobytes()
+            if stats.cross is None:
+                assert cross is None
+            else:
+                assert cross.tobytes() == stats.cross[indices].tobytes()
 
     @pytest.mark.parametrize("max_k", [0, 6, -1, 2.5])
     def test_max_k_outside_range_rejected(self, rng, max_k):
@@ -724,8 +771,8 @@ class TestTwoPartNodes:
             X = CompositionMatrix(np.exp(logs))
             stats = pb._statistics(np.log(X.values), None)
             _, vector = pb._top_eigenpair(stats.gram)
-            loading = pb._loading(stats, np.arange(2), stats.gram, vector)
-            kept = loading is not None and loading.max() > 0 > loading.min()
+            signal = pb._has_signal(stats, np.arange(2), stats.gram, vector)
+            kept = signal and vector.max() > 0 > vector.min()
             paired = float(pb._scores(pb.PAIR, stats.gram, None)[0])
             assert pca_pb(X).ordering_values[0] == (paired if kept else 0.0) >= 0.0
             outcomes.add((kept, paired < 0))
@@ -749,7 +796,7 @@ class TestTwoPartNodes:
     @example(seed=2105036288, n=14, log_scale=52.04975559505944, cross_scale=70.07713832211101,
              noise=None, tie=False)
     def test_pair_decision_matches_loading(self, seed, n, log_scale, cross_scale, noise, tie):
-        # The 2-part node decides on Python floats what _loading decides with
+        # The 2-part node decides on Python floats what _has_signal decides with
         # numpy: a two-sided loading, or none. Log tables at scale 10^log_scale
         # give G from 1e-150 to 1e150 and g at 10^cross_scale; the second part
         # is unrelated (noise None), proportional (0) or near-proportional to
@@ -771,8 +818,8 @@ class TestTwoPartNodes:
                 pair_stats = dataclasses.replace(stats, cross=cross)
                 direction = np.array([1.0, centred_070(stats.gram)[0, 1]])
                 own = direction if cross is None else cross - np.add.reduce(cross) / 2  # H g[idx]
-                loading = pb._loading(pair_stats, idx, stats.gram, own)
-                expected = loading is not None and loading.max() > 0 > loading.min()
+                signal = pb._has_signal(pair_stats, idx, stats.gram, own)
+                expected = signal and own.max() > 0 > own.min()
                 assert pb._pair_signal(pair_stats, idx, stats.gram, cross) == expected
 
     @settings(max_examples=30, deadline=None)

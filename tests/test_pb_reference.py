@@ -312,7 +312,7 @@ def test_fused_candidates_match_the_sign_matrix(p):
     signs = sign_matrix_loop(p)
     public = candidate_signs(p)
     assert public.dtype == signs.dtype and np.array_equal(public, signs)
-    _, _, coeffs = _candidates(p, np.abs(p), p.argmax(), p.argmin())
+    coeffs = _candidates(p, np.abs(p), p.argmax(), p.argmin())
     assert coeffs.tobytes() == signs_to_coefficients(candidate_signs(p)).tobytes()
 
 
@@ -354,7 +354,9 @@ def test_node_step_matches_the_070_orientation_and_candidates(p):
     got, want = _node_candidates(p), node_candidates_070(p)
     assert (got is None) == (want is None)
     if want is not None:
-        for a, b in zip(got, want):
+        active, signs, coeffs = want  # a candidate's signs are those of its coefficient column
+        pairs = ((np.sign(got).astype(int), np.where(active, signs[:, None], 0)), (got, coeffs))
+        for a, b in pairs:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
