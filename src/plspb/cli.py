@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fileio
-from .coda import default_part_names
+from .coda import _check_integer, default_part_names
 from .errors import BalanceError
 from .latent import pls_regression
 from .modelsel import (
@@ -68,15 +68,6 @@ def _map_runs(run, tasks, jobs: int) -> list:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(run, tasks))
     return [run(task) for task in tasks]
-
-
-def _at_least_one(config: dict, key: str) -> int:
-    """``config[key]``, a count that must be at least 1: the ``runs`` of a
-    simulation study, or the ``jobs`` of ``cv`` and ``recover`` in every mode,
-    whether or not the mode runs a pool."""
-    if config[key] < 1:
-        raise ValueError(f"{key} must be at least 1, got {config[key]}")
-    return config[key]
 
 
 def _scenario_from_config(config: dict, seed: int | None = None) -> SimScenario:
@@ -175,7 +166,7 @@ def run_fit(config: dict) -> dict:
 
 def _cv_fresh_run(args):
     """One simulation run of the fresh-data mode (top level for pickling)."""
-    config, run_seed, methods, metric = args
+    config, run_seed, methods = args
     scenario = _scenario_from_config(config, seed=run_seed)
     dataset = simulate_dataset(scenario)
     out = {}
@@ -186,9 +177,7 @@ def _cv_fresh_run(args):
             method,
             max_k=config["max_k"],
             folds=config["folds"],
-            repeats=1,
             seed=run_seed,
-            metric=metric,
         )
         out[method] = result.mean_error
     return out
@@ -196,7 +185,7 @@ def _cv_fresh_run(args):
 
 def run_cv(config: dict) -> dict:
     methods = list(METHODS) if config["all_methods"] else [config["method"]]
-    jobs = _at_least_one(config, "jobs")
+    jobs = _check_integer(config["jobs"], "jobs", 1)  # in every mode, pooled or not
     if config["binary"] and not config["data"]:
         raise ValueError("--binary needs --data: the simulator makes only continuous responses")
     metric = METRIC_ME if config["binary"] else METRIC_RMSEP
@@ -216,8 +205,8 @@ def run_cv(config: dict) -> dict:
             )
     else:
         # fresh-data mode: one new dataset per run, 1 repeat of k-fold each
-        runs = _at_least_one(config, "runs")
-        tasks = [(config, seed, methods, metric) for seed in spawn_seeds(config["seed"], runs)]
+        runs = _check_integer(config["runs"], "runs", 1)
+        tasks = [(config, seed, methods) for seed in spawn_seeds(config["seed"], runs)]
         curves = _map_runs(_cv_fresh_run, tasks, jobs)
         for method in methods:
             errors = np.stack([curve[method] for curve in curves])
@@ -255,9 +244,9 @@ def _recover_run(args):
 
 def run_recover(config: dict) -> dict:
     methods = [PLS_PB, PCA_PB] if config["method"] == "all" else [config["method"]]
-    runs = _at_least_one(config, "runs")
+    runs = _check_integer(config["runs"], "runs", 1)
     tasks = [(config, seed, methods) for seed in spawn_seeds(config["seed"], runs)]
-    results = _map_runs(_recover_run, tasks, _at_least_one(config, "jobs"))
+    results = _map_runs(_recover_run, tasks, _check_integer(config["jobs"], "jobs", 1))
     counts = {
         method: np.sum([res[method] for res in results], axis=0).astype(int)
         for method in methods

@@ -139,11 +139,15 @@ def _check_response(y, n: int) -> np.ndarray:
     return y
 
 
-def _check_integer(value, name: str):
-    """``value`` when it is an int or a numpy integer, not a bool; else a
-    ValueError naming the argument."""
+def _check_integer(value, name: str, low=None, high=None):
+    """``value`` when it is an int or a numpy integer, not a bool, within
+    low..high (a None bound is open); else a ValueError naming the argument."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name}={value!r} is not an integer")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name}={value} outside {low}..{high}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
     return value
 
 
@@ -268,20 +272,14 @@ def closure(raw, total: float = 1.0, part_names=None) -> CompositionMatrix:
 
     Raises
     ------
-    ZeroPart
-        If any entry is exactly zero.
+    ValueError, ZeroPart
+        As ``CompositionMatrix`` does for ``raw``, which it checks first.
     """
-    v = np.array(raw, dtype=float)
     if total <= 0:
         raise ValueError("total must be positive")
-    if v.ndim != 2:
-        raise ValueError("raw values must be a 2-d matrix")
-    if np.any(v < 0):
-        raise ValueError("raw values must be nonnegative")
-    if np.any(v == 0):
-        raise ZeroPart("zero parts are not supported; treat zeros before closure")
-    scaled = v * (total / v.sum(axis=1, keepdims=True))
-    return CompositionMatrix(scaled, part_names)
+    X = CompositionMatrix(raw, part_names)
+    return CompositionMatrix(X.values * (total / X.values.sum(axis=1, keepdims=True)),
+                             X.part_names)
 
 
 def clr(X: CompositionMatrix) -> np.ndarray:
@@ -301,9 +299,7 @@ def pivot_basis(n_parts: int) -> np.ndarray:
     Column j contrasts part j against the geometric mean of parts j+1..D;
     columns are orthonormal and zero-sum.
     """
-    if n_parts < 2:
-        raise ValueError("need at least 2 parts")
-    d = n_parts
+    d = _check_integer(n_parts, "n_parts", 2)
     basis = np.zeros((d, d - 1))
     for j in range(d - 1):
         tail = d - j - 1

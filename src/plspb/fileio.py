@@ -120,11 +120,13 @@ def _quoted(names) -> list[str]:
     return ['"' + n.replace('"', '""') + '"' if _NEEDS_QUOTES.search(n) else n for n in names]
 
 
-def _write_table(path, header, body, lead=None, fmt=repr) -> str:
+def _write_table(path, header, body, lead=None) -> str:
     """Write the ``header`` cells, quoted as names, then one line per row of
-    the 2-d array ``body``, its cells formatted by ``fmt`` (None: already text)
-    and led by the matching entry of ``lead``, if any; ``repr`` is exact."""
-    rows = map(",".join, body.tolist() if fmt is None else (map(fmt, row) for row in body.tolist()))
+    the 2-d array ``body``, its cells written by ``repr``, which is exact,
+    unless they are already text (object dtype), and led by the matching
+    entry of ``lead``, if any."""
+    rows = body.tolist()
+    rows = map(",".join, rows if body.dtype == object else (map(repr, row) for row in rows))
     if lead is not None:
         rows = map(",".join, zip(lead, rows))
     return _write_text(path, "\n".join([",".join(_quoted(header)), *rows]) + "\n")
@@ -163,13 +165,13 @@ def write_basis_csv(path, basis: BalanceBasis) -> str:
                       [*map(repr, b.max(axis=0).tolist())]], dtype=object)
     cells = texts[basis.sign_matrix + 1, np.arange(k)]
     return _write_table(path, _score_header(basis.ordering_values), cells,
-                        lead=_quoted(basis.part_names), fmt=None)
+                        lead=_quoted(basis.part_names))
 
 
 def write_sign_csv(path, basis: BalanceBasis) -> str:
     header = ["part", *(f"b{j + 1}" for j in range(basis.n_balances))]
     return _write_table(path, header, _SIGN_TEXT[basis.sign_matrix + 1],
-                        lead=_quoted(basis.part_names), fmt=None)
+                        lead=_quoted(basis.part_names))
 
 
 def write_cv_csv(path, rows) -> str:
@@ -186,7 +188,7 @@ def write_recovery_csv(path, part_names, counts_by_method, runs: int) -> str:
     lead = [f"{name},{method}" for method in methods for name in names]
     counts = np.concatenate([np.asarray(counts_by_method[m], dtype=int) for m in methods])
     body = np.column_stack([counts, np.full_like(counts, runs)])
-    return _write_table(path, ["part", "method", "inclusion_count", "runs"], body, lead, fmt=str)
+    return _write_table(path, ["part", "method", "inclusion_count", "runs"], body, lead)
 
 
 def write_json(path, payload) -> str:

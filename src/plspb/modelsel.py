@@ -142,8 +142,7 @@ def fit_on_balances(X: CompositionMatrix, y, basis: BalanceBasis, k: int) -> Log
     regressors; otherwise the fit is reported as collinear.
     """
     y = _check_response(y, X.n_samples)
-    if not 1 <= _check_integer(k, "k") <= basis.n_balances:
-        raise ValueError(f"k={k} outside 1..{basis.n_balances}")
+    _check_integer(k, "k", 1, basis.n_balances)
     col_means, y_mean, r, qty = _least_squares(basis.coordinates(X)[:, :k], y)
     slope = np.linalg.solve(r, qty)
     return LogContrastModel(basis.coefficient_matrix[:, :k] @ slope,
@@ -151,9 +150,7 @@ def fit_on_balances(X: CompositionMatrix, y, basis: BalanceBasis, k: int) -> Log
 
 
 def _check_folds(n: int, folds: int) -> None:
-    if _check_integer(folds, "folds") < 2:
-        raise ValueError("need at least 2 folds")
-    if n < folds:
+    if n < _check_integer(folds, "folds", 2):
         raise TooFewSamples(f"{n} samples cannot fill {folds} folds")
 
 
@@ -162,7 +159,7 @@ def fold_indices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarra
 
     The first n mod folds folds receive one extra row.
     """
-    _check_folds(n, folds)
+    _check_folds(_check_integer(n, "n"), folds)
     return np.array_split(rng.permutation(n), folds)
 
 
@@ -228,15 +225,13 @@ def cross_validate(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if metric not in (METRIC_RMSEP, METRIC_ME):
         raise ValueError(f"unknown metric {metric!r}")
-    if _check_integer(repeats, "repeats") < 1:
-        raise ValueError("need at least one repeat")
+    _check_integer(repeats, "repeats", 1)
+    _check_integer(seed, "seed", 0)
     n = X.n_samples
     _check_folds(n, folds)
     min_train = n - (n // folds + (1 if n % folds else 0))
     limit = min(X.n_parts - 1, min_train - 1)
-    if not 1 <= _check_integer(max_k, "max_k") <= X.n_parts - 1:
-        raise ValueError(f"max_k={max_k} outside 1..{X.n_parts - 1}")
-    if max_k > limit:
+    if _check_integer(max_k, "max_k", 1, X.n_parts - 1) > limit:
         if method == PLS_RAW:
             raise RankDeficient(f"max_k={max_k} exceeds trainable rank {limit}")
         raise Collinear(f"max_k={max_k} regressors need more than {min_train} rows")

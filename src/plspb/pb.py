@@ -408,9 +408,7 @@ def _build(log: np.ndarray, y, max_k: int | None = None, return_tree=False, part
     if y is not None and np.ptp(y) == 0.0:
         raise ConstantResponse("response has zero variance")
     n_parts = log.shape[1]
-    k = n_parts - 1 if max_k is None else _check_integer(max_k, "max_k")
-    if not 1 <= k <= n_parts - 1:
-        raise ValueError(f"max_k={max_k} outside 1..{n_parts - 1}")
+    k = n_parts - 1 if max_k is None else _check_integer(max_k, "max_k", 1, n_parts - 1)
     if return_tree and k < n_parts - 1:
         # unexpanded subtrees would read as None, like single parts
         raise ValueError("return_tree needs the full basis (max_k=None)")

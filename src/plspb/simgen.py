@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import BalanceBasis, CompositionMatrix, inverse_pivot
+from .coda import BalanceBasis, CompositionMatrix, _check_integer, inverse_pivot
 from .errors import NotPositiveDefinite
 
 CASE_ONE_BLOCK = "one-block"
@@ -67,16 +67,13 @@ class SimScenario:
     def __post_init__(self):
         if self.case not in CASES:
             raise ValueError(f"unknown case {self.case!r}; expected one of {CASES}")
-        if self.n < 2:
-            raise ValueError("need at least 2 samples")
-        if self.D < 3:
-            raise ValueError("need at least 3 parts")
+        _check_integer(self.n, "n", 2)
+        _check_integer(self.D, "D", 3)
         sizes = self.block_sizes
         if sizes is None:
             sizes = DEFAULT_BLOCK_SIZES[self.case]
-        sizes = tuple(int(s) for s in sizes)
-        if any(s < 2 for s in sizes):
-            raise ValueError("marker blocks need at least 2 coordinates")
+        # stored as Python ints, which a simulate manifest writes as JSON
+        sizes = tuple(int(_check_integer(s, f"block_sizes[{i}]", 2)) for i, s in enumerate(sizes))
         if sum(sizes) >= self.D - 1:
             raise ValueError(
                 f"{sum(sizes)} marker coordinates leave no noise coordinates at D={self.D}"
@@ -95,7 +92,7 @@ class SimScenario:
                 raise ValueError("beta must carry one value per marker coordinate")
         object.__setattr__(self, "block_sizes", sizes)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", int(_check_integer(self.seed, "seed", 0)))
 
     @property
     def n_marker_coordinates(self) -> int:
@@ -155,6 +152,7 @@ def build_sigma(scenario: SimScenario) -> np.ndarray:
 
 def mvn_sample(sigma: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n rows from N(0, sigma) through a Cholesky factor."""
+    _check_integer(n, "n", 0)
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("sigma must be square")
@@ -235,5 +233,6 @@ def marker_recovery(basis_or_balance, marker_mask) -> RecoveryResult:
 
 def spawn_seeds(seed: int, count: int) -> list[int]:
     """Derive reproducible per-run integer seeds from one master seed."""
-    children = np.random.SeedSequence(seed).spawn(count)
+    _check_integer(count, "count", 0)
+    children = np.random.SeedSequence(_check_integer(seed, "seed", 0)).spawn(count)
     return [int(child.generate_state(1, np.uint64)[0]) for child in children]

@@ -712,9 +712,13 @@ class TestFailedCommand:
             (lambda tmp: ("cv", "--case", "one-block", "--n", 30, "--d", 8, "--blocks", "4",
                           "--runs", 1, "--max-k", 2, "--binary"),
              "--binary needs --data"),
+            (lambda tmp: ("recover", "--n", 30, "--d", 8, "--blocks", "2", "--runs", 2,
+                          "--seed", -1),
+             "seed must be at least 0, got -1"),
+            (lambda tmp: ("simulate", "--n", 1), "n must be at least 2, got 1"),
         ],
         ids=["fit-missing-data", "cv-max-k-above-d-1", "fit-response-length", "cv-binary-continuous",
-             "cv-binary-simulated"],
+             "cv-binary-simulated", "recover-negative-seed", "simulate-one-sample"],
     )
     def test_writes_nothing(self, tmp_path, capsys, prepare, message):
         argv = prepare(tmp_path)

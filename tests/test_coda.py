@@ -47,6 +47,11 @@ class TestClosure:
         with pytest.raises(ValueError):
             closure(np.array([[2.0, -1.0, 2.0], [1.0, 1.0, 1.0]]))
 
+    def test_infinite_entry_rejected(self):
+        # before any arithmetic: inf / inf would otherwise warn and give NaN
+        with pytest.raises(ValueError, match="^composition values must be finite$"):
+            closure(np.array([[2.0, np.inf, 2.0], [1.0, 1.0, 1.0]]))
+
     def test_row_totals(self, rng):
         raw = rng.uniform(0.1, 5.0, size=(7, 4))
         X = closure(raw, total=1e6)

@@ -1,5 +1,7 @@
 """Tests for error metrics, balance-count models and cross-validation."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,16 +9,21 @@ from numpy.testing import assert_allclose
 from plspb import (
     CompositionMatrix,
     CvResult,
+    SimScenario,
     cross_validate,
     fit_on_balances,
     fold_indices,
     misclassification_error,
+    mvn_sample,
     one_se_select,
     pca_pb,
+    pivot_basis,
     pls_pb,
     pls_regression,
     rmsep,
+    simulate_dataset,
 )
+from plspb.simgen import spawn_seeds
 from plspb.modelsel import PCA_PB, PLS_PB, PLS_RAW, _fold_predictions, aggregate_error_runs
 from plspb.errors import (
     BalanceError,
@@ -161,7 +168,7 @@ class TestFoldIndices:
             fold_indices(3, 5, rng)
 
     def test_one_fold_rejected(self, rng):
-        with pytest.raises(ValueError, match="need at least 2 folds"):
+        with pytest.raises(ValueError, match="^folds must be at least 2, got 1$"):
             fold_indices(10, 1, rng)
 
     def test_seeded_reproducibility(self):
@@ -247,7 +254,7 @@ class TestCrossValidate:
         X, y = random_instance(rng, 4, 4)
         with pytest.raises(TooFewSamples, match="4 samples cannot fill 5 folds"):
             cross_validate(X, y, PLS_PB, max_k=2, folds=5)
-        with pytest.raises(ValueError, match="need at least 2 folds"):
+        with pytest.raises(ValueError, match="^folds must be at least 2, got 1$"):
             cross_validate(X, y, PLS_PB, max_k=2, folds=1)
         # two folds of two rows: every basis build sees only two samples
         for method in (PLS_PB, PCA_PB):
@@ -301,7 +308,7 @@ class TestCrossValidate:
         [
             ({"method": "lasso"}, "unknown method 'lasso'"),
             ({"metric": "mse"}, "unknown metric 'mse'"),
-            ({"repeats": 0}, "need at least one repeat"),
+            ({"repeats": 0}, "^repeats must be at least 1, got 0$"),
         ],
         ids=["method", "metric", "repeats"],
     )
@@ -380,6 +387,23 @@ _NON_INTEGERS = {
     "logcontrast": (lambda X, y: pls_regression(X, y).logcontrast(1.5), "k"),
     "pls_pb-bool": (lambda X, y: pls_pb(X, y, max_k=True), "max_k"),
     "pca_pb-bool": (lambda X, y: pca_pb(X, max_k=np.True_), "max_k"),
+    "cv-seed-float": (lambda X, y: cross_validate(X, y, PLS_PB, max_k=2, seed=1.5), "seed"),
+    "cv-seed-bool": (lambda X, y: cross_validate(X, y, PLS_PB, max_k=2, seed=True), "seed"),
+    "fold_indices-n": (lambda X, y: fold_indices(10.5, 2, np.random.default_rng(0)), "n"),
+    "scenario-n": (lambda X, y: SimScenario("same-blocks", n=30.5, D=10, block_sizes=(2, 3)),
+                   "n"),
+    "scenario-D": (lambda X, y: SimScenario("same-blocks", n=30, D=10.5, block_sizes=(2, 3)),
+                   "D"),
+    "scenario-block": (lambda X, y: SimScenario("same-blocks", n=30, D=10, block_sizes=(2.7, 3)),
+                       r"block_sizes\[0\]"),
+    "scenario-seed-float": (lambda X, y: SimScenario("one-block", n=30, D=10, block_sizes=(2,),
+                                                     seed=1.5), "seed"),
+    "scenario-seed-bool": (lambda X, y: SimScenario("one-block", n=30, D=10, block_sizes=(2,),
+                                                    seed=True), "seed"),
+    "mvn_sample": (lambda X, y: mvn_sample(np.eye(2), 2.5, np.random.default_rng(0)), "n"),
+    "pivot_basis": (lambda X, y: pivot_basis(3.5), "n_parts"),
+    "spawn_seeds-seed": (lambda X, y: spawn_seeds(1.5, 2), "seed"),
+    "spawn_seeds-count": (lambda X, y: spawn_seeds(1, 2.5), "count"),
 }
 
 
@@ -403,3 +427,49 @@ def test_numpy_integers_accepted(rng):
     fits += model.logcontrast(np.int64(1)), model.logcontrast(1)
     for a, b in (fits[:2], fits[2:]):
         assert np.array_equal(a.coefficients, b.coefficients) and a.intercept == b.intercept
+    scenario = SimScenario("same-blocks", n=np.int64(30), D=np.int32(10),
+                           block_sizes=(np.int64(2), np.uint8(3)), seed=np.int16(4))
+    assert scenario.block_sizes == (2, 3) and scenario.seed == 4
+    assert all(type(v) is int for v in (*scenario.block_sizes, scenario.seed))
+    data = simulate_dataset(scenario)
+    same = simulate_dataset(SimScenario("same-blocks", n=30, D=10, block_sizes=(2, 3), seed=4))
+    assert np.array_equal(data.X.values, same.X.values) and np.array_equal(data.y, same.y)
+    assert spawn_seeds(np.int64(3), np.int8(2)) == spawn_seeds(3, 2)
+    assert np.array_equal(pivot_basis(np.int64(4)), pivot_basis(4))
+
+
+# Counts below their least value name the argument, the bound and the value.
+_BELOW_BOUND = {
+    "cv-folds": (lambda X, y: cross_validate(X, y, PLS_PB, max_k=2, folds=1), "folds", 2, 1),
+    "cv-repeats": (lambda X, y: cross_validate(X, y, PLS_PB, max_k=2, repeats=0), "repeats", 1, 0),
+    "cv-seed": (lambda X, y: cross_validate(X, y, PLS_PB, max_k=2, seed=-1), "seed", 0, -1),
+    "scenario-n": (lambda X, y: SimScenario("one-block", n=1, D=10, block_sizes=(2,)), "n", 2, 1),
+    "scenario-D": (lambda X, y: SimScenario("one-block", n=30, D=2, block_sizes=(2,)), "D", 3, 2),
+    "scenario-block": (lambda X, y: SimScenario("same-blocks", n=30, D=10, block_sizes=(2, 1)),
+                       "block_sizes[1]", 2, 1),
+    "scenario-seed": (lambda X, y: SimScenario("one-block", n=30, D=10, block_sizes=(2,),
+                                               seed=-1), "seed", 0, -1),
+    "spawn_seeds-seed": (lambda X, y: spawn_seeds(-1, 2), "seed", 0, -1),
+    "spawn_seeds-count": (lambda X, y: spawn_seeds(1, -1), "count", 0, -1),
+    "pivot_basis": (lambda X, y: pivot_basis(1), "n_parts", 2, 1),
+    "mvn_sample": (lambda X, y: mvn_sample(np.eye(2), -1, np.random.default_rng(0)), "n", 0, -1),
+}
+
+
+@pytest.mark.parametrize("call, name, low, value", _BELOW_BOUND.values(),
+                         ids=_BELOW_BOUND.keys())
+def test_counts_below_their_bound_rejected(rng, call, name, low, value):
+    X, y = random_instance(rng, 12, 5)
+    message = rf"^{re.escape(name)} must be at least {low}, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        call(X, y)
+
+
+def test_counts_outside_their_range_rejected(rng):
+    X, y = random_instance(rng, 12, 5)
+    basis = pls_pb(X, y)
+    with pytest.raises(ValueError, match=r"^max_k=5 outside 1\.\.4$"):
+        cross_validate(X, y, PLS_PB, max_k=5, folds=4)
+    for k in (0, 5):
+        with pytest.raises(ValueError, match=rf"^k={k} outside 1\.\.4$"):
+            fit_on_balances(X, y, basis, k)
