@@ -275,8 +275,8 @@ def closure(raw, total: float = 1.0, part_names=None) -> CompositionMatrix:
     ValueError, ZeroPart
         As ``CompositionMatrix`` does for ``raw``, which it checks first.
     """
-    if total <= 0:
-        raise ValueError("total must be positive")
+    if not 0 < total < np.inf:
+        raise ValueError("total must be finite and positive")
     X = CompositionMatrix(raw, part_names)
     return CompositionMatrix(X.values * (total / X.values.sum(axis=1, keepdims=True)),
                              X.part_names)

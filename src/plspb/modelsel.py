@@ -189,12 +189,22 @@ def _fold_predictions(log_x, y, method, max_k, folds, rng) -> np.ndarray:
     return predictions
 
 
+def _check_run_settings(metric, folds, repeats) -> None:
+    """The settings a ``CvResult`` records: a known metric, at least 2 folds
+    and at least 1 repeat."""
+    if metric not in (METRIC_RMSEP, METRIC_ME):
+        raise ValueError(f"unknown metric {metric!r}")
+    _check_integer(folds, "folds", 2)
+    _check_integer(repeats, "repeats", 1)
+
+
 def aggregate_error_runs(error_matrix, metric, folds, repeats) -> CvResult:
     """Summarize per-run error curves into means, SDs and a selected size.
 
     The standard deviation is taken across runs with the n-1 divisor and
     enters the one-SE rule undivided.
     """
+    _check_run_settings(metric, folds, repeats)
     errs = np.asarray(error_matrix, dtype=float)
     if errs.ndim != 2 or errs.shape[0] < 1:
         raise ValueError("need a runs x k error matrix")
@@ -223,9 +233,7 @@ def cross_validate(
     y = _check_response(y, X.n_samples)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if metric not in (METRIC_RMSEP, METRIC_ME):
-        raise ValueError(f"unknown metric {metric!r}")
-    _check_integer(repeats, "repeats", 1)
+    _check_run_settings(metric, folds, repeats)
     _check_integer(seed, "seed", 0)
     n = X.n_samples
     _check_folds(n, folds)

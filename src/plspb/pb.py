@@ -2,11 +2,12 @@
 
 Both builders grow a sequential binary partition of the parts. Every choice
 depends on the data only through statistics computed once per build: with
-Lc the column-centred log data, G = Lc'Lc / (n-1) and, for pls-pb,
-g = Lc'(y - mean y) / (n-1). A node over the parts idx, with H the centring
-projector on them, takes as loading H g[idx] (the one-component SIMPLS
-direction of its subcomposition) for pls-pb, or the top eigenvector of
-H G[idx, idx] H (its first principal direction) for pca-pb. One fused pass
+Lc the column-centred log data, G = Lc'Lc / (n-1) for pca-pb, and for
+pls-pb g = Lc'(y - mean y) / (n-1); pls-pb never forms G. A node over the
+parts idx, with H the centring projector on them, takes as loading H g[idx]
+(the one-component SIMPLS direction of its subcomposition) for pls-pb, or
+the top eigenvector of H G[idx, idx] H (its first principal direction) for
+pca-pb. One fused pass
 builds the loading's d-1 nested candidates as coefficient columns c, whose
 signs are the columns of ``candidate_signs``; each is scored by |c'g[idx]| or
 c'G[idx, idx]c, the best wins, and ties within a relative 1e-12 go to the
@@ -15,11 +16,17 @@ The node's children are the parts left out of the chosen balance, its
 numerator and its denominator. A 2-part node's only balance is +1 on its
 first part and -1 on its second; it is finished when its parent opens it.
 Its signal is decided on Python floats: a negative off-diagonal entry of H G H
-(pca-pb) or a two-sided H g[idx] (pls-pb), unless the constant-subcomposition
-window or float under- or overflow leaves it to the full checks below.
+(pca-pb), unless the constant-subcomposition window leaves it to the full
+checks below, or a two-sided H g[idx] (pls-pb) that passes them.
 
 A node without usable signal (constant subcomposition, zero H g[idx], or a
 SIMPLS fit at its rank boundary) keeps its first part against its last, scored 0.
+Its own score bound screens these checks: every unit zero-sum contrast u on
+the node's parts has u'H G[idx, idx] H u >= beta, the top eigenvalue for
+pca-pb and ||H g[idx]||^2 / v_y for pls-pb (Cauchy-Schwarz, with v_y the
+response variance), and no check can fire once (n-1) beta is above twice the
+window's threshold. Any other node runs the exact checks, pls-pb's on the
+node's own Gram block B'B / (n-1) from its column-centred log block B.
 
 When a chosen balance leaves parts out, the subtree below the node would
 only yield d-2 balances; the basis is completed with a connecting balance
@@ -39,14 +46,15 @@ of every balance inside the node. Any such balance is a unit zero-sum
 contrast c on the node's parts, so for pls-pb |c'g[idx]| <= ||H g[idx]||
 (Cauchy-Schwarz), and for pca-pb c'G[idx, idx]c is at most the top
 eigenvalue of H G[idx, idx] H. Opened by its parent, a node slices G[idx, idx]
-and g[idx] once, computes its bound and loading from them, and enters the heap
-once with all four, keyed by the smaller of its own bound and its parent's. For
-pca-pb, nodes of 20 to 149 parts take the top eigenpair from repeated
-squaring of H G[idx, idx] H, which is faster there, when it converges within
-16 squarings, and otherwise from eigh. The route changes no output: the
-loading matters only through the order and signs of its entries, scores
-come from G, and the squaring's eigenvalue, a Rayleigh quotient, is within
-about 1e-15 of eigh's, far inside the stop slack. The engine stops once the
+(pca-pb) or g[idx] (pls-pb) once, computes its bound and loading from it, and
+enters the heap once with all three, keyed by the smaller of its own bound and
+its parent's key. For pca-pb, nodes of 20 to 149 parts take the top
+eigenpair from repeated squaring of H G[idx, idx] H, which is faster there,
+when it converges within 16 squarings, and otherwise from eigh. The route
+changes no output: the loading matters only through the order and signs of
+its entries, scores come from G, and the squaring's eigenvalue, a Rayleigh
+quotient, is within about 1e-15 of eigh's, far inside the stop slack. The
+engine stops once the
 k-th best kept score exceeds the largest open bound by a slack of 1e-9 of
 the root's uncentred scale (||g|| or tr G): that slack covers the rounding
 of scores and bounds, and being strictly positive it keeps a pruned node
@@ -197,17 +205,31 @@ def _scores(coeffs: np.ndarray, gram: np.ndarray, cross) -> np.ndarray:
 class _Statistics:
     """Everything the recursion reads from the data, computed once per build."""
 
-    log: np.ndarray  # ln X, read only by the exact constant-subcomposition check
+    log: np.ndarray  # ln X, read by the exact no-signal checks
+    means: np.ndarray  # its column means
     log_sq: np.ndarray  # per-part sum over samples of ln^2 X: the log scale
-    gram: np.ndarray  # G = Lc'Lc / (n-1)
+    variances: np.ndarray  # diag G
+    gram: np.ndarray | None  # G = Lc'Lc / (n-1), unsupervised only
     cross: np.ndarray | None  # g = Lc'(y - mean y) / (n-1), supervised only
+    response_var: float | None  # v_y = ||y - mean y||^2 / (n-1), supervised only
 
 
 def _statistics(log: np.ndarray, y) -> _Statistics:
-    centred = log - log.mean(axis=0)
-    n = log.shape[0]
-    cross = None if y is None else centred.T @ (y - y.mean()) / (n - 1)
-    return _Statistics(log, np.add.reduce(log * log), centred.T @ centred / (n - 1), cross)
+    """The build's statistics: G for pca-pb, g, v_y and diag G for pls-pb,
+    which forms no D x D array."""
+    n, means = log.shape[0], log.mean(axis=0)
+    centred = log * log
+    log_sq = np.add.reduce(centred)
+    np.subtract(log, means, out=centred)  # one n x D buffer: a fresh one costs page faults
+    if y is None:
+        gram = centred.T @ centred / (n - 1)
+        return _Statistics(log, means, log_sq, gram.diagonal(), gram, None, None)
+    residual = y - y.mean()
+    with np.errstate(over="ignore"):  # an infinite v_y proves no node's signal
+        response_var = float(residual @ residual) / (n - 1)
+    variances = np.einsum("ij,ij->j", centred, centred) / (n - 1)
+    return _Statistics(log, means, log_sq, variances, None, centred.T @ residual / (n - 1),
+                       response_var)
 
 
 def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
@@ -243,11 +265,42 @@ def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
     return float(eigenvalues[-1]), eigenvectors[:, -1]
 
 
-def _has_signal(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, loading) -> bool:
+def _signal_proven(stats: _Statistics, indices: np.ndarray, bound: float) -> bool:
+    """Whether a node's own score bound proves that ``_has_signal`` is true,
+    without G. Every unit zero-sum contrast u on the node's parts has
+    u'H G[idx, idx] H u >= beta: for pca-pb beta is the bound, the top
+    eigenvalue; for pls-pb it is ||p||^2 / v_y with p = H g[idx] and the
+    bound ||p||, by Cauchy-Schwarz on p'u = (Lc H u)'(y - mean y) / (n-1).
+    So energy >= beta, t^2 >= p'p beta and ||H G H p||^2 >= t^2 beta, and
+    once (n-1) beta exceeds twice the window's threshold, which is at least
+    1e-8 of tr G[idx, idx] (the factor 2 absorbs the rounding of traces),
+    neither the window nor a rank test, at 1e-20 of the energy, can fire.
+    For pls-pb that holds only while v_y, p'p, beta^2 p'p and tr^2 p'p keep
+    the rank tests' products clear of float under- and overflow."""
+    n = stats.log.shape[0]
+    trace = float(np.add.reduce(stats.variances[indices]))  # tr G[idx, idx], at least the energy
+    scale_sq = max(1.0, float(np.add.reduce(stats.log_sq[indices])))
+    beta = bound
+    if stats.cross is not None:
+        pp, v_y = bound * bound, stats.response_var
+        if not 1e-290 < v_y < 1e290:
+            return False
+        beta = pp / v_y
+        if not all(1e-290 < v < 1e290 for v in (pp, beta * beta * pp, trace * trace * pp)):
+            return False
+    return (n - 1) * beta > 2 * (_CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace)
+
+
+def _has_signal(stats: _Statistics, indices: np.ndarray, gram, loading) -> bool:
     """Whether a node's ``loading``, H g[idx] for pls-pb (``stats.cross`` set)
     or the top eigenvector of H G[idx, idx] H for pca-pb, is usable signal:
-    False for a constant subcomposition or a SIMPLS fit at its rank boundary."""
-    n, d = stats.log.shape[0], gram.shape[0]
+    False for a constant subcomposition or a SIMPLS fit at its rank boundary.
+    ``gram`` is G[idx, idx]; when None (pls-pb, which has no G) it is the
+    node's own Gram block B'B / (n-1), with B its column-centred log block."""
+    n, d = stats.log.shape[0], indices.shape[0]
+    if gram is None:
+        block = stats.log[:, indices] - stats.means[indices]
+        gram = block.T @ block / (n - 1)
     trace = gram.trace()
     energy = float(trace - np.add.reduce(np.add.reduce(gram) / d))  # tr(H G[idx, idx] H)
     # Constant subcomposition: the centred clr block, of squared norm (n-1) *
@@ -270,27 +323,29 @@ def _has_signal(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, loadi
     return not (t_sq <= tol * float(loading @ loading) or float(gp @ gp) <= tol * t_sq)
 
 
-def _pair_signal(stats: _Statistics, indices: np.ndarray, gram: np.ndarray, cross) -> bool:
-    """Whether a 2-part node's loading is two-sided and ``_has_signal``, on
-    Python floats in its operation order (see the module docstring). For
-    pls-pb, t^2 is about energy * p'p: with p'p, energy * p'p and energy^2 *
-    p'p far from under- and overflow no rank test can fire, else _has_signal runs."""
+def _pair_signal(stats: _Statistics, indices: np.ndarray, gram, cross) -> bool:
+    """Whether a 2-part node's loading is two-sided and ``_has_signal``. For
+    pls-pb the loading H g[idx] decides on Python floats, and its bound
+    ||H g[idx]|| whether the exact checks run (``_signal_proven``). For pca-pb
+    the decision follows G[idx, idx] in the operation order of the full
+    checks (see the module docstring): unless the constant-subcomposition
+    window leaves it to them, the sign of (H G H)[0, 1] decides."""
+    if cross is not None:
+        c0, c1 = cross.tolist()
+        p0, p1 = c0 - (c0 + c1) / 2, c1 - (c0 + c1) / 2
+        if not (p0 > 0 > p1 or p1 > 0 > p0):
+            return False
+        return (_signal_proven(stats, indices, (p0 * p0 + p1 * p1) ** 0.5)
+                or _has_signal(stats, indices, None, cross - np.add.reduce(cross) / 2))
     (g00, g01), (g10, g11) = gram.tolist()
     m0, m1 = (g00 + g10) / 2, (g01 + g11) / 2
     trace, energy = g00 + g11, g00 + g11 - (m0 + m1)  # energy = tr(H G H)
     h = ((g01 - m0) - m1) + (m0 + m1) / 2  # (H G H)[0, 1], as _top_eigenpair computes it
-    signal, safe = h < 0, True
-    if cross is not None:
-        c0, c1 = cross.tolist()
-        p0, p1 = c0 - (c0 + c1) / 2, c1 - (c0 + c1) / 2
-        signal, pp = p0 > 0 > p1 or p1 > 0 > p0, p0 * p0 + p1 * p1
-        safe = all(1e-290 < v < 1e290 for v in (pp, energy * pp, energy * energy * pp))
     n, scale_sq = stats.log.shape[0], max(1.0, sum(stats.log_sq[indices].tolist()))
     window = (n - 1) * energy <= _CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace
-    if not signal or safe and not window:
-        return signal
-    loading = np.array([1.0, h]) if cross is None else cross - np.add.reduce(cross) / 2
-    return _has_signal(stats, indices, gram, loading)
+    if not h < 0 or not window:
+        return h < 0
+    return _has_signal(stats, indices, gram, np.array([1.0, h]))
 
 
 def _embed(signs: np.ndarray, indices: np.ndarray, n_parts: int) -> np.ndarray:
@@ -310,16 +365,17 @@ PAIR = signs_to_coefficients(np.array([[1], [-1]]))
 
 
 def _open_node(stats: _Statistics, heap: list, finish, path: tuple, indices: np.ndarray, cap):
-    """Take a node's slices G[idx, idx] and g[idx] and push a node of 3 or more
-    parts once with them and its loading, keyed by its score bound, at most
-    ``cap``: for pca-pb the top eigenpair of H G[idx, idx] H gives both, for
-    pls-pb p = H g[idx] is the loading and ||p|| the bound. A 2-part node goes
-    to ``finish`` at once, +1 on its first part (its loading +-(1, -1) is an
-    exact tie), scored 0 without ``_pair_signal``; no eigh."""
+    """Take a node's slice g[idx] for pls-pb, or G[idx, idx] for pca-pb, and
+    push a node of 3 or more parts once with it, its loading and its own
+    score bound, keyed by that bound capped at ``cap``: for pca-pb the top
+    eigenpair of H G[idx, idx] H gives both, for pls-pb p = H g[idx] is the
+    loading and ||p|| the bound. A 2-part node goes to ``finish`` at once, +1
+    on its first part (its loading +-(1, -1) is an exact tie), scored 0
+    without ``_pair_signal``; no eigh."""
     d = indices.shape[0]
     if d < 2:
         return
-    gram = stats.gram.take(indices, 0).take(indices, 1)
+    gram = None if stats.gram is None else stats.gram.take(indices, 0).take(indices, 1)
     cross = None if stats.cross is None else stats.cross[indices]
     if d == 2:
         score = _scores(PAIR, gram, cross)[0] if _pair_signal(stats, indices, gram, cross) else 0.0
@@ -330,7 +386,8 @@ def _open_node(stats: _Statistics, heap: list, finish, path: tuple, indices: np.
     else:
         loading = cross - np.add.reduce(cross) / d
         own = np.sqrt(loading @ loading)
-    heapq.heappush(heap, (-min(cap, float(own)), path, indices, loading, gram, cross))
+    own = float(own)
+    heapq.heappush(heap, (-min(cap, own), path, indices, loading, own, gram, cross))
 
 
 def _partition(stats: _Statistics, max_k: int):
@@ -341,7 +398,7 @@ def _partition(stats: _Statistics, max_k: int):
     score), and the expanded nodes as {path: (indices, chosen signs, score,
     connecting signs, connecting score)}, all signs over the node's parts.
     """
-    n_parts = stats.gram.shape[0]
+    n_parts = stats.log.shape[1]
     scale = stats.gram.trace() if stats.cross is None else np.linalg.norm(stats.cross)
     slack = max(_STOP_RTOL * float(scale), np.finfo(float).tiny)
     kept: list = []  # min-heap of (score, negated key, key, (indices, signs)): the worst on top
@@ -358,13 +415,14 @@ def _partition(stats: _Statistics, max_k: int):
                 if len(kept) > max_k:
                     heapq.heappop(kept)
 
-    heap: list = []  # min-heap of (-bound, path, indices, loading, gram, cross)
+    heap: list = []  # min-heap of (-capped bound, path, indices, loading, own bound, gram, cross)
     _open_node(stats, heap, finish, (), np.arange(n_parts), np.inf)
 
     while heap and not (len(kept) == max_k and kept[0][0] > slack - heap[0][0]):
-        neg_bound, path, indices, loading, gram, cross = heapq.heappop(heap)
+        neg_bound, path, indices, loading, own, gram, cross = heapq.heappop(heap)
         d = indices.shape[0]
-        coeffs = _node_candidates(loading) if _has_signal(stats, indices, gram, loading) else None
+        signal = _signal_proven(stats, indices, own) or _has_signal(stats, indices, gram, loading)
+        coeffs = _node_candidates(loading) if signal else None
         if coeffs is None:  # the first part against the last: d-2 left out, as in candidate 0
             signs, score, winner = np.r_[1, np.zeros(d - 2, dtype=int), -1], 0.0, 0
         else:

@@ -68,7 +68,7 @@ def best_balance(X, y, sign_matrix) -> tuple[np.ndarray, float]:
     if signs.ndim != 2 or signs.shape[0] != X.n_parts or signs.size == 0:
         raise ValueError("sign matrix must be parts x candidates, with a candidate")
     stats = pb._statistics(np.log(X.values), _check_response(y, X.n_samples))
-    scores = pb._scores(signs_to_coefficients(signs), stats.gram, stats.cross)
+    scores = pb._scores(signs_to_coefficients(signs), None, stats.cross)
     tied = np.flatnonzero(scores >= scores.max() * (1 - pb._TIE_RTOL))
     winner = int(tied[np.argmin(np.abs(signs[:, tied]).sum(axis=0))])
     return signs_to_coefficients(signs[:, winner]), float(scores[winner])

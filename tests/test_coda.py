@@ -52,6 +52,12 @@ class TestClosure:
         with pytest.raises(ValueError, match="^composition values must be finite$"):
             closure(np.array([[2.0, np.inf, 2.0], [1.0, 1.0, 1.0]]))
 
+    @pytest.mark.parametrize("total", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bad_total_rejected(self, total):
+        # named as the total's fault, not the rescaled data's
+        with pytest.raises(ValueError, match="^total must be finite and positive$"):
+            closure(np.array([[2.0, 1.0, 2.0], [1.0, 1.0, 1.0]]), total=total)
+
     def test_row_totals(self, rng):
         raw = rng.uniform(0.1, 5.0, size=(7, 4))
         X = closure(raw, total=1e6)

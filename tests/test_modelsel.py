@@ -373,6 +373,19 @@ class TestAggregateErrorRuns:
         assert_allclose(result.sd_error, 0.0)
         assert result.selected_k == 2
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"metric": "bogus", "folds": 1.5, "repeats": True}, "^unknown metric 'bogus'$"),
+        ({"folds": 1.5}, r"^folds=1\.5 is not an integer$"),
+        ({"folds": 1}, "^folds must be at least 2, got 1$"),
+        ({"repeats": True}, "^repeats=True is not an integer$"),
+        ({"repeats": 0}, "^repeats must be at least 1, got 0$"),
+    ])
+    def test_recorded_settings_checked(self, kwargs, message):
+        # the same checks cross_validate makes on the settings it records
+        with pytest.raises(ValueError, match=message):
+            aggregate_error_runs(np.ones((2, 3)), **{"metric": "rmsep", "folds": 5, "repeats": 2,
+                                                     **kwargs})
+
 
 # Every integer argument goes through one check: an int or a numpy integer,
 # never a bool, else a ValueError naming the argument.

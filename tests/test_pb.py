@@ -3,6 +3,7 @@
 import dataclasses
 import heapq
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -600,7 +601,8 @@ class TestTopK:
         pushed, eigenpairs, top_eigenpair = [], [], pb._top_eigenpair
 
         def heappush(heap, entry):
-            if isinstance(entry[3], np.ndarray):  # (-bound, path, indices, loading, gram, cross)
+            # (-capped bound, path, indices, loading, own bound, gram, cross)
+            if isinstance(entry[3], np.ndarray):
                 pushed.append(entry[1])
             heapq.heappush(heap, entry)
 
@@ -616,12 +618,14 @@ class TestTopK:
     @pytest.mark.parametrize("max_k", [None, 3])
     @pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
     def test_each_node_slices_the_statistics_once(self, rng, builder, max_k, monkeypatch):
-        # a node of 2 or more parts takes G[idx, idx] and g[idx] once, when its
-        # parent opens it, and its heap entry carries both to its expansion
+        # a node of 2 or more parts takes its slice once, when its parent
+        # opens it, and its heap entry carries it to its expansion: G[idx, idx]
+        # for pca-pb, g[idx] for pls-pb, which has no G to slice
         X, y = random_instance(rng, 30, 25)
         slices, opened, pushed, built = [], [], [], []
+        sliced = "gram" if builder == "pca-pb" else "cross"
 
-        class CountingGram(np.ndarray):
+        class CountingSlices(np.ndarray):
             def take(self, *args, **kwargs):
                 slices.append(args)
                 return np.asarray(super().take(*args, **kwargs))
@@ -634,7 +638,8 @@ class TestTopK:
 
         def counting_statistics(log, y):
             built.append(statistics(log, y))
-            return dataclasses.replace(built[-1], gram=built[-1].gram.view(CountingGram))
+            counted = getattr(built[-1], sliced).view(CountingSlices)
+            return dataclasses.replace(built[-1], **{sliced: counted})
 
         def counting_open_node(stats, heap, finish, path, indices, cap):
             if indices.shape[0] >= 2:
@@ -653,11 +658,12 @@ class TestTopK:
         (stats,) = built
         assert opened and len(slices) == len(opened)
         assert pushed
-        for _, _, indices, _, gram, cross in pushed:
-            assert gram.tobytes() == stats.gram[np.ix_(indices, indices)].tobytes()
+        for _, _, indices, _, _, gram, cross in pushed:
             if stats.cross is None:
+                assert gram.tobytes() == stats.gram[np.ix_(indices, indices)].tobytes()
                 assert cross is None
             else:
+                assert stats.gram is None and gram is None
                 assert cross.tobytes() == stats.cross[indices].tobytes()
 
     @pytest.mark.parametrize("max_k", [0, 6, -1, 2.5])
@@ -809,18 +815,23 @@ class TestTwoPartNodes:
             second = base + rng.standard_normal() + (noise and 10.0**noise) * rng.standard_normal(n)
         log = 10.0**log_scale * np.column_stack([base, second])
         y = 10.0 ** (cross_scale - log_scale) * rng.standard_normal(n)
-        stats = pb._statistics(log, y)
+        stats, gram_stats = pb._statistics(log, y), pb._statistics(log, None)
         if tie:  # g_i = g_j
             stats = dataclasses.replace(stats, cross=np.full(2, stats.cross[0]))
-        idx = np.arange(2)
+        idx, gram = np.arange(2), gram_stats.gram
         with np.errstate(all="ignore"):
-            for cross in (stats.cross, None):
-                pair_stats = dataclasses.replace(stats, cross=cross)
-                direction = np.array([1.0, centred_070(stats.gram)[0, 1]])
-                own = direction if cross is None else cross - np.add.reduce(cross) / 2  # H g[idx]
-                signal = pb._has_signal(pair_stats, idx, stats.gram, own)
-                expected = signal and own.max() > 0 > own.min()
-                assert pb._pair_signal(pair_stats, idx, stats.gram, cross) == expected
+            # pca-pb: the 2x2 slice of G decides
+            direction = np.array([1.0, centred_070(gram)[0, 1]])
+            signal = pb._has_signal(gram_stats, idx, gram, direction)
+            expected = signal and direction.max() > 0 > direction.min()
+            assert pb._pair_signal(gram_stats, idx, gram, None) == expected
+            # pls-pb reads no G: H g[idx] and its bound decide, or the checks
+            # on the node's own Gram block, here equal to G
+            own = stats.cross - np.add.reduce(stats.cross) / 2  # H g[idx]
+            signal = pb._has_signal(stats, idx, gram, own)
+            expected = signal and own.max() > 0 > own.min()
+            assert stats.gram is None
+            assert pb._pair_signal(stats, idx, None, stats.cross) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -839,3 +850,109 @@ class TestTwoPartNodes:
             assert node.zero_child is node.numerator_child is node.denominator_child is None
             assert node.chosen_signs[node.part_indices[0]] == 1
             assert node.chosen_signs[node.part_indices[1]] == -1
+
+
+def screen_table(seed, n, d, shape, rescale, y_power):
+    """A log table and response: plain, with duplicated parts, or with a
+    proportional 2-4-part subcomposition; rows optionally rescaled by up to
+    e^+-20, and y scaled by 10^y_power. At 10^+-150 the products of the rank
+    tests near float under- or overflow; at 10^+-100 the screen still runs."""
+    rng = np.random.default_rng(seed)
+    log = rng.standard_normal((n, d))
+    if shape == "duplicated":
+        copies = rng.choice(d, size=2 * max(1, d // 4), replace=False)
+        log[:, copies[1::2]] = log[:, copies[::2]]
+    elif shape == "proportional":
+        parts = rng.choice(d, size=min(d, int(rng.integers(2, 5))), replace=False)
+        log[:, parts] = log[:, parts[:1]] + rng.standard_normal(len(parts))
+    if rescale:
+        log += rng.uniform(-20, 20, size=(n, 1))
+    y = log @ rng.standard_normal(d) + 0.5 * rng.standard_normal(n)
+    return log, 10.0**y_power * y
+
+
+def recorded_decisions(log, y):
+    """Each decided node's signal, by its parts, as one build of the full
+    basis decides it: proven by its bound, else by the exact checks."""
+    decisions = {}
+    proven, has_signal = pb._signal_proven, pb._has_signal
+
+    def recording_proven(stats, indices, bound):
+        if proven(stats, indices, bound):
+            decisions[tuple(indices.tolist())] = "proven"
+            return True
+        return False
+
+    def recording_has_signal(stats, indices, gram, loading):
+        decisions[tuple(indices.tolist())] = has_signal(stats, indices, gram, loading)
+        return decisions[tuple(indices.tolist())]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pb, "_signal_proven", recording_proven)
+        patch.setattr(pb, "_has_signal", recording_has_signal)
+        _, tree = pb._build(log, y, return_tree=True)
+    return decisions, tree
+
+
+class TestBoundScreen:
+    """A node whose own score bound proves it has signal skips the exact
+    no-signal checks, and for pls-pb, which forms no G, any other node runs
+    them on its own Gram block: every decision equals the checks on G."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 40),
+        d=st.integers(3, 30),
+        shape=st.sampled_from(["plain", "duplicated", "proportional"]),
+        rescale=st.booleans(),
+        y_power=st.sampled_from([0, -150, -100, 100, 150]),
+    )
+    @example(seed=0, n=30, d=12, shape="proportional", rescale=False, y_power=0)
+    @example(seed=1, n=20, d=16, shape="duplicated", rescale=True, y_power=150)
+    @example(seed=2, n=20, d=16, shape="proportional", rescale=True, y_power=-150)
+    @example(seed=3, n=25, d=10, shape="proportional", rescale=False, y_power=100)
+    def test_every_decision_matches_the_checks_on_g(self, seed, n, d, shape, rescale, y_power):
+        log, y = screen_table(seed, n, d, shape, rescale, y_power)
+        centred = log - log.mean(axis=0)
+        gram = centred.T @ centred / (n - 1)  # the global G, formed here only
+        for response in (y, None):
+            stats = pb._statistics(log, response)
+            decisions, tree = recorded_decisions(log, response)
+            expanded = {node.part_indices for node in partition_nodes(tree)}
+            assert {parts for parts in expanded if len(parts) >= 3} <= decisions.keys()
+            for parts, decision in decisions.items():
+                idx = np.array(parts)
+                block = gram[np.ix_(idx, idx)]
+                if response is not None:
+                    loading = stats.cross[idx] - np.add.reduce(stats.cross[idx]) / len(idx)
+                elif len(idx) == 2:
+                    loading = np.array([1.0, centred_070(block)[0, 1]])
+                else:
+                    loading = pb._top_eigenpair(block)[1]
+                exact = pb._has_signal(stats, idx, block, loading)
+                assert (decision == "proven" and exact) or decision is exact
+
+    @pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
+    def test_constant_subcomposition_takes_the_exact_checks(self, builder):
+        # parts 4-7 are proportional: their node has no signal, which only the
+        # exact checks can decide; the bound proves every node with signal
+        log, y = screen_table(0, 30, 12, "plain", False, 0)
+        log[:, 4:8] = log[:, [4]] + np.arange(4)
+        decisions, _ = recorded_decisions(log, y if builder == "pls-pb" else None)
+        assert decisions[(4, 5, 6, 7)] is False
+        assert sum(decision == "proven" for decision in decisions.values()) >= 3
+        assert all(decision in ("proven", False) for decision in decisions.values())
+
+    def test_pls_statistics_form_no_gram(self, rng):
+        # pls-pb reads g, diag G and the log scale; at 40 x 3000 a G would
+        # take 72 MB
+        log, y = rng.standard_normal((40, 3000)), rng.standard_normal(40)
+        tracemalloc.start()
+        try:
+            stats = pb._statistics(log, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.gram is None
+        assert peak < 10 * 2**20
