@@ -17,6 +17,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +138,14 @@ def _check_response(y, n: int) -> np.ndarray:
     if not np.all(np.isfinite(y)):
         raise BalanceError("response values must be finite")
     return y
+
+
+def _binary_exponent(values) -> int:
+    """The e that brings max|values| into [0.5, 1) as values * 2^-e, or 0
+    when every value is 0. Scaling by a power of two is exact while the
+    scaled values stay normal floats, so a computation homogeneous in them
+    keeps its bits and only its range moves."""
+    return math.frexp(np.abs(values).max(initial=0.0))[1]
 
 
 def _check_integer(value, name: str, low=None, high=None):

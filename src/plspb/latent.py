@@ -6,16 +6,21 @@ every latent component is a logcontrast of the parts. For determinism,
 scores have unit norm (the weights carry the scale), each weight column is
 flipped so its largest-magnitude entry is positive, and the deflated
 cross-product, a score or a loading falling to 1e-10 of its scale marks the
-rank boundary.
+rank boundary. SIMPLS reads the response as y * 2^-e, with 2^-e the power
+of two that brings max|y| into [0.5, 1), and scales the latent coefficients
+and the response mean back by 2^e: the fit is linear in y, so this is exact,
+the weights do not depend on the scale of y, and ||Xc'yc|| stays in range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import CompositionMatrix, LogContrastModel, _check_integer, _check_response
+from .coda import CompositionMatrix, LogContrastModel, _binary_exponent, _check_integer
+from .coda import _check_response
 from .errors import ConstantResponse, DimensionMismatch, RankDeficient
 
 _RANK_TOL = 1e-10
@@ -95,6 +100,8 @@ def _simpls(log: np.ndarray, y: np.ndarray, k: int | None) -> LatentModel:
     n, d = log.shape
     raw = log - log.mean(axis=1, keepdims=True)  # clr
     x_mean = raw.mean(axis=0)
+    exponent = _binary_exponent(y)
+    y = np.ldexp(y, -exponent)
     y_mean = float(y.mean())
     Xc = raw - x_mean
     yc = y - y_mean
@@ -157,4 +164,5 @@ def _simpls(log: np.ndarray, y: np.ndarray, k: int | None) -> LatentModel:
         if weights[(magnitudes >= magnitudes.max() * (1 - 1e-9)).argmax(), j] < 0:
             weights[:, j] = -weights[:, j]
             scores[:, j] = -scores[:, j]
-    return LatentModel(weights, scores.T @ yc, x_mean, y_mean)
+    return LatentModel(weights, np.ldexp(scores.T @ yc, exponent), x_mean,
+                       math.ldexp(y_mean, exponent))

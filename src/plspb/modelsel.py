@@ -10,12 +10,13 @@ one standard error of the best mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coda import CLASSIFICATION_THRESHOLD, BalanceBasis, CompositionMatrix, LogContrastModel
-from .coda import _check_integer, _check_response
+from .coda import _binary_exponent, _check_integer, _check_response
 from .errors import (
     Collinear,
     EmptyInput,
@@ -72,14 +73,19 @@ class CvResult:
 
 
 def rmsep(y, yhat) -> float:
-    """Root mean squared error of prediction, sqrt(mean((y - yhat)^2))."""
+    """Root mean squared error of prediction, sqrt(mean((y - yhat)^2)),
+    computed on the residuals scaled by a power of two and scaled back, so
+    the squares stay in range and the result keeps its bits."""
     y = np.asarray(y, dtype=float)
     yhat = np.asarray(yhat, dtype=float)
     if y.shape != yhat.shape:
         raise ValueError("vectors must have equal length")
     if y.size == 0:
         raise EmptyInput("need at least one prediction")
-    return float(np.sqrt(np.mean((y - yhat) ** 2)))
+    residual = y - yhat
+    exponent = _binary_exponent(residual)
+    np.ldexp(residual, -exponent, out=residual)
+    return math.ldexp(float(np.sqrt(np.mean(residual * residual))), exponent)
 
 
 def misclassification_error(y, yhat) -> float:
@@ -201,15 +207,18 @@ def _check_run_settings(metric, folds, repeats) -> None:
 def aggregate_error_runs(error_matrix, metric, folds, repeats) -> CvResult:
     """Summarize per-run error curves into means, SDs and a selected size.
 
-    The standard deviation is taken across runs with the n-1 divisor and
-    enters the one-SE rule undivided.
+    The standard deviation is taken across runs with the n-1 divisor, on
+    the errors scaled by a power of two and scaled back, and enters the
+    one-SE rule undivided.
     """
     _check_run_settings(metric, folds, repeats)
     errs = np.asarray(error_matrix, dtype=float)
     if errs.ndim != 2 or errs.shape[0] < 1:
         raise ValueError("need a runs x k error matrix")
-    mean = errs.mean(axis=0)
-    sd = errs.std(axis=0, ddof=1) if errs.shape[0] > 1 else np.zeros(errs.shape[1])
+    mean, sd = errs.mean(axis=0), np.zeros(errs.shape[1])
+    if errs.shape[0] > 1:
+        exponent = _binary_exponent(errs)
+        sd = np.ldexp(np.ldexp(errs, -exponent).std(axis=0, ddof=1), exponent)
     return CvResult(mean_error=mean, sd_error=sd, metric=metric, folds=folds, repeats=repeats)
 
 

@@ -7,11 +7,13 @@ pls-pb g = Lc'(y - mean y) / (n-1); pls-pb never forms G. A node over the
 parts idx, with H the centring projector on them, takes as loading H g[idx]
 (the one-component SIMPLS direction of its subcomposition) for pls-pb, or
 the top eigenvector of H G[idx, idx] H (its first principal direction) for
-pca-pb. One fused pass
-builds the loading's d-1 nested candidates as coefficient columns c, whose
-signs are the columns of ``candidate_signs``; each is scored by |c'g[idx]| or
-c'G[idx, idx]c, the best wins, and ties within a relative 1e-12 go to the
-fewest active parts: candidate j has j+2, so the first tied one wins.
+pca-pb. pls-pb reads its response as y * 2^-e, which brings max|y| into
+[0.5, 1): its statistics, bounds and scores are homogeneous in y, so this is
+exact, and each score is scaled back by 2^e when its node is recorded. One
+fused pass builds the loading's d-1 nested candidates as coefficient columns
+c, whose signs are the columns of ``candidate_signs``; each is scored by
+|c'g[idx]| or c'G[idx, idx]c, the best wins, and ties within a relative 1e-12
+go to the fewest active parts: candidate j has j+2, so the first tied one wins.
 The node's children are the parts left out of the chosen balance, its
 numerator and its denominator. A 2-part node's only balance is +1 on its
 first part and -1 on its second; it is finished when its parent opens it.
@@ -21,12 +23,10 @@ checks below, or a two-sided H g[idx] (pls-pb) that passes them.
 
 A node without usable signal (constant subcomposition, zero H g[idx], or a
 SIMPLS fit at its rank boundary) keeps its first part against its last, scored 0.
-Its own score bound screens these checks: every unit zero-sum contrast u on
-the node's parts has u'H G[idx, idx] H u >= beta, the top eigenvalue for
-pca-pb and ||H g[idx]||^2 / v_y for pls-pb (Cauchy-Schwarz, with v_y the
-response variance), and no check can fire once (n-1) beta is above twice the
-window's threshold. Any other node runs the exact checks, pls-pb's on the
-node's own Gram block B'B / (n-1) from its column-centred log block B.
+One check decides it (``_has_signal``): its first step screens by the node's
+own score bound, and a node the screen leaves runs the exact checks, pls-pb's
+on the node's own Gram block B'B / (n-1) from its column-centred log block B,
+with the SIMPLS rank tests on that block and the loading scaled by powers of two.
 
 When a chosen balance leaves parts out, the subtree below the node would
 only yield d-2 balances; the basis is completed with a connecting balance
@@ -68,12 +68,13 @@ once.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import BalanceBasis, CompositionMatrix, _balance_entries, _check_response, _readonly
-from .coda import _check_integer, signs_to_coefficients
+from .coda import BalanceBasis, CompositionMatrix, _balance_entries, _binary_exponent
+from .coda import _check_integer, _check_response, _readonly, signs_to_coefficients
 from .errors import ConstantResponse, OneSidedLoading, TooFewSamples
 
 _TIE_RTOL = 1e-12
@@ -212,24 +213,26 @@ class _Statistics:
     gram: np.ndarray | None  # G = Lc'Lc / (n-1), unsupervised only
     cross: np.ndarray | None  # g = Lc'(y - mean y) / (n-1), supervised only
     response_var: float | None  # v_y = ||y - mean y||^2 / (n-1), supervised only
+    exponent: int  # g and v_y read y as y * 2^-exponent; 0 unsupervised
 
 
 def _statistics(log: np.ndarray, y) -> _Statistics:
     """The build's statistics: G for pca-pb, g, v_y and diag G for pls-pb,
-    which forms no D x D array."""
+    which forms no D x D array and reads y as y * 2^-e, max|y * 2^-e| in
+    [0.5, 1)."""
     n, means = log.shape[0], log.mean(axis=0)
     centred = log * log
     log_sq = np.add.reduce(centred)
     np.subtract(log, means, out=centred)  # one n x D buffer: a fresh one costs page faults
     if y is None:
         gram = centred.T @ centred / (n - 1)
-        return _Statistics(log, means, log_sq, gram.diagonal(), gram, None, None)
-    residual = y - y.mean()
-    with np.errstate(over="ignore"):  # an infinite v_y proves no node's signal
-        response_var = float(residual @ residual) / (n - 1)
+        return _Statistics(log, means, log_sq, gram.diagonal(), gram, None, None, 0)
+    exponent = _binary_exponent(y)
+    residual = np.ldexp(y, -exponent)
+    residual -= residual.mean()
     variances = np.einsum("ij,ij->j", centred, centred) / (n - 1)
     return _Statistics(log, means, log_sq, variances, None, centred.T @ residual / (n - 1),
-                       response_var)
+                       float(residual @ residual) / (n - 1), exponent)
 
 
 def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
@@ -265,39 +268,28 @@ def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
     return float(eigenvalues[-1]), eigenvectors[:, -1]
 
 
-def _signal_proven(stats: _Statistics, indices: np.ndarray, bound: float) -> bool:
-    """Whether a node's own score bound proves that ``_has_signal`` is true,
-    without G. Every unit zero-sum contrast u on the node's parts has
-    u'H G[idx, idx] H u >= beta: for pca-pb beta is the bound, the top
-    eigenvalue; for pls-pb it is ||p||^2 / v_y with p = H g[idx] and the
-    bound ||p||, by Cauchy-Schwarz on p'u = (Lc H u)'(y - mean y) / (n-1).
-    So energy >= beta, t^2 >= p'p beta and ||H G H p||^2 >= t^2 beta, and
-    once (n-1) beta exceeds twice the window's threshold, which is at least
-    1e-8 of tr G[idx, idx] (the factor 2 absorbs the rounding of traces),
-    neither the window nor a rank test, at 1e-20 of the energy, can fire.
-    For pls-pb that holds only while v_y, p'p, beta^2 p'p and tr^2 p'p keep
-    the rank tests' products clear of float under- and overflow."""
-    n = stats.log.shape[0]
-    trace = float(np.add.reduce(stats.variances[indices]))  # tr G[idx, idx], at least the energy
-    scale_sq = max(1.0, float(np.add.reduce(stats.log_sq[indices])))
-    beta = bound
-    if stats.cross is not None:
-        pp, v_y = bound * bound, stats.response_var
-        if not 1e-290 < v_y < 1e290:
-            return False
-        beta = pp / v_y
-        if not all(1e-290 < v < 1e290 for v in (pp, beta * beta * pp, trace * trace * pp)):
-            return False
-    return (n - 1) * beta > 2 * (_CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace)
-
-
-def _has_signal(stats: _Statistics, indices: np.ndarray, gram, loading) -> bool:
+def _has_signal(stats: _Statistics, indices: np.ndarray, gram, loading, bound: float) -> bool:
     """Whether a node's ``loading``, H g[idx] for pls-pb (``stats.cross`` set)
     or the top eigenvector of H G[idx, idx] H for pca-pb, is usable signal:
     False for a constant subcomposition or a SIMPLS fit at its rank boundary.
-    ``gram`` is G[idx, idx]; when None (pls-pb, which has no G) it is the
-    node's own Gram block B'B / (n-1), with B its column-centred log block."""
+
+    The node's own score ``bound`` screens first, without G (0 proves
+    nothing). Every unit zero-sum contrast u on the node's parts has
+    u'H G[idx, idx] H u >= beta: for pca-pb beta is the bound, the top
+    eigenvalue; for pls-pb ||p||^2 / v_y with p = H g[idx] and the bound ||p||,
+    by Cauchy-Schwarz on p'u = (Lc H u)'(y - mean y) / (n-1). So energy >= beta,
+    t^2 >= p'p beta and ||H G H p||^2 >= t^2 beta, and once (n-1) beta exceeds
+    twice the window's threshold, at least 1e-8 of tr G[idx, idx] (the 2
+    absorbs the rounding of traces), neither the window nor a rank test, at
+    1e-20 of the energy, can fire. Otherwise the exact checks run on ``gram``,
+    G[idx, idx], or when None (pls-pb has no G) on the node's own Gram block
+    B'B / (n-1), with B its column-centred log block."""
     n, d = stats.log.shape[0], indices.shape[0]
+    scale_sq = max(1.0, float(np.add.reduce(stats.log_sq[indices])))
+    beta = bound if stats.cross is None else bound * bound / stats.response_var
+    trace = float(np.add.reduce(stats.variances[indices]))  # tr G[idx, idx], at least the energy
+    if (n - 1) * beta > 2 * (_CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace):
+        return True
     if gram is None:
         block = stats.log[:, indices] - stats.means[indices]
         gram = block.T @ block / (n - 1)
@@ -305,7 +297,6 @@ def _has_signal(stats: _Statistics, indices: np.ndarray, gram, loading) -> bool:
     energy = float(trace - np.add.reduce(np.add.reduce(gram) / d))  # tr(H G[idx, idx] H)
     # Constant subcomposition: the centred clr block, of squared norm (n-1) *
     # energy, is at most 1e-12 of its log scale; near zero the block decides.
-    scale_sq = max(1.0, float(np.add.reduce(stats.log_sq[indices])))
     if (n - 1) * energy <= _CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace:
         block = stats.log[:, indices]
         block = block - np.add.reduce(block, 1, keepdims=True) / d
@@ -314,29 +305,31 @@ def _has_signal(stats: _Statistics, indices: np.ndarray, gram, loading) -> bool:
     if stats.cross is None:
         return True
     # SIMPLS rank boundary: the score t = Xc p / ||p|| and the x-loading
-    # Xc't / ||t|| must stay above 1e-10 of ||Xc||, where Xc'Xc is
-    # (n-1) H G[idx, idx] H and ||Xc||^2 is (n-1) * energy.
-    gp = gram @ loading
+    # Xc't / ||t|| must stay above 1e-10 of ||Xc||, where Xc'Xc is (n-1) H G H
+    # and ||Xc||^2 is (n-1) * energy. Both tests are homogeneous in p and in G,
+    # so each is scaled by a power of two: exact, and every product in range.
+    shift = _binary_exponent(trace)
+    p = np.ldexp(loading, -_binary_exponent(loading))
+    gp = np.ldexp(gram, -shift) @ p
     gp -= np.add.reduce(gp) / d
-    t_sq = float(loading @ gp)
-    tol = _RANK_TOL**2 * energy
-    return not (t_sq <= tol * float(loading @ loading) or float(gp @ gp) <= tol * t_sq)
+    t_sq = float(p @ gp)
+    tol = _RANK_TOL**2 * math.ldexp(energy, -shift)
+    return not (t_sq <= tol * float(p @ p) or float(gp @ gp) <= tol * t_sq)
 
 
 def _pair_signal(stats: _Statistics, indices: np.ndarray, gram, cross) -> bool:
     """Whether a 2-part node's loading is two-sided and ``_has_signal``. For
-    pls-pb the loading H g[idx] decides on Python floats, and its bound
-    ||H g[idx]|| whether the exact checks run (``_signal_proven``). For pca-pb
-    the decision follows G[idx, idx] in the operation order of the full
-    checks (see the module docstring): unless the constant-subcomposition
-    window leaves it to them, the sign of (H G H)[0, 1] decides."""
+    pls-pb the loading H g[idx] decides on Python floats, then ``_has_signal``
+    with its bound ||H g[idx]||. For pca-pb the decision follows G[idx, idx]
+    in the operation order of the full checks (see the module docstring):
+    unless the constant-subcomposition window leaves it to them, the sign of
+    (H G H)[0, 1] decides."""
     if cross is not None:
         c0, c1 = cross.tolist()
         p0, p1 = c0 - (c0 + c1) / 2, c1 - (c0 + c1) / 2
         if not (p0 > 0 > p1 or p1 > 0 > p0):
             return False
-        return (_signal_proven(stats, indices, (p0 * p0 + p1 * p1) ** 0.5)
-                or _has_signal(stats, indices, None, cross - np.add.reduce(cross) / 2))
+        return _has_signal(stats, indices, None, np.array([p0, p1]), (p0 * p0 + p1 * p1) ** 0.5)
     (g00, g01), (g10, g11) = gram.tolist()
     m0, m1 = (g00 + g10) / 2, (g01 + g11) / 2
     trace, energy = g00 + g11, g00 + g11 - (m0 + m1)  # energy = tr(H G H)
@@ -345,7 +338,7 @@ def _pair_signal(stats: _Statistics, indices: np.ndarray, gram, cross) -> bool:
     window = (n - 1) * energy <= _CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace
     if not h < 0 or not window:
         return h < 0
-    return _has_signal(stats, indices, gram, np.array([1.0, h]))
+    return _has_signal(stats, indices, gram, np.array([1.0, h]), 0.0)  # inside the window
 
 
 def _embed(signs: np.ndarray, indices: np.ndarray, n_parts: int) -> np.ndarray:
@@ -401,17 +394,23 @@ def _partition(stats: _Statistics, max_k: int):
     n_parts = stats.log.shape[1]
     scale = stats.gram.trace() if stats.cross is None else np.linalg.norm(stats.cross)
     slack = max(_STOP_RTOL * float(scale), np.finfo(float).tiny)
-    kept: list = []  # min-heap of (score, negated key, key, (indices, signs)): the worst on top
+    kept: list = []  # min-heap of (score, negated key, key, (indices, signs, value)): worst on top
     expanded: dict = {}
 
     def finish(path, indices, signs, score, link_score=None):
-        """Record a node and keep its balances; a scored connecting balance takes its 0 parts."""
+        """Record a node and keep its balances; a scored connecting balance
+        takes its 0 parts. ``kept`` orders the scores as computed; what is
+        recorded is scaled back by 2^e to the response's own scale."""
         link = None if link_score is None else np.where(signs == 0, 1, -1)
-        expanded[path] = (indices, signs, score, link, link_score)
-        for slot, value, balance in ((_CHOSEN, score, signs), (_CONNECTING, link_score, link)):
+        value = math.ldexp(score, stats.exponent)
+        link_value = None if link is None else math.ldexp(link_score, stats.exponent)
+        expanded[path] = (indices, signs, value, link, link_value)
+        for slot, scaled, balance, recorded in ((_CHOSEN, score, signs, value),
+                                                (_CONNECTING, link_score, link, link_value)):
             if balance is not None:
                 key = path + (slot,)
-                heapq.heappush(kept, (value, tuple(-s for s in key), key, (indices, balance)))
+                entry = (indices, balance, recorded)
+                heapq.heappush(kept, (scaled, tuple(-s for s in key), key, entry))
                 if len(kept) > max_k:
                     heapq.heappop(kept)
 
@@ -421,7 +420,7 @@ def _partition(stats: _Statistics, max_k: int):
     while heap and not (len(kept) == max_k and kept[0][0] > slack - heap[0][0]):
         neg_bound, path, indices, loading, own, gram, cross = heapq.heappop(heap)
         d = indices.shape[0]
-        signal = _signal_proven(stats, indices, own) or _has_signal(stats, indices, gram, loading)
+        signal = _has_signal(stats, indices, gram, loading, own)
         coeffs = _node_candidates(loading) if signal else None
         if coeffs is None:  # the first part against the last: d-2 left out, as in candidate 0
             signs, score, winner = np.r_[1, np.zeros(d - 2, dtype=int), -1], 0.0, 0
@@ -442,7 +441,7 @@ def _partition(stats: _Statistics, max_k: int):
             _open_node(stats, heap, finish, path + (slot,), indices[signs == side], -neg_bound)
 
     ranked = sorted(kept, key=lambda entry: (-entry[0], entry[2]))
-    return [(*entry[3], entry[0]) for entry in ranked], expanded
+    return [entry[3] for entry in ranked], expanded
 
 
 def _tree(expanded: dict, n_parts: int, path: tuple = ()):

@@ -61,17 +61,25 @@ def balance_values(X, b) -> np.ndarray:
 def best_balance(X, y, sign_matrix) -> tuple[np.ndarray, float]:
     """Reference winner among arbitrary candidates: the coefficient vector
     of the column of ``sign_matrix`` with the largest |cov| with y (n-1
-    divisor), scored on the builders' statistics, and that |cov|. Ties
-    within a relative 1e-12 of the largest go to the fewest active parts,
-    then to the lowest column."""
+    divisor), scored on the builders' statistics, which read y * 2^-e, and
+    scaled back by 2^e, and that |cov|. Ties within a relative 1e-12 of the
+    largest go to the fewest active parts, then to the lowest column."""
     signs = np.asarray(sign_matrix)
     if signs.ndim != 2 or signs.shape[0] != X.n_parts or signs.size == 0:
         raise ValueError("sign matrix must be parts x candidates, with a candidate")
     stats = pb._statistics(np.log(X.values), _check_response(y, X.n_samples))
-    scores = pb._scores(signs_to_coefficients(signs), None, stats.cross)
+    scores = np.ldexp(pb._scores(signs_to_coefficients(signs), None, stats.cross), stats.exponent)
     tied = np.flatnonzero(scores >= scores.max() * (1 - pb._TIE_RTOL))
     winner = int(tied[np.argmin(np.abs(signs[:, tied]).sum(axis=0))])
     return signs_to_coefficients(signs[:, winner]), float(scores[winner])
+
+
+def partition_nodes(node):
+    """Every node of a PartitionNode tree, in preorder."""
+    if node is None:
+        return []
+    children = (node.zero_child, node.numerator_child, node.denominator_child)
+    return [node, *(found for child in children for found in partition_nodes(child))]
 
 
 def sha256_file(path) -> str:

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from plspb import (
@@ -35,7 +37,7 @@ from plspb.errors import (
     TooFewSamples,
 )
 
-from conftest import cv_oracle, random_composition, random_instance
+from conftest import cv_oracle, partition_nodes, random_composition, random_instance
 
 
 class TestRmsep:
@@ -64,6 +66,13 @@ class TestRmsep:
             yhat = rng.standard_normal(n)
             brute = np.sqrt(sum((a - b) ** 2 for a, b in zip(y, yhat)) / n)
             assert abs(rmsep(y, yhat) - brute) < 1e-12
+
+    @pytest.mark.parametrize("power", [-1000, -600, 600, 1000])
+    def test_scales_exactly_with_a_power_of_two(self, rng, power):
+        # the squares of 2^+-600 residuals leave the float range
+        y, yhat = rng.standard_normal(30), rng.standard_normal(30)
+        expected = np.ldexp(rmsep(y, yhat), power)
+        assert rmsep(np.ldexp(y, power), np.ldexp(yhat, power)) == expected
 
 
 class TestMisclassificationError:
@@ -368,6 +377,14 @@ class TestAggregateErrorRuns:
         assert_allclose(result.mean_error, [2.0, 3.0])
         assert_allclose(result.sd_error, [np.sqrt(2.0), np.sqrt(2.0)])
 
+    @pytest.mark.parametrize("power", [-1000, 1000])
+    def test_sd_scales_exactly_with_a_power_of_two(self, rng, power):
+        errs = rng.uniform(1, 2, size=(4, 3))
+        result = aggregate_error_runs(np.ldexp(errs, power), "rmsep", folds=5, repeats=4)
+        reference = aggregate_error_runs(errs, "rmsep", folds=5, repeats=4)
+        assert np.array_equal(result.sd_error, np.ldexp(reference.sd_error, power))
+        assert np.array_equal(result.mean_error, np.ldexp(reference.mean_error, power))
+
     def test_single_run_zero_sd(self):
         result = aggregate_error_runs(np.array([[1.0, 0.5]]), "rmsep", 5, 1)
         assert_allclose(result.sd_error, 0.0)
@@ -486,3 +503,49 @@ def test_counts_outside_their_range_rejected(rng):
     for k in (0, 5):
         with pytest.raises(ValueError, match=rf"^k={k} outside 1\.\.4$"):
             fit_on_balances(X, y, basis, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), power=st.integers(-1000, 1000))
+@example(seed=0, power=-1000)
+@example(seed=1, power=1000)
+def test_outputs_scale_exactly_with_y(seed, power):
+    # pls_pb, pls_regression and cross_validate read y at a power-of-two
+    # scale, so on y * 2^power their outputs are the unscaled ones, with each
+    # score, coefficient and error times 2^power, bit for bit; at y * 10^+-200
+    # the signs stay the same
+    rng = np.random.default_rng(seed)
+    X, y = random_instance(rng, int(rng.integers(15, 40)), int(rng.integers(3, 12)))
+    scaled = np.ldexp(y, power)
+
+    def assert_scaled(values, reference):
+        assert np.array_equal(values, np.ldexp(reference, power))
+
+    reference, reference_tree = pls_pb(X, y, return_tree=True)
+    basis, tree = pls_pb(X, scaled, return_tree=True)
+    assert np.array_equal(basis.sign_matrix, reference.sign_matrix)
+    assert_scaled(basis.ordering_values, reference.ordering_values)
+    for node, node_ref in zip(partition_nodes(tree), partition_nodes(reference_tree), strict=True):
+        assert np.array_equal(node.chosen_signs, node_ref.chosen_signs)
+        assert_scaled(node.chosen_value, node_ref.chosen_value)
+        if node_ref.connecting_value is not None:
+            assert_scaled(node.connecting_value, node_ref.connecting_value)
+    max_k = int(rng.integers(1, X.n_parts))
+    top = pls_pb(X, scaled, max_k=max_k)
+    assert np.array_equal(top.sign_matrix, reference.sign_matrix[:, :max_k])
+    assert_scaled(top.ordering_values, reference.ordering_values[:max_k])
+    for decimal in (-200, 200):
+        assert np.array_equal(pls_pb(X, y * 10.0**decimal).sign_matrix, reference.sign_matrix)
+
+    model, model_ref = pls_regression(X, scaled), pls_regression(X, y)
+    assert np.array_equal(model.weights, model_ref.weights)
+    assert np.array_equal(model.x_mean, model_ref.x_mean)
+    assert_scaled(model.latent_coefficients, model_ref.latent_coefficients)
+    assert_scaled(model.y_mean, model_ref.y_mean)
+
+    max_k = min(3, X.n_parts - 1)
+    for method in (PLS_PB, PCA_PB, PLS_RAW):
+        result = cross_validate(X, scaled, method, max_k, repeats=3, seed=seed % 7)
+        result_ref = cross_validate(X, y, method, max_k, repeats=3, seed=seed % 7)
+        assert_scaled(result.mean_error, result_ref.mean_error)
+        assert_scaled(result.sd_error, result_ref.sd_error)

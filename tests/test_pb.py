@@ -25,8 +25,8 @@ from plspb import (
 )
 from plspb.errors import BalanceError, ConstantResponse, DegenerateSplit, OneSidedLoading
 from plspb.errors import TooFewSamples
-from conftest import balance_values, best_balance, nested_or_disjoint, random_composition
-from conftest import random_instance
+from conftest import balance_values, best_balance, nested_or_disjoint, partition_nodes
+from conftest import random_composition, random_instance
 
 
 class TestCandidateSigns:
@@ -691,14 +691,6 @@ class TestTopK:
         assert basis.n_balances == 5 and tree is not None
 
 
-def partition_nodes(node):
-    """Every node of a PartitionNode tree, in preorder."""
-    if node is None:
-        return []
-    children = (node.zero_child, node.numerator_child, node.denominator_child)
-    return [node, *(found for child in children for found in partition_nodes(child))]
-
-
 def centred_070(gram):
     """H G H as 0.7.0 computed it, whose off-diagonal entry made a 2-part
     pca-pb node's direction (1, h)."""
@@ -777,7 +769,7 @@ class TestTwoPartNodes:
             X = CompositionMatrix(np.exp(logs))
             stats = pb._statistics(np.log(X.values), None)
             _, vector = pb._top_eigenpair(stats.gram)
-            signal = pb._has_signal(stats, np.arange(2), stats.gram, vector)
+            signal = pb._has_signal(stats, np.arange(2), stats.gram, vector, 0.0)
             kept = signal and vector.max() > 0 > vector.min()
             paired = float(pb._scores(pb.PAIR, stats.gram, None)[0])
             assert pca_pb(X).ordering_values[0] == (paired if kept else 0.0) >= 0.0
@@ -798,15 +790,17 @@ class TestTwoPartNodes:
     @example(seed=2, n=9, log_scale=75.0, cross_scale=150.0, noise=None, tie=False)
     @example(seed=3, n=9, log_scale=-75.0, cross_scale=-150.0, noise=None, tie=False)
     @example(seed=4, n=9, log_scale=1.0, cross_scale=-140.0, noise=None, tie=True)
-    # energy^2 * p'p overflows here, so the rank test fires on inf <= inf
+    # energy^2 * p'p overflows on the unscaled G and p; the rank tests run
+    # on both scaled by a power of two, so their products stay in range
     @example(seed=2105036288, n=14, log_scale=52.04975559505944, cross_scale=70.07713832211101,
              noise=None, tie=False)
     def test_pair_decision_matches_loading(self, seed, n, log_scale, cross_scale, noise, tie):
-        # The 2-part node decides on Python floats what _has_signal decides with
-        # numpy: a two-sided loading, or none. Log tables at scale 10^log_scale
-        # give G from 1e-150 to 1e150 and g at 10^cross_scale; the second part
-        # is unrelated (noise None), proportional (0) or near-proportional to
-        # the first, so both sides of the constant-subcomposition window occur.
+        # The 2-part node decides on Python floats what _has_signal's exact
+        # checks (bound 0) decide with numpy: a two-sided loading, or none.
+        # Log tables at scale 10^log_scale give G from 1e-150 to 1e150 and g
+        # at 10^cross_scale; the second part is unrelated (noise None),
+        # proportional (0) or near-proportional to the first, so both sides of
+        # the constant-subcomposition window occur. No step warns.
         rng = np.random.default_rng(seed)
         base = rng.standard_normal(n)
         if noise is None:
@@ -819,19 +813,19 @@ class TestTwoPartNodes:
         if tie:  # g_i = g_j
             stats = dataclasses.replace(stats, cross=np.full(2, stats.cross[0]))
         idx, gram = np.arange(2), gram_stats.gram
-        with np.errstate(all="ignore"):
-            # pca-pb: the 2x2 slice of G decides
-            direction = np.array([1.0, centred_070(gram)[0, 1]])
-            signal = pb._has_signal(gram_stats, idx, gram, direction)
-            expected = signal and direction.max() > 0 > direction.min()
-            assert pb._pair_signal(gram_stats, idx, gram, None) == expected
-            # pls-pb reads no G: H g[idx] and its bound decide, or the checks
-            # on the node's own Gram block, here equal to G
-            own = stats.cross - np.add.reduce(stats.cross) / 2  # H g[idx]
-            signal = pb._has_signal(stats, idx, gram, own)
-            expected = signal and own.max() > 0 > own.min()
-            assert stats.gram is None
-            assert pb._pair_signal(stats, idx, None, stats.cross) == expected
+        # pca-pb: the 2x2 slice of G decides
+        direction = np.array([1.0, centred_070(gram)[0, 1]])
+        signal = pb._has_signal(gram_stats, idx, gram, direction, 0.0)
+        expected = signal and direction.max() > 0 > direction.min()
+        assert pb._pair_signal(gram_stats, idx, gram, None) == expected
+        # pls-pb reads no G: H g[idx] decides, then _has_signal with its bound
+        # ||H g[idx]||, whose exact checks run on the node's own Gram block,
+        # here equal to G
+        own = stats.cross - np.add.reduce(stats.cross) / 2  # H g[idx]
+        signal = pb._has_signal(stats, idx, gram, own, 0.0)
+        expected = signal and own.max() > 0 > own.min()
+        assert stats.gram is None
+        assert pb._pair_signal(stats, idx, None, stats.cross) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -855,8 +849,8 @@ class TestTwoPartNodes:
 def screen_table(seed, n, d, shape, rescale, y_power):
     """A log table and response: plain, with duplicated parts, or with a
     proportional 2-4-part subcomposition; rows optionally rescaled by up to
-    e^+-20, and y scaled by 10^y_power. At 10^+-150 the products of the rank
-    tests near float under- or overflow; at 10^+-100 the screen still runs."""
+    e^+-20, and y scaled by 10^y_power. From 10^+-150 on, the rank tests'
+    products on the unscaled y and G leave the float range."""
     rng = np.random.default_rng(seed)
     log = rng.standard_normal((n, d))
     if shape == "duplicated":
@@ -872,32 +866,36 @@ def screen_table(seed, n, d, shape, rescale, y_power):
 
 
 def recorded_decisions(log, y):
-    """Each decided node's signal, by its parts, as one build of the full
-    basis decides it: proven by its bound, else by the exact checks."""
+    """Each decided node's signal and the score bound it was decided with,
+    by its parts, as one build of the full basis decides them."""
     decisions = {}
-    proven, has_signal = pb._signal_proven, pb._has_signal
+    has_signal = pb._has_signal
 
-    def recording_proven(stats, indices, bound):
-        if proven(stats, indices, bound):
-            decisions[tuple(indices.tolist())] = "proven"
-            return True
-        return False
-
-    def recording_has_signal(stats, indices, gram, loading):
-        decisions[tuple(indices.tolist())] = has_signal(stats, indices, gram, loading)
-        return decisions[tuple(indices.tolist())]
+    def recording_has_signal(stats, indices, gram, loading, bound):
+        decision = has_signal(stats, indices, gram, loading, bound)
+        decisions[tuple(indices.tolist())] = decision, bound
+        return decision
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pb, "_signal_proven", recording_proven)
         patch.setattr(pb, "_has_signal", recording_has_signal)
         _, tree = pb._build(log, y, return_tree=True)
     return decisions, tree
 
 
+def proven_by_bound(stats, indices, bound):
+    """Whether ``_has_signal``'s first step, the bound screen, proves a
+    node's signal: the exact checks after it find none on a constant log
+    table, a zero Gram block and a zero loading."""
+    blind = dataclasses.replace(stats, log=np.zeros_like(stats.log))
+    d = indices.shape[0]
+    return pb._has_signal(blind, indices, np.zeros((d, d)), np.zeros(d), bound)
+
+
 class TestBoundScreen:
     """A node whose own score bound proves it has signal skips the exact
     no-signal checks, and for pls-pb, which forms no G, any other node runs
-    them on its own Gram block: every decision equals the checks on G."""
+    them on its own Gram block: every decision made with the node's bound
+    equals the exact checks alone (bound 0) on G."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -906,7 +904,7 @@ class TestBoundScreen:
         d=st.integers(3, 30),
         shape=st.sampled_from(["plain", "duplicated", "proportional"]),
         rescale=st.booleans(),
-        y_power=st.sampled_from([0, -150, -100, 100, 150]),
+        y_power=st.sampled_from([0, -200, -150, -100, 100, 150, 200]),
     )
     @example(seed=0, n=30, d=12, shape="proportional", rescale=False, y_power=0)
     @example(seed=1, n=20, d=16, shape="duplicated", rescale=True, y_power=150)
@@ -921,7 +919,7 @@ class TestBoundScreen:
             decisions, tree = recorded_decisions(log, response)
             expanded = {node.part_indices for node in partition_nodes(tree)}
             assert {parts for parts in expanded if len(parts) >= 3} <= decisions.keys()
-            for parts, decision in decisions.items():
+            for parts, (decision, _) in decisions.items():
                 idx = np.array(parts)
                 block = gram[np.ix_(idx, idx)]
                 if response is not None:
@@ -930,8 +928,7 @@ class TestBoundScreen:
                     loading = np.array([1.0, centred_070(block)[0, 1]])
                 else:
                     loading = pb._top_eigenpair(block)[1]
-                exact = pb._has_signal(stats, idx, block, loading)
-                assert (decision == "proven" and exact) or decision is exact
+                assert decision is pb._has_signal(stats, idx, block, loading, 0.0)
 
     @pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
     def test_constant_subcomposition_takes_the_exact_checks(self, builder):
@@ -939,10 +936,14 @@ class TestBoundScreen:
         # exact checks can decide; the bound proves every node with signal
         log, y = screen_table(0, 30, 12, "plain", False, 0)
         log[:, 4:8] = log[:, [4]] + np.arange(4)
-        decisions, _ = recorded_decisions(log, y if builder == "pls-pb" else None)
-        assert decisions[(4, 5, 6, 7)] is False
-        assert sum(decision == "proven" for decision in decisions.values()) >= 3
-        assert all(decision in ("proven", False) for decision in decisions.values())
+        response = y if builder == "pls-pb" else None
+        stats = pb._statistics(log, response)
+        decisions, _ = recorded_decisions(log, response)
+        assert decisions[(4, 5, 6, 7)][0] is False
+        proven = {parts: proven_by_bound(stats, np.array(parts), bound)
+                  for parts, (_, bound) in decisions.items()}
+        assert sum(proven.values()) >= 3
+        assert all(proven[parts] or decision is False for parts, (decision, _) in decisions.items())
 
     def test_pls_statistics_form_no_gram(self, rng):
         # pls-pb reads g, diag G and the log scale; at 40 x 3000 a G would
@@ -956,3 +957,45 @@ class TestBoundScreen:
             tracemalloc.stop()
         assert stats.gram is None
         assert peak < 10 * 2**20
+
+
+class TestResponseScale:
+    """pls-pb reads y at a power-of-two scale, and its rank tests run on G and
+    the loading each scaled by a power of two, so no scale of y or of G takes
+    its checks out of the float range."""
+
+    @pytest.mark.parametrize("draw", [865, 1330, 1532])
+    def test_small_tables_near_1e150_build_without_a_warning(self, draw):
+        # three of 2000 such tables whose rank-test products, on the unscaled
+        # y, leave the float range
+        rng = np.random.default_rng(draw)
+        n, d = rng.integers(3, 8), rng.integers(3, 30)
+        X = CompositionMatrix(np.exp(5 * rng.standard_normal((n, d))))
+        y = rng.standard_normal(n) * 1e150
+        basis, tame = pls_pb(X, y), pls_pb(X, np.ldexp(y, -500))
+        assert basis.n_balances == d - 1
+        assert np.array_equal(basis.sign_matrix, tame.sign_matrix)
+        assert np.array_equal(basis.ordering_values, np.ldexp(tame.ordering_values, 500))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 40),
+        d=st.integers(3, 30),
+        shape=st.sampled_from(["plain", "duplicated", "proportional"]),
+        power=st.sampled_from([-600, 600]),
+    )
+    def test_rank_tests_decide_alike_on_scaled_g_and_loading(self, seed, n, d, shape, power):
+        # the exact checks on G or the loading times 2^+-600, whose products
+        # leave the float range unscaled, decide as the build did
+        log, y = screen_table(seed, n, d, shape, False, 0)
+        stats = pb._statistics(log, y)
+        decisions, _ = recorded_decisions(log, y)
+        for parts, (decision, _) in decisions.items():
+            idx = np.array(parts)
+            block = log[:, idx] - log[:, idx].mean(axis=0)
+            gram = block.T @ block / (n - 1)
+            loading = stats.cross[idx] - np.add.reduce(stats.cross[idx]) / len(idx)
+            for gram_power, loading_power in ((power, 0), (0, power)):
+                scaled = np.ldexp(gram, gram_power), np.ldexp(loading, loading_power)
+                assert pb._has_signal(stats, idx, *scaled, 0.0) is decision
