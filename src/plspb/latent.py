@@ -96,13 +96,15 @@ def pls_regression(X: CompositionMatrix, y, k: int | None = None) -> LatentModel
 
 
 def _simpls(log: np.ndarray, y: np.ndarray, k: int | None) -> LatentModel:
-    """``pls_regression`` on ln X and a checked response: the fold fit of ``cross_validate``."""
+    """``pls_regression`` on ln X and a checked response: the fold fit of ``cross_validate``.
+    It calls the kernels of numpy's wrappers, bit for bit: a norm is
+    sqrt(v @ v), a mean np.add.reduce(v) / len(v)."""
     n, d = log.shape
-    raw = log - log.mean(axis=1, keepdims=True)  # clr
-    x_mean = raw.mean(axis=0)
+    raw = log - np.add.reduce(log, 1, keepdims=True) / d  # clr
+    x_mean = np.add.reduce(raw, 0) / n
     exponent = _binary_exponent(y)
     y = np.ldexp(y, -exponent)
-    y_mean = float(y.mean())
+    y_mean = float(np.add.reduce(y) / n)
     Xc = raw - x_mean
     yc = y - y_mean
     if np.ptp(yc) == 0.0:
@@ -111,11 +113,12 @@ def _simpls(log: np.ndarray, y: np.ndarray, k: int | None) -> LatentModel:
     if k is not None and (k < 1 or k > max_k):
         raise RankDeficient(f"k={k} outside 1..{max_k} for {n}x{d} data")
 
-    x_scale = np.linalg.norm(Xc)
+    flat = Xc.reshape(-1)
+    x_scale = math.sqrt(flat @ flat)
     if x_scale == 0.0:
         raise RankDeficient("clr data is constant")
     s = Xc.T @ yc
-    s0_norm = np.linalg.norm(s)
+    s0_norm = math.sqrt(s @ s)
     if s0_norm == 0.0:
         raise RankDeficient("response is orthogonal to the clr data")
 
@@ -128,26 +131,26 @@ def _simpls(log: np.ndarray, y: np.ndarray, k: int | None) -> LatentModel:
         # The centered clr matrix annihilates the all-ones direction, so
         # removing the mean of every working vector is an exact no-op that
         # stops float drift out of the zero-sum hyperplane as s deflates.
-        s = s - s.mean()
-        s_norm = np.linalg.norm(s)
+        s = s - np.add.reduce(s) / d
+        s_norm = math.sqrt(s @ s)
         if s_norm <= _RANK_TOL * s0_norm:
             break
         direction = s / s_norm
         t = Xc @ direction
-        t_norm = np.linalg.norm(t)
+        t_norm = math.sqrt(t @ t)
         if t_norm <= _RANK_TOL * x_scale:
             break
         weights[:, a] = direction / t_norm
         scores[:, a] = t / t_norm
 
         loading = Xc.T @ scores[:, a]
-        loading = loading - loading.mean()
+        loading = loading - np.add.reduce(loading) / d
         # Orthonormalize against previous loading directions (twice, for
         # numerical stability at high component counts).
         basis = loading_basis[:, :a]
         for _ in range(2):
             loading = loading - basis @ (basis.T @ loading)
-        loading_norm = np.linalg.norm(loading)
+        loading_norm = math.sqrt(loading @ loading)
         if loading_norm <= _RANK_TOL * x_scale:
             break
         loading_basis[:, a] = loading / loading_norm

@@ -10,14 +10,14 @@ one standard error of the best mean.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coda import CLASSIFICATION_THRESHOLD, BalanceBasis, CompositionMatrix, LogContrastModel
-from .coda import _binary_exponent, _check_integer, _check_response
+from .coda import _binary_exponent, _check_integer, _check_response, signs_to_coefficients
 from .errors import (
+    BalanceError,
     Collinear,
     EmptyInput,
     NonBinary,
@@ -25,7 +25,7 @@ from .errors import (
     TooFewSamples,
 )
 from .latent import _simpls
-from .pb import _build
+from .pb import _leading_signs
 
 PLS_PB = "pls-pb"
 PCA_PB = "pca-pb"
@@ -72,34 +72,51 @@ class CvResult:
         return one_se_select(self.mean_error, self.sd_error)
 
 
-def rmsep(y, yhat) -> float:
-    """Root mean squared error of prediction, sqrt(mean((y - yhat)^2)),
-    computed on the residuals scaled by a power of two and scaled back, so
-    the squares stay in range and the result keeps its bits."""
-    y = np.asarray(y, dtype=float)
-    yhat = np.asarray(yhat, dtype=float)
+def _errors(y: np.ndarray, predictions: np.ndarray, metric: str) -> np.ndarray:
+    """The error of every column of the n x sizes ``predictions`` against y,
+    in one pass: RMSEP, or for ``METRIC_ME`` the fraction of 0/1 labels that
+    differ. Each column's residuals form one contiguous row, scaled by its
+    own power of two and scaled back, so the squares stay in range and the
+    row's sum is the pairwise sum of that column alone: every error equals
+    the single-column call's bit for bit."""
+    n = y.shape[0]
+    if metric == METRIC_ME:
+        return np.count_nonzero(predictions != y[:, None], axis=0) / n
+    residual = np.subtract(y, predictions.T, order="C")
+    exponents = np.frexp(np.abs(residual).max(axis=1, initial=0.0))[1]
+    np.ldexp(residual, -exponents[:, None], out=residual)
+    return np.ldexp(np.sqrt(np.add.reduce(residual * residual, 1) / n), exponents)
+
+
+def _check_predictions(y, yhat) -> tuple[np.ndarray, np.ndarray]:
+    """y and yhat as arrays of one nonempty shape."""
+    y, yhat = np.asarray(y), np.asarray(yhat)
     if y.shape != yhat.shape:
         raise ValueError("vectors must have equal length")
     if y.size == 0:
         raise EmptyInput("need at least one prediction")
-    residual = y - yhat
-    exponent = _binary_exponent(residual)
-    np.ldexp(residual, -exponent, out=residual)
-    return math.ldexp(float(np.sqrt(np.mean(residual * residual))), exponent)
+    return y, yhat
+
+
+def rmsep(y, yhat) -> float:
+    """Root mean squared error of prediction, sqrt(mean((y - yhat)^2)),
+    computed on the residuals scaled by a power of two and scaled back, so
+    the squares stay in range and the result keeps its bits. A NaN or
+    infinite value in either argument raises ``BalanceError``."""
+    y, yhat = _check_predictions(np.asarray(y, dtype=float), np.asarray(yhat, dtype=float))
+    for name, arr in (("y", y), ("yhat", yhat)):
+        if not np.all(np.isfinite(arr)):
+            raise BalanceError(f"{name} values must be finite")
+    return float(_errors(y.reshape(-1), yhat.reshape(-1, 1), METRIC_RMSEP)[0])
 
 
 def misclassification_error(y, yhat) -> float:
     """Fraction of mismatched binary labels."""
-    y = np.asarray(y)
-    yhat = np.asarray(yhat)
-    if y.shape != yhat.shape:
-        raise ValueError("vectors must have equal length")
-    if y.size == 0:
-        raise EmptyInput("need at least one prediction")
+    y, yhat = _check_predictions(y, yhat)
     for arr in (y, yhat):
         if not np.all(np.isin(arr, (0, 1))):
             raise NonBinary("labels must be coded 0/1")
-    return float(np.mean(y != yhat))
+    return float(_errors(y.reshape(-1), yhat.reshape(-1, 1), METRIC_ME)[0])
 
 
 def one_se_select(mean_error, sd_error) -> int:
@@ -129,11 +146,11 @@ def _least_squares(Z: np.ndarray, y: np.ndarray):
     n, k = Z.shape
     if n <= k:
         raise Collinear(f"{k} coordinates are collinear over {n} samples")
-    col_means = Z.mean(axis=0)
-    y_mean = float(y.mean())
+    col_means = np.add.reduce(Z, 0) / n  # Z.mean(axis=0), without the wrapper
+    y_mean = float(np.add.reduce(y) / n)
     centred = Z - col_means
     q, r = np.linalg.qr(centred)
-    scale = np.max(np.linalg.norm(centred, axis=0))
+    scale = np.sqrt(np.add.reduce(centred * centred, 0)).max()  # the largest column norm
     if not np.all(np.abs(np.diag(r)) > _COLLINEAR_RTOL * scale):
         raise Collinear(f"{k} coordinates are collinear over {n} samples")
     return col_means, y_mean, r, q.T @ (y - y_mean)
@@ -175,21 +192,23 @@ def _fold_predictions(log_x, y, method, max_k, folds, rng) -> np.ndarray:
 
     A fold's model of size k is the logcontrast model that
     ``fit_on_balances`` (or ``LatentModel.logcontrast``) returns, but every
-    k comes from one QR of the training logcontrasts and one triangular
-    solve for the held-out rows.
+    k comes from one QR of the training logcontrasts and one LU solve of
+    Rᵀ for the held-out rows. The fold's logcontrasts are evaluated on every
+    row: the training rows feed the QR, the held-out rows the predictions.
     """
     n = log_x.shape[0]
     predictions = np.empty((n, max_k))
     for test_idx in fold_indices(n, folds, rng):
-        train_idx = np.delete(np.arange(n), test_idx)
-        log_train, y_train = log_x[train_idx], y[train_idx]
+        train = np.ones(n, dtype=bool)
+        train[test_idx] = False
+        log_train, y_train = log_x[train], y[train]
         if method == PLS_RAW:
             contrasts = _simpls(log_train, y_train, max_k).weights
         else:
             response = y_train if method == PLS_PB else None
-            contrasts = _build(log_train, response, max_k).coefficient_matrix
+            contrasts = signs_to_coefficients(_leading_signs(log_train, response, max_k)[0])
         design = log_x @ contrasts
-        col_means, y_mean, r, qty = _least_squares(design[train_idx], y_train)
+        col_means, y_mean, r, qty = _least_squares(design[train], y_train)
         heldout = np.linalg.solve(r.T, (design[test_idx] - col_means).T).T
         predictions[test_idx] = y_mean + np.cumsum(heldout * qty, axis=1)
     return predictions
@@ -247,6 +266,9 @@ def cross_validate(
     n = X.n_samples
     _check_folds(n, folds)
     min_train = n - (n // folds + (1 if n % folds else 0))
+    if method != PLS_RAW and min_train < 3:
+        raise TooFewSamples(f"{n} samples in {folds} folds: a basis build needs at least "
+                            f"3 samples, got {min_train} in a training fold")
     limit = min(X.n_parts - 1, min_train - 1)
     if _check_integer(max_k, "max_k", 1, X.n_parts - 1) > limit:
         if method == PLS_RAW:
@@ -256,12 +278,11 @@ def cross_validate(
         raise NonBinary("misclassification error needs a 0/1-coded response")
 
     log_x = np.log(X.values)
-    score = misclassification_error if metric == METRIC_ME else rmsep
     errors = np.empty((repeats, max_k))
     for r, stream in enumerate(np.random.SeedSequence(seed).spawn(repeats)):
         rng = np.random.default_rng(stream)
         predictions = _fold_predictions(log_x, y, method, max_k, folds, rng)
         if metric == METRIC_ME:
-            predictions = (predictions >= CLASSIFICATION_THRESHOLD).astype(int)
-        errors[r] = [score(y, col) for col in predictions.T]
+            predictions = predictions >= CLASSIFICATION_THRESHOLD
+        errors[r] = _errors(y, predictions, metric)
     return aggregate_error_runs(errors, metric, folds, repeats)

@@ -50,7 +50,9 @@ eigenvalue of H G[idx, idx] H. Opened by its parent, a node slices G[idx, idx]
 enters the heap once with all three, keyed by the smaller of its own bound and
 its parent's key. For pca-pb, nodes of 20 to 149 parts take the top
 eigenpair from repeated squaring of H G[idx, idx] H, which is faster there,
-when it converges within 16 squarings, and otherwise from eigh. The route
+when it converges within 16 squarings, and otherwise from eigh, taken as
+soon as 1 - tr B^2 of the latest square B, scaled to trace 1, proves that
+the squarings left cannot converge. The route
 changes no output: the loading matters only through the order and signs of
 its entries, scores come from G, and the squaring's eigenvalue, a Rayleigh
 quotient, is within about 1e-15 of eigh's, far inside the stop slack. The
@@ -69,6 +71,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +96,7 @@ _SQUARING_PARTS = range(20, 150)
 _RANK_ONE_TOL = 1e-8
 # A node not rank one after this many squarings has its top two eigenvalues
 # within about 6e-4 of each other (an exactly repeated one never gets there)
-# and takes eigh instead.
+# and takes eigh instead, as soon as ``_falls_short`` proves that it will be.
 _MAX_SQUARINGS = 16
 
 
@@ -235,6 +238,19 @@ def _statistics(log: np.ndarray, y) -> _Statistics:
                        float(residual @ residual) / (n - 1), exponent)
 
 
+def _falls_short(purity: float, d: int, left: int) -> bool:
+    """Whether a d x d trace-1 B with tr B^2 = ``purity`` is proven not to be
+    rank one after ``left`` more squarings. Of all such B, the one whose d-1
+    other eigenvalues are equal gets there fastest: its top eigenvalue a
+    solves a^2 + (1-a)^2 / (d-1) = ``purity``, the others are b = (1-a) / (d-1),
+    and with x = (d-1) (b/a)^(2^left), 1 - tr B^2 after the squarings is
+    (2x + x^2 (d-2)/(d-1)) / (1+x)^2. That value above twice
+    ``_RANK_ONE_TOL`` (the 2 absorbs the rounding of ``purity``) is the proof."""
+    a = (1 + math.sqrt(max(0.0, (d - 1) * (d * purity - 1)))) / d
+    x = (d - 1) * ((1 - a) / ((d - 1) * a)) ** (1 << left)
+    return (2 * x + x * x * (d - 2) / (d - 1)) / ((1 + x) * (1 + x)) > 2 * _RANK_ONE_TOL
+
+
 def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
     """Top eigenpair of A = H G[idx, idx] H: pca-pb's node bound and loading.
 
@@ -243,17 +259,16 @@ def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
     ``_RANK_ONE_TOL``), at most ``_MAX_SQUARINGS`` times: B is then v v' up
     to about 1e-16, and A times B's column of largest diagonal entry,
     normalised, is v, with its Rayleigh quotient as the eigenvalue. Other
-    sizes, a trace <= 0, a B not rank one after the last squaring and a
-    non-positive quotient (a negative eigenvalue of larger magnitude) take
-    ``eigh``.
+    sizes, a trace <= 0, a B that ``_falls_short`` of rank one within the
+    squarings left and a non-positive quotient (a negative eigenvalue of
+    larger magnitude) take ``eigh``.
     """
     d = gram.shape[0]
     col_means = np.add.reduce(gram) / d
     centred = gram - col_means[:, None] - col_means + np.add.reduce(col_means) / d
-    trace = centred.trace()
-    if d in _SQUARING_PARTS and trace > 0:
+    if d in _SQUARING_PARTS and (trace := centred.trace()) > 0:
         power = centred / trace
-        for _ in range(_MAX_SQUARINGS):
+        for left in reversed(range(_MAX_SQUARINGS)):
             power = power @ power
             purity = power.trace()  # tr B^2 of the B just squared
             power /= purity
@@ -263,6 +278,8 @@ def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
                 value = float(vector @ centred @ vector)
                 if value > 0:
                     return value, vector
+                break
+            if left and _falls_short(float(purity), d, left):
                 break
     eigenvalues, eigenvectors = np.linalg.eigh(centred)
     return float(eigenvalues[-1]), eigenvectors[:, -1]
@@ -410,7 +427,7 @@ def _partition(stats: _Statistics, max_k: int):
             if balance is not None:
                 key = path + (slot,)
                 entry = (indices, balance, recorded)
-                heapq.heappush(kept, (scaled, tuple(-s for s in key), key, entry))
+                heapq.heappush(kept, (scaled, tuple(map(operator.neg, key)), key, entry))
                 if len(kept) > max_k:
                     heapq.heappop(kept)
 
@@ -456,24 +473,33 @@ def _tree(expanded: dict, n_parts: int, path: tuple = ()):
                          link, link_score, *children)
 
 
+def _leading_signs(log: np.ndarray, y, k: int):
+    """The D x k sign matrix of the leading k balances of ln X, pls-pb on a
+    checked response y or pca-pb when y is None, their scores and the
+    expanded nodes; unchecked against ``BalanceBasis``. ``cross_validate``
+    takes each fold's basis from it, ``_build`` every other."""
+    if y is not None and np.ptp(y) == 0.0:
+        raise ConstantResponse("response has zero variance")
+    ranked, expanded = _partition(_statistics(log, y), k)
+    parts, local, scores = zip(*ranked)
+    signs = np.zeros((log.shape[1], k), dtype=int)
+    columns = np.repeat(np.arange(k), [indices.shape[0] for indices in parts])
+    signs[np.concatenate(parts), columns] = np.concatenate(local)
+    return signs, scores, expanded
+
+
 def _build(log: np.ndarray, y, max_k: int | None = None, return_tree=False, part_names=None):
     """``pls_pb`` on ln X and a checked response y, or ``pca_pb`` when y is
     None: the leading ``max_k`` balances (all D-1 when None) as a validated
-    ``BalanceBasis``. ``cross_validate`` calls it on each fold's log rows."""
+    ``BalanceBasis``."""
     if log.shape[0] < 3:
         raise TooFewSamples(f"a basis build needs at least 3 samples, got {log.shape[0]}")
-    if y is not None and np.ptp(y) == 0.0:
-        raise ConstantResponse("response has zero variance")
     n_parts = log.shape[1]
     k = n_parts - 1 if max_k is None else _check_integer(max_k, "max_k", 1, n_parts - 1)
     if return_tree and k < n_parts - 1:
         # unexpanded subtrees would read as None, like single parts
         raise ValueError("return_tree needs the full basis (max_k=None)")
-    ranked, expanded = _partition(_statistics(log, y), k)
-    parts, local, scores = zip(*ranked)
-    signs = np.zeros((n_parts, k), dtype=int)
-    columns = np.repeat(np.arange(k), [indices.shape[0] for indices in parts])
-    signs[np.concatenate(parts), columns] = np.concatenate(local)
+    signs, scores, expanded = _leading_signs(log, y, k)
     basis = BalanceBasis(signs, np.array(scores), part_names)
     return (basis, _tree(expanded, n_parts)) if return_tree else basis
 

@@ -25,8 +25,10 @@ from plspb import (
     rmsep,
     simulate_dataset,
 )
+from plspb import modelsel
 from plspb.simgen import spawn_seeds
-from plspb.modelsel import PCA_PB, PLS_PB, PLS_RAW, _fold_predictions, aggregate_error_runs
+from plspb.modelsel import METRIC_ME, METRIC_RMSEP, PCA_PB, PLS_PB, PLS_RAW, _errors
+from plspb.modelsel import _fold_predictions, aggregate_error_runs
 from plspb.errors import (
     BalanceError,
     Collinear,
@@ -74,6 +76,14 @@ class TestRmsep:
         expected = np.ldexp(rmsep(y, yhat), power)
         assert rmsep(np.ldexp(y, power), np.ldexp(yhat, power)) == expected
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["y", "yhat"])
+    def test_non_finite_rejected(self, name, bad):
+        values = {"y": [1.0, 2.0], "yhat": [1.0, 1.0]}
+        values[name] = [bad, 1.0]
+        with pytest.raises(BalanceError, match=f"^{name} values must be finite$"):
+            rmsep(values["y"], values["yhat"])
+
 
 class TestMisclassificationError:
     def test_identical(self):
@@ -92,6 +102,28 @@ class TestMisclassificationError:
             misclassification_error(np.array([0, 2]), np.array([0, 1]))
         with pytest.raises(NonBinary):
             misclassification_error(np.array([0, 1]), np.array([0.5, 1.0]))
+
+
+class TestOnePassErrors:
+    """``_errors`` scores every column of a prediction matrix in one pass, each
+    equal to the single-column function's value."""
+
+    @pytest.mark.parametrize("power", [0, -600, 600])
+    @pytest.mark.parametrize("n, k", [(1, 1), (7, 3), (1000, 20), (1037, 5)])
+    def test_rmsep_of_every_column(self, rng, n, k, power):
+        # the squares of 2^+-600 residuals leave the float range
+        y = np.ldexp(rng.standard_normal(n), power)
+        predictions = np.ldexp(rng.standard_normal((n, k)) * rng.uniform(0.1, 10, k), power)
+        predictions[:, 0] = y  # a zero residual column
+        errors = _errors(y, predictions, METRIC_RMSEP)
+        assert errors.tolist() == [rmsep(y, col) for col in predictions.T]
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (9, 4), (1000, 20)])
+    def test_misclassification_of_every_column(self, rng, n, k):
+        y = rng.integers(0, 2, n).astype(float)
+        labels = rng.integers(0, 2, (n, k)).astype(bool)
+        errors = _errors(y, labels, METRIC_ME)
+        assert errors.tolist() == [misclassification_error(y, col) for col in labels.T]
 
 
 class TestOneSeSelect:
@@ -265,10 +297,32 @@ class TestCrossValidate:
             cross_validate(X, y, PLS_PB, max_k=2, folds=5)
         with pytest.raises(ValueError, match="^folds must be at least 2, got 1$"):
             cross_validate(X, y, PLS_PB, max_k=2, folds=1)
-        # two folds of two rows: every basis build sees only two samples
+        # two folds of two rows: every basis build would see only two samples
         for method in (PLS_PB, PCA_PB):
             with pytest.raises(TooFewSamples, match="needs at least 3 samples, got 2"):
                 cross_validate(X, y, method, max_k=1, folds=2)
+
+    @pytest.mark.parametrize("method", [PLS_PB, PCA_PB])
+    def test_training_folds_too_small_for_a_basis(self, rng, method, monkeypatch):
+        X, y = random_instance(rng, 3, 4)
+
+        def no_fit(*args):
+            raise AssertionError("a fold was fitted")
+
+        monkeypatch.setattr(modelsel, "_leading_signs", no_fit)
+        message = "^3 samples in 3 folds: .* got 2 in a training fold$"
+        with pytest.raises(TooFewSamples, match=message):
+            cross_validate(X, y, method, max_k=1, folds=3)
+
+    @pytest.mark.parametrize("method", [PLS_PB, PCA_PB, PLS_RAW])
+    def test_one_row_test_folds(self, rng, method):
+        # n = folds: every test fold holds one row
+        X, y = random_instance(rng, 8, 6)
+        result = cross_validate(X, y, method, max_k=3, folds=8, repeats=2, seed=4)
+        again = cross_validate(X, y, method, max_k=3, folds=8, repeats=2, seed=4)
+        assert np.all(np.isfinite(result.mean_error)) and np.all(np.isfinite(result.sd_error))
+        assert np.array_equal(result.mean_error, again.mean_error)
+        assert np.array_equal(result.sd_error, again.sd_error)
 
     def test_non_finite_response_rejected(self, rng):
         X, y = random_instance(rng, 12, 5)
