@@ -193,6 +193,8 @@ class BalanceBasis:
             vals = np.array(self.ordering_values, dtype=float)
             if vals.shape != (k,):
                 raise DimensionMismatch("ordering_values must have one value per balance")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("ordering_values must be finite")
             if not np.all(np.diff(vals) <= ALGEBRA_TOL):
                 raise ValueError("ordering_values must be non-increasing")
             object.__setattr__(self, "ordering_values", _readonly(vals))

@@ -23,6 +23,7 @@ from .coda import CompositionMatrix, LogContrastModel, _binary_exponent, _check_
 from .coda import _check_response
 from .errors import ConstantResponse, DimensionMismatch, RankDeficient
 
+# SIMPLS's rank boundary, relative; pb's no-signal rank tests read it too.
 _RANK_TOL = 1e-10
 _WEIGHT_SUM_TOL = 1e-10
 

@@ -19,6 +19,7 @@ from .coda import _binary_exponent, _check_integer, _check_response, signs_to_co
 from .errors import (
     BalanceError,
     Collinear,
+    DimensionMismatch,
     EmptyInput,
     NonBinary,
     RankDeficient,
@@ -53,6 +54,7 @@ class CvResult:
     repeats: int
 
     def __post_init__(self):
+        _check_run_settings(self.metric, self.folds, self.repeats)
         mean = np.array(self.mean_error, dtype=float)
         sd = np.array(self.sd_error, dtype=float)
         if mean.ndim != 1 or mean.size == 0 or mean.shape != sd.shape:
@@ -92,7 +94,7 @@ def _check_predictions(y, yhat) -> tuple[np.ndarray, np.ndarray]:
     """y and yhat as arrays of one nonempty shape."""
     y, yhat = np.asarray(y), np.asarray(yhat)
     if y.shape != yhat.shape:
-        raise ValueError("vectors must have equal length")
+        raise DimensionMismatch(f"y and yhat must have one shape, got {y.shape} and {yhat.shape}")
     if y.size == 0:
         raise EmptyInput("need at least one prediction")
     return y, yhat
@@ -230,7 +232,6 @@ def aggregate_error_runs(error_matrix, metric, folds, repeats) -> CvResult:
     the errors scaled by a power of two and scaled back, and enters the
     one-SE rule undivided.
     """
-    _check_run_settings(metric, folds, repeats)
     errs = np.asarray(error_matrix, dtype=float)
     if errs.ndim != 2 or errs.shape[0] < 1:
         raise ValueError("need a runs x k error matrix")

@@ -50,9 +50,7 @@ eigenvalue of H G[idx, idx] H. Opened by its parent, a node slices G[idx, idx]
 enters the heap once with all three, keyed by the smaller of its own bound and
 its parent's key. For pca-pb, nodes of 20 to 149 parts take the top
 eigenpair from repeated squaring of H G[idx, idx] H, which is faster there,
-when it converges within 16 squarings, and otherwise from eigh, taken as
-soon as 1 - tr B^2 of the latest square B, scaled to trace 1, proves that
-the squarings left cannot converge. The route
+when it converges within 16 squarings, and otherwise from eigh. The route
 changes no output: the loading matters only through the order and signs of
 its entries, scores come from G, and the squaring's eigenvalue, a Rayleigh
 quotient, is within about 1e-15 of eigh's, far inside the stop slack. The
@@ -79,11 +77,12 @@ import numpy as np
 from .coda import BalanceBasis, CompositionMatrix, _balance_entries, _binary_exponent
 from .coda import _check_integer, _check_response, _readonly, signs_to_coefficients
 from .errors import ConstantResponse, OneSidedLoading, TooFewSamples
+from .latent import _RANK_TOL
 
 _TIE_RTOL = 1e-12
-# Relative thresholds of the no-signal fallbacks.
+# Relative threshold of the constant-subcomposition fallback; the rank
+# tests use SIMPLS's own ``_RANK_TOL``.
 _CONSTANT_TOL = 1e-12
-_RANK_TOL = 1e-10
 # Rounding in G can move tr(H G[idx, idx] H) by about n * eps * tr(G[idx, idx]);
 # below this share of tr(G[idx, idx]) the constant check reads the data.
 _GRAM_NOISE = 1e-8
@@ -96,7 +95,7 @@ _SQUARING_PARTS = range(20, 150)
 _RANK_ONE_TOL = 1e-8
 # A node not rank one after this many squarings has its top two eigenvalues
 # within about 6e-4 of each other (an exactly repeated one never gets there)
-# and takes eigh instead, as soon as ``_falls_short`` proves that it will be.
+# and takes eigh instead.
 _MAX_SQUARINGS = 16
 
 
@@ -238,19 +237,6 @@ def _statistics(log: np.ndarray, y) -> _Statistics:
                        float(residual @ residual) / (n - 1), exponent)
 
 
-def _falls_short(purity: float, d: int, left: int) -> bool:
-    """Whether a d x d trace-1 B with tr B^2 = ``purity`` is proven not to be
-    rank one after ``left`` more squarings. Of all such B, the one whose d-1
-    other eigenvalues are equal gets there fastest: its top eigenvalue a
-    solves a^2 + (1-a)^2 / (d-1) = ``purity``, the others are b = (1-a) / (d-1),
-    and with x = (d-1) (b/a)^(2^left), 1 - tr B^2 after the squarings is
-    (2x + x^2 (d-2)/(d-1)) / (1+x)^2. That value above twice
-    ``_RANK_ONE_TOL`` (the 2 absorbs the rounding of ``purity``) is the proof."""
-    a = (1 + math.sqrt(max(0.0, (d - 1) * (d * purity - 1)))) / d
-    x = (d - 1) * ((1 - a) / ((d - 1) * a)) ** (1 << left)
-    return (2 * x + x * x * (d - 2) / (d - 1)) / ((1 + x) * (1 + x)) > 2 * _RANK_ONE_TOL
-
-
 def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
     """Top eigenpair of A = H G[idx, idx] H: pca-pb's node bound and loading.
 
@@ -259,16 +245,16 @@ def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
     ``_RANK_ONE_TOL``), at most ``_MAX_SQUARINGS`` times: B is then v v' up
     to about 1e-16, and A times B's column of largest diagonal entry,
     normalised, is v, with its Rayleigh quotient as the eigenvalue. Other
-    sizes, a trace <= 0, a B that ``_falls_short`` of rank one within the
-    squarings left and a non-positive quotient (a negative eigenvalue of
-    larger magnitude) take ``eigh``.
+    sizes, a trace <= 0, a B not rank one after the last squaring and a
+    non-positive quotient (a negative eigenvalue of larger magnitude) take
+    ``eigh``.
     """
     d = gram.shape[0]
     col_means = np.add.reduce(gram) / d
     centred = gram - col_means[:, None] - col_means + np.add.reduce(col_means) / d
     if d in _SQUARING_PARTS and (trace := centred.trace()) > 0:
         power = centred / trace
-        for left in reversed(range(_MAX_SQUARINGS)):
+        for _ in range(_MAX_SQUARINGS):
             power = power @ power
             purity = power.trace()  # tr B^2 of the B just squared
             power /= purity
@@ -278,8 +264,6 @@ def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
                 value = float(vector @ centred @ vector)
                 if value > 0:
                     return value, vector
-                break
-            if left and _falls_short(float(purity), d, left):
                 break
     eigenvalues, eigenvectors = np.linalg.eigh(centred)
     return float(eigenvalues[-1]), eigenvectors[:, -1]

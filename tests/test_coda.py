@@ -274,6 +274,17 @@ class TestBalanceChecks:
         with pytest.raises(DimensionMismatch, match="basis has 3 parts, data has 4"):
             basis.coordinates(random_composition(rng, 5, 4))
 
+    @pytest.mark.parametrize("signs, values", [
+        ([[1], [-1], [0]], [np.nan]),
+        ([[1, 1], [-1, 1], [0, -1]], [np.inf, 1.0]),
+        ([[1, 1], [-1, 1], [0, -1]], [1.0, np.nan]),
+        ([[1, 1], [-1, 1], [0, -1]], [1.0, -np.inf]),
+    ], ids=["nan", "inf-first", "nan-last", "-inf-last"])
+    def test_non_finite_ordering_values_rejected(self, signs, values):
+        # named before the order check, which inf passes and nan fails
+        with pytest.raises(ValueError, match="^ordering_values must be finite$"):
+            BalanceBasis(signs, ordering_values=values)
+
     def test_crossing_supports_rejected(self):
         # each column is a valid balance, but the supports neither nest nor
         # stay disjoint, so the columns are not orthogonal
@@ -298,13 +309,14 @@ def _basis_with_ordering(values):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: _basis_with_ordering([np.nan, 1.0]), "non-increasing"),
+        (lambda: _basis_with_ordering([np.nan, 1.0]), "must be finite"),
         (lambda: _latent_model([[1.0], [-1.0], [np.nan]]), "sum to zero"),
     ],
     ids=["covariance", "weight"],
 )
 def test_nan_rejected(build, message):
-    # every check reads "not all(|x| <= tol)", which NaN fails
+    # a NaN fails the finiteness check, or a check that reads
+    # "not all(|x| <= tol)"
     with pytest.raises(ValueError, match=message):
         build()
 

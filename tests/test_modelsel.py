@@ -85,6 +85,13 @@ class TestRmsep:
             rmsep(values["y"], values["yhat"])
 
 
+@pytest.mark.parametrize("error", [rmsep, misclassification_error])
+def test_shape_mismatch_rejected(error):
+    message = r"^y and yhat must have one shape, got \(2,\) and \(1,\)$"
+    with pytest.raises(DimensionMismatch, match=message):
+        error([1.0, 0.0], [1.0])
+
+
 class TestMisclassificationError:
     def test_identical(self):
         assert misclassification_error(np.array([0, 1, 1]), np.array([0, 1, 1])) == 0.0
@@ -456,6 +463,14 @@ class TestAggregateErrorRuns:
         with pytest.raises(ValueError, match=message):
             aggregate_error_runs(np.ones((2, 3)), **{"metric": "rmsep", "folds": 5, "repeats": 2,
                                                      **kwargs})
+
+    def test_constructor_checks_the_settings(self):
+        with pytest.raises(ValueError, match="^unknown metric 'bogus'$"):
+            CvResult([1.0], [0.0], "bogus", folds=1.5, repeats=True)
+        with pytest.raises(ValueError, match=r"^folds=1\.5 is not an integer$"):
+            CvResult([1.0], [0.0], "rmsep", folds=1.5, repeats=True)
+        with pytest.raises(ValueError, match="^repeats=True is not an integer$"):
+            CvResult([1.0], [0.0], "me", folds=2, repeats=True)
 
 
 # Every integer argument goes through one check: an int or a numpy integer,

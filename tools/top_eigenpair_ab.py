@@ -15,9 +15,7 @@ centred matrix (the route of every node before squaring) over those
 matrices, and then the pca-pb ops themselves with each of the two in
 ``pb._top_eigenpair``'s place (``*_ops``). It prints per-op milliseconds
 (median and quartiles over the rounds) as JSON, with BLAS pinned to one
-thread as in perfbench, counts the matrices whose squaring
-``pb._falls_short`` ends before the cap (``stopped_short_per_op``), and
-exits 1 if the two routes disagree on any matrix.
+thread as in perfbench, and exits 1 if the two routes disagree on any matrix.
 """
 
 import os
@@ -94,23 +92,6 @@ def routed(pair, ops):
         pb._top_eigenpair = original
 
 
-def stops_short(gram):
-    """Whether ``pb._falls_short`` ends the squaring of ``gram`` early, sending
-    it to eigh before the cap."""
-    fired, original = [], pb._falls_short
-
-    def record(*args):
-        fired.append(original(*args))
-        return fired[-1]
-
-    pb._falls_short = record
-    try:
-        pb._top_eigenpair(gram)
-    finally:
-        pb._falls_short = original
-    return any(fired)
-
-
 def agree(grams):
     for gram in grams:
         value, vector = pb._top_eigenpair(gram)
@@ -149,11 +130,9 @@ def main(argv=None):
                 times[side].append((middle - start) * 1e3 / workloads.POOL)
                 times[side + "_ops"].append((time.perf_counter() - middle) * 1e3 / workloads.POOL)
         squared = sum(gram.shape[0] in pb._SQUARING_PARTS for gram in grams)
-        short = sum(stops_short(gram) for gram in grams)
         report[name] = {
             "matrices_per_op": len(grams) / workloads.POOL,
             "squared_per_op": squared / workloads.POOL,
-            "stopped_short_per_op": short / workloads.POOL,
             **{f"{key}_ms_per_op": quartiles(values) for key, values in times.items()},
         }
     report["routes_agree"] = ok
