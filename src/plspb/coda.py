@@ -340,8 +340,8 @@ def inverse_pivot(Z, total: float = 1.0, part_names=None) -> CompositionMatrix:
     1e-9 for well-scaled inputs.
     """
     z = np.asarray(Z, dtype=float)
-    if z.ndim != 2:
-        raise ValueError("coordinates must be a 2-d matrix")
+    if z.ndim != 2 or z.shape[1] == 0:
+        raise ValueError("coordinates must be a 2-d matrix with at least one column")
     clr_values = z @ pivot_basis(z.shape[1] + 1).T
     # Shift rows before exponentiating; row shifts cancel under closure.
     shifted = clr_values - clr_values.max(axis=1, keepdims=True)

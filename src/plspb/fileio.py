@@ -2,8 +2,9 @@
 
 Floats are written with ``repr``, the shortest representation that round
 trips exactly, so rerunning a command with the same inputs reproduces its
-output files byte for byte. Every file is UTF-8 text whatever the locale,
-and every writer returns the sha256 hex digest of the bytes it wrote.
+output files byte for byte. Every file is UTF-8 text whatever the locale; a
+table read may start with a byte order mark, as Excel writes one. Every
+writer returns the sha256 hex digest of the bytes it wrote.
 Tables are read by numpy's C text reader.
 """
 
@@ -28,7 +29,7 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]')
 def _fault(path: Path, width: int, fallback) -> ValueError:
     """The error naming the first body line that is not ``width`` numbers,
     found by re-reading the table with ``csv``; else ``fallback``."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = filter(None, reader)
         next(rows, None)
@@ -49,7 +50,7 @@ def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
     optionally quoted or padded by blanks. Blank lines are skipped; every
     other row must be as wide as the header."""
     try:
-        with path.open(newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        with path.open(newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
             header = next(filter(None, csv.reader(fh)), [])
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # checked below
             try:

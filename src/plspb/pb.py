@@ -9,7 +9,7 @@ parts idx, with H the centring projector on them, takes as loading H g[idx]
 the top eigenvector of H G[idx, idx] H (its first principal direction) for
 pca-pb. pls-pb reads its response as y * 2^-e, which brings max|y| into
 [0.5, 1): its statistics, bounds and scores are homogeneous in y, so this is
-exact, and each score is scaled back by 2^e when its node is recorded. One
+exact, and each kept score is scaled back by 2^e once, when returned. One
 fused pass builds the loading's d-1 nested candidates as coefficient columns
 c, whose signs are the columns of ``candidate_signs``; each is scored by
 |c'g[idx]| or c'G[idx, idx]c, the best wins, and ties within a relative 1e-12
@@ -47,29 +47,30 @@ contrast c on the node's parts, so for pls-pb |c'g[idx]| <= ||H g[idx]||
 (Cauchy-Schwarz), and for pca-pb c'G[idx, idx]c is at most the top
 eigenvalue of H G[idx, idx] H. Opened by its parent, a node slices G[idx, idx]
 (pca-pb) or g[idx] (pls-pb) once, computes its bound and loading from it, and
-enters the heap once with all three, keyed by the smaller of its own bound and
-its parent's key. For pca-pb, nodes of 20 to 149 parts take the top
-eigenpair from repeated squaring of H G[idx, idx] H, which is faster there,
-when it converges within 16 squarings, and otherwise from eigh. The route
-changes no output: the loading matters only through the order and signs of
-its entries, scores come from G, and the squaring's eigenvalue, a Rayleigh
-quotient, is within about 1e-15 of eigh's, far inside the stop slack. The
-engine stops once the
-k-th best kept score exceeds the largest open bound by a slack of 1e-9 of
-the root's uncentred scale (||g|| or tr G): that slack covers the rounding
-of scores and bounds, and being strictly positive it keeps a pruned node
-from holding a balance tied with the k-th that comes earlier in preorder.
-Every node's work depends only on its parts, so the first k balances, their
-order and their scores are bit-identical to the full build's. With k = D-1
-the heap drains whatever the bounds, so the full build expands every node
-once.
+enters the heap once with all three, keyed by its own bound. That suffices:
+a contrast on a child's parts is also one on its parent's, so no child's
+bound exceeds its parent's beyond rounding, and the kept balances are the
+best by score and preorder whatever order the nodes are expanded in. For
+pca-pb, nodes of 20 to 149 parts take the top eigenpair from repeated
+squaring of H G[idx, idx] H, which is faster there, when it converges within
+16 squarings, and otherwise from eigh. The route changes no output: the
+loading matters only through the order and signs of its entries, scores
+come from G, and the squaring's eigenvalue, a Rayleigh quotient, is within
+about 1e-15 of eigh's, far inside the stop slack. Each balance is recorded
+once, and a min-heap of the k best scores gives the k-th. The engine stops
+once it exceeds the largest open bound by a slack of 1e-9 of the root's
+uncentred scale (||g|| or tr G): that slack covers the rounding of scores
+and bounds, and being strictly positive it keeps a pruned node from holding
+a balance tied with the k-th that comes earlier in preorder. Every node's
+work depends only on its parts, so the first k balances, their order and
+their scores are bit-identical to the full build's. With k = D-1 the heap
+drains whatever the bounds, so the full build expands every node once.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,14 +359,14 @@ _CHILD_SLOTS = ((2, 0), (3, 1), (4, -1))  # (slot, side of the chosen signs)
 PAIR = signs_to_coefficients(np.array([[1], [-1]]))
 
 
-def _open_node(stats: _Statistics, heap: list, finish, path: tuple, indices: np.ndarray, cap):
+def _open_node(stats: _Statistics, heap: list, finish, path: tuple, indices: np.ndarray):
     """Take a node's slice g[idx] for pls-pb, or G[idx, idx] for pca-pb, and
-    push a node of 3 or more parts once with it, its loading and its own
-    score bound, keyed by that bound capped at ``cap``: for pca-pb the top
-    eigenpair of H G[idx, idx] H gives both, for pls-pb p = H g[idx] is the
-    loading and ||p|| the bound. A 2-part node goes to ``finish`` at once, +1
-    on its first part (its loading +-(1, -1) is an exact tie), scored 0
-    without ``_pair_signal``; no eigh."""
+    push a node of 3 or more parts once with it and its loading, keyed by its
+    own score bound, which is never above its parent's beyond rounding: for
+    pca-pb the top eigenpair of H G[idx, idx] H gives both, for pls-pb p =
+    H g[idx] is the loading and ||p|| the bound. A 2-part node goes to
+    ``finish`` at once, +1 on its first part (its loading +-(1, -1) is an
+    exact tie), scored 0 without ``_pair_signal``; no eigh."""
     d = indices.shape[0]
     if d < 2:
         return
@@ -373,55 +374,43 @@ def _open_node(stats: _Statistics, heap: list, finish, path: tuple, indices: np.
     cross = None if stats.cross is None else stats.cross[indices]
     if d == 2:
         score = _scores(PAIR, gram, cross)[0] if _pair_signal(stats, indices, gram, cross) else 0.0
-        finish(path, indices, np.array([1, -1]), float(score))
+        finish(path + (_CHOSEN,), indices, np.array([1, -1]), float(score))
         return
     if cross is None:
-        own, loading = _top_eigenpair(gram)
+        bound, loading = _top_eigenpair(gram)
     else:
         loading = cross - np.add.reduce(cross) / d
-        own = np.sqrt(loading @ loading)
-    own = float(own)
-    heapq.heappush(heap, (-min(cap, own), path, indices, loading, own, gram, cross))
+        bound = float(np.sqrt(loading @ loading))
+    heapq.heappush(heap, (-bound, path, indices, loading, gram, cross))
 
 
-def _partition(stats: _Statistics, max_k: int):
-    """Best-first sequential binary partition, stopped once its ``max_k``
-    best balances are known.
-
-    Returns the kept balances in basis order, as (indices, signs over them,
-    score), and the expanded nodes as {path: (indices, chosen signs, score,
-    connecting signs, connecting score)}, all signs over the node's parts.
-    """
+def _partition(stats: _Statistics, max_k: int) -> dict:
+    """Best-first sequential binary partition, its nodes keyed by their own
+    bounds, stopped once its ``max_k`` best balances are known: whatever the
+    expansion order, they are the best by score, then preorder. Returns them
+    in basis order as {preorder key: (indices, signs over them, score)}, each
+    score scaled back by 2^e once. A node at ``path`` was expanded when
+    ``path + (_CHOSEN,)`` is a key; ``path + (_CONNECTING,)`` holds its
+    connecting balance, if any."""
     n_parts = stats.log.shape[1]
     scale = stats.gram.trace() if stats.cross is None else np.linalg.norm(stats.cross)
     slack = max(_STOP_RTOL * float(scale), np.finfo(float).tiny)
-    kept: list = []  # min-heap of (score, negated key, key, (indices, signs, value)): worst on top
-    expanded: dict = {}
+    balances: list = []  # (score, key, indices, signs), in the order finished
+    best: list = []  # min-heap of the max_k best scores: the k-th on top
 
-    def finish(path, indices, signs, score, link_score=None):
-        """Record a node and keep its balances; a scored connecting balance
-        takes its 0 parts. ``kept`` orders the scores as computed; what is
-        recorded is scaled back by 2^e to the response's own scale."""
-        link = None if link_score is None else np.where(signs == 0, 1, -1)
-        value = math.ldexp(score, stats.exponent)
-        link_value = None if link is None else math.ldexp(link_score, stats.exponent)
-        expanded[path] = (indices, signs, value, link, link_value)
-        for slot, scaled, balance, recorded in ((_CHOSEN, score, signs, value),
-                                                (_CONNECTING, link_score, link, link_value)):
-            if balance is not None:
-                key = path + (slot,)
-                entry = (indices, balance, recorded)
-                heapq.heappush(kept, (scaled, tuple(map(operator.neg, key)), key, entry))
-                if len(kept) > max_k:
-                    heapq.heappop(kept)
+    def finish(key, indices, signs, score):
+        balances.append((score, key, indices, signs))
+        heapq.heappush(best, score)
+        if len(best) > max_k:
+            heapq.heappop(best)
 
-    heap: list = []  # min-heap of (-capped bound, path, indices, loading, own bound, gram, cross)
-    _open_node(stats, heap, finish, (), np.arange(n_parts), np.inf)
+    heap: list = []  # min-heap of (-bound, path, indices, loading, gram, cross)
+    _open_node(stats, heap, finish, (), np.arange(n_parts))
 
-    while heap and not (len(kept) == max_k and kept[0][0] > slack - heap[0][0]):
-        neg_bound, path, indices, loading, own, gram, cross = heapq.heappop(heap)
+    while heap and not (len(best) == max_k and best[0] > slack - heap[0][0]):
+        neg_bound, path, indices, loading, gram, cross = heapq.heappop(heap)
         d = indices.shape[0]
-        signal = _has_signal(stats, indices, gram, loading, own)
+        signal = _has_signal(stats, indices, gram, loading, -neg_bound)
         coeffs = _node_candidates(loading) if signal else None
         if coeffs is None:  # the first part against the last: d-2 left out, as in candidate 0
             signs, score, winner = np.r_[1, np.zeros(d - 2, dtype=int), -1], 0.0, 0
@@ -430,46 +419,50 @@ def _partition(stats: _Statistics, max_k: int):
             # Candidate j has j+2 active parts, so the first tied is the fewest.
             winner = int((scores >= scores.max() * (1 - _TIE_RTOL)).argmax())
             signs, score = np.sign(coeffs[:, winner]).astype(int), float(scores[winner])
+        finish(path + (_CHOSEN,), indices, signs, score)
 
-        link_score = None
         r = d - 2 - winner  # candidate j leaves d-j-2 parts out
-        if r:  # r left-out parts against d - r
+        if r:  # a connecting balance: the r left-out parts against the d - r others
             column = np.where(signs == 0, *_balance_entries(r, d - r))[:, None]
             link_score = 0.0 if coeffs is None else float(_scores(column, gram, cross)[0])
-        finish(path, indices, signs, score, link_score)
+            finish(path + (_CONNECTING,), indices, np.where(signs == 0, 1, -1), link_score)
 
         for slot, side in _CHILD_SLOTS:
-            _open_node(stats, heap, finish, path + (slot,), indices[signs == side], -neg_bound)
+            _open_node(stats, heap, finish, path + (slot,), indices[signs == side])
 
-    ranked = sorted(kept, key=lambda entry: (-entry[0], entry[2]))
-    return [entry[3] for entry in ranked], expanded
+    balances.sort(key=lambda balance: (-balance[0], balance[1]))
+    return {key: (indices, signs, math.ldexp(score, stats.exponent))
+            for score, key, indices, signs in balances[:max_k]}
 
 
-def _tree(expanded: dict, n_parts: int, path: tuple = ()):
-    """The PartitionNode at ``path`` of a fully expanded partition, or None
+def _tree(balances: dict, n_parts: int, path: tuple = ()):
+    """The PartitionNode at ``path`` of a full partition's balances, or None
     for single parts."""
-    if path not in expanded:
+    if path + (_CHOSEN,) not in balances:
         return None
-    indices, signs, score, link, link_score = expanded[path]
+    indices, signs, value = balances[path + (_CHOSEN,)]
+    _, link, link_value = balances.get(path + (_CONNECTING,), (None, None, None))
     link = None if link is None else _embed(link, indices, n_parts)
-    children = (_tree(expanded, n_parts, path + (slot,)) for slot, _ in _CHILD_SLOTS)
-    return PartitionNode(tuple(indices.tolist()), _embed(signs, indices, n_parts), score,
-                         link, link_score, *children)
+    children = (_tree(balances, n_parts, path + (slot,)) for slot, _ in _CHILD_SLOTS)
+    return PartitionNode(tuple(indices.tolist()), _embed(signs, indices, n_parts), value,
+                         link, link_value, *children)
 
 
 def _leading_signs(log: np.ndarray, y, k: int):
     """The D x k sign matrix of the leading k balances of ln X, pls-pb on a
-    checked response y or pca-pb when y is None, their scores and the
-    expanded nodes; unchecked against ``BalanceBasis``. ``cross_validate``
-    takes each fold's basis from it, ``_build`` every other."""
+    checked response y or pca-pb when y is None, their scores and
+    ``_partition``'s balances by preorder key: nodes keyed by their own
+    bounds suffice, as no child's exceeds its parent's beyond rounding.
+    Unchecked against ``BalanceBasis``; ``cross_validate`` takes each fold's
+    basis from it, ``_build`` every other."""
     if y is not None and np.ptp(y) == 0.0:
         raise ConstantResponse("response has zero variance")
-    ranked, expanded = _partition(_statistics(log, y), k)
-    parts, local, scores = zip(*ranked)
+    balances = _partition(_statistics(log, y), k)
+    parts, local, scores = zip(*balances.values())
     signs = np.zeros((log.shape[1], k), dtype=int)
     columns = np.repeat(np.arange(k), [indices.shape[0] for indices in parts])
     signs[np.concatenate(parts), columns] = np.concatenate(local)
-    return signs, scores, expanded
+    return signs, scores, balances
 
 
 def _build(log: np.ndarray, y, max_k: int | None = None, return_tree=False, part_names=None):
@@ -483,9 +476,9 @@ def _build(log: np.ndarray, y, max_k: int | None = None, return_tree=False, part
     if return_tree and k < n_parts - 1:
         # unexpanded subtrees would read as None, like single parts
         raise ValueError("return_tree needs the full basis (max_k=None)")
-    signs, scores, expanded = _leading_signs(log, y, k)
+    signs, scores, balances = _leading_signs(log, y, k)
     basis = BalanceBasis(signs, np.array(scores), part_names)
-    return (basis, _tree(expanded, n_parts)) if return_tree else basis
+    return (basis, _tree(balances, n_parts)) if return_tree else basis
 
 
 def pls_pb(X: CompositionMatrix, y, max_k: int | None = None, return_tree: bool = False):

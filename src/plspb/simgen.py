@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coda import BalanceBasis, CompositionMatrix, _check_integer, inverse_pivot
-from .errors import NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 CASE_ONE_BLOCK = "one-block"
 CASE_SAME_BLOCKS = "same-blocks"
@@ -90,6 +90,8 @@ class SimScenario:
             beta = tuple(float(b) for b in beta)
             if len(beta) != sum(sizes):
                 raise ValueError("beta must carry one value per marker coordinate")
+            if not np.all(np.isfinite(beta)):
+                raise ValueError("beta must be finite")
         object.__setattr__(self, "block_sizes", sizes)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "seed", int(_check_integer(self.seed, "seed", 0)))
@@ -174,6 +176,8 @@ def response_from_coordinates(Z, block_sizes, beta) -> np.ndarray:
     total = sum(block_sizes)
     if beta.shape != (total,):
         raise ValueError("beta must carry one value per marker coordinate")
+    if Z.ndim != 2 or Z.shape[1] < total:
+        raise DimensionMismatch(f"Z of shape {Z.shape} needs {total} marker coordinate columns")
     signs = np.concatenate(
         [np.where(np.arange(size) % 2 == 0, 1.0, -1.0) for size in block_sizes]
     )

@@ -74,6 +74,29 @@ def best_balance(X, y, sign_matrix) -> tuple[np.ndarray, float]:
     return signs_to_coefficients(signs[:, winner]), float(scores[winner])
 
 
+def exact_pls_node(p) -> tuple[float, np.ndarray]:
+    """The exact pls-pb node search on a node's loading p = H g[idx]: the
+    best balance over all of them, as (score, sign vector). A balance with r
+    numerator and s denominator parts scores |c'p| = sqrt(rs/(r+s)) times the
+    gap between the means of p over its two sides, so for each (r, s) the r
+    largest entries against the s smallest win, scored sqrt(rs/(r+s)) *
+    (mean of top r - mean of bottom s). The first best (r, s) is returned."""
+    p = np.asarray(p, dtype=float)
+    d = p.shape[0]
+    order = np.argsort(-p, kind="stable")
+    counts = np.arange(1, d + 1)
+    top = np.cumsum(p[order]) / counts  # mean of the r largest, r = 1..d
+    bottom = np.cumsum(p[order[::-1]]) / counts  # mean of the s smallest
+    r, s = counts[:, None], counts
+    gaps = np.sqrt(r * s / (r + s)) * (top[:, None] - bottom)
+    scores = np.where(r + s <= d, gaps, -np.inf)
+    i, j = np.unravel_index(scores.argmax(), scores.shape)
+    signs = np.zeros(d, dtype=int)
+    signs[order[: i + 1]] = 1
+    signs[order[d - j - 1 :]] = -1
+    return float(scores[i, j]), signs
+
+
 def partition_nodes(node):
     """Every node of a PartitionNode tree, in preorder."""
     if node is None:

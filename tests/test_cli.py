@@ -776,6 +776,28 @@ class TestIngestion:
             "fit", "--data", data, "--response-col", "resp", "--out", out
         ) == 0
 
+    def test_byte_order_mark(self, tmp_path, rng, capsys):
+        # a table saved as Excel's "CSV UTF-8" starts with a byte order mark:
+        # --response-col still finds its first column, the fit writes the
+        # plain table's bytes, and rerun replays it
+        X, y = random_instance(rng, 10, 4)
+        lines = [",".join(["y", *X.part_names])]
+        lines += [",".join(map(repr, row)) for row in np.column_stack([y, X.values]).tolist()]
+        text = ("\n".join(lines) + "\n").encode()
+        (tmp_path / "plain.csv").write_bytes(text)
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text)
+        for name in ("plain", "bom"):
+            assert run_cli("fit", "--data", tmp_path / f"{name}.csv", "--response-col", "y",
+                           "--out", tmp_path / f"fit-{name}") == 0
+        for name in ("coefficients.csv", "signs.csv", "tree.json"):
+            assert (tmp_path / "fit-bom" / name).read_bytes() == \
+                (tmp_path / "fit-plain" / name).read_bytes()
+        capsys.readouterr()
+        assert run_cli("rerun", "--manifest", tmp_path / "fit-bom" / "manifest.json",
+                       "--out", tmp_path / "replay") == 0
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "OK coefficients.csv", "OK signs.csv", "OK tree.json"]
+
     def test_input_files_not_mutated(self, tmp_path, rng):
         X, y = random_instance(rng, 10, 4)
         write_composition_csv(tmp_path / "X.csv", X)

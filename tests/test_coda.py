@@ -450,6 +450,12 @@ class TestInversePivot:
         X = inverse_pivot(z, total=1.0)
         assert_allclose(X.values[0], [0.75, 0.25], atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0), (3,)])
+    def test_coordinates_need_a_column(self, shape):
+        # the error names the coordinates, not the part count pivot_basis would get
+        with pytest.raises(ValueError, match="2-d matrix with at least one column"):
+            inverse_pivot(np.zeros(shape))
+
     def test_rows_closed_to_total(self, rng):
         Z = rng.standard_normal((4, 6))
         X = inverse_pivot(Z, total=100.0)

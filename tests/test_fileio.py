@@ -371,6 +371,25 @@ class TestReader:
         with pytest.raises(ValueError, match=message):
             read(path)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts a table with a byte order mark, which is
+        # not part of its first name
+        text = "y,a,b\n0.5,1.5,2\n1,3,4\n".encode()  # y is a part when not split off
+        (tmp_path / "plain.csv").write_bytes(text)
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text)
+        for response_col in (None, "y"):
+            (X, y), (X_bom, y_bom) = (read_composition_csv(tmp_path / name, response_col)
+                                      for name in ("plain.csv", "bom.csv"))
+            assert X_bom.part_names == X.part_names == (("a", "b") if response_col else
+                                                        ("y", "a", "b"))
+            assert np.array_equal(X_bom.values, X.values)
+            assert (y_bom is y is None) or np.array_equal(y_bom, y)
+        (tmp_path / "y.csv").write_bytes(b"\xef\xbb\xbfy\n0.5\n-1\n")
+        assert np.array_equal(read_response_csv(tmp_path / "y.csv"), [0.5, -1.0])
+        (tmp_path / "ragged.csv").write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3\n")
+        with pytest.raises(ValueError, match="ragged rows: line 3 has 1 cells, the header has 2"):
+            read_composition_csv(tmp_path / "ragged.csv")
+
     def test_digit_separators_rejected(self, tmp_path):
         # float() reads 1_000; C strtod, and so the table reader, does not
         with pytest.raises(ValueError, match="1_000"):

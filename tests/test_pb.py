@@ -2,7 +2,9 @@
 
 import dataclasses
 import heapq
+import itertools
 import json
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -25,7 +27,8 @@ from plspb import (
 )
 from plspb.errors import BalanceError, ConstantResponse, DegenerateSplit, OneSidedLoading
 from plspb.errors import TooFewSamples
-from conftest import balance_values, best_balance, nested_or_disjoint, partition_nodes
+from conftest import balance_values, best_balance, exact_pls_node, nested_or_disjoint
+from conftest import partition_nodes
 from conftest import random_composition, random_instance
 
 
@@ -607,8 +610,8 @@ class TestTopK:
         pushed, eigenpairs, top_eigenpair = [], [], pb._top_eigenpair
 
         def heappush(heap, entry):
-            # (-capped bound, path, indices, loading, own bound, gram, cross)
-            if isinstance(entry[3], np.ndarray):
+            # a node is (-bound, path, indices, loading, gram, cross), a kept score a float
+            if isinstance(entry, tuple):
                 pushed.append(entry[1])
             heapq.heappush(heap, entry)
 
@@ -647,13 +650,13 @@ class TestTopK:
             counted = getattr(built[-1], sliced).view(CountingSlices)
             return dataclasses.replace(built[-1], **{sliced: counted})
 
-        def counting_open_node(stats, heap, finish, path, indices, cap):
+        def counting_open_node(stats, heap, finish, path, indices):
             if indices.shape[0] >= 2:
                 opened.append(path)
-            open_node(stats, heap, finish, path, indices, cap)
+            open_node(stats, heap, finish, path, indices)
 
         def heappush(heap, entry):
-            if isinstance(entry[2], np.ndarray):  # a node: (-bound, path, indices, ...)
+            if isinstance(entry, tuple):  # a node: (-bound, path, indices, ...)
                 pushed.append(entry)
             heapq.heappush(heap, entry)
 
@@ -664,13 +667,48 @@ class TestTopK:
         (stats,) = built
         assert opened and len(slices) == len(opened)
         assert pushed
-        for _, _, indices, _, _, gram, cross in pushed:
+        for _, _, indices, _, gram, cross in pushed:
             if stats.cross is None:
                 assert gram.tobytes() == stats.gram[np.ix_(indices, indices)].tobytes()
                 assert cross is None
             else:
                 assert stats.gram is None and gram is None
                 assert cross.tobytes() == stats.cross[indices].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 40),
+        d=st.integers(3, 30),
+        shape=st.sampled_from(["plain", "duplicated", "proportional"]),
+        rescale=st.booleans(),
+        y_power=st.sampled_from([-150, 150]),
+    )
+    @example(seed=1, n=20, d=16, shape="duplicated", rescale=True, y_power=150)
+    @example(seed=2, n=20, d=16, shape="proportional", rescale=True, y_power=-150)
+    def test_no_child_bound_exceeds_its_parents(self, seed, n, d, shape, rescale, y_power):
+        # a node is keyed by its own bound: a unit zero-sum contrast on a
+        # child's parts is one on its parent's, so no opened child's bound
+        # exceeds its parent's by more than the stop slack
+        log, y = screen_table(seed, n, d, shape, rescale, y_power)
+        for response in (y, None):
+            bounds = {}
+
+            def heappush(heap, entry):
+                if isinstance(entry, tuple):  # a node: (-bound, path, indices, ...)
+                    bounds[entry[1]] = -entry[0]
+                heapq.heappush(heap, entry)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pb, "heapq", SimpleNamespace(heappush=heappush,
+                                                           heappop=heapq.heappop))
+                pb._build(log, response)
+            stats = pb._statistics(log, response)
+            scale = stats.gram.trace() if response is None else np.linalg.norm(stats.cross)
+            slack = max(pb._STOP_RTOL * float(scale), np.finfo(float).tiny)
+            assert () in bounds
+            for path, bound in bounds.items():
+                assert not path or bound <= bounds[path[:-1]] + slack
 
     @pytest.mark.parametrize("max_k", [0, 6, -1, 2.5])
     def test_max_k_outside_range_rejected(self, rng, max_k):
@@ -1005,3 +1043,61 @@ class TestResponseScale:
             for gram_power, loading_power in ((power, 0), (0, power)):
                 scaled = np.ldexp(gram, gram_power), np.ldexp(loading, loading_power)
                 assert pb._has_signal(stats, idx, *scaled, 0.0) is decision
+
+
+def brute_force_pls_node(p) -> float:
+    """The largest |c'p| over every balance c on len(p) parts."""
+    grid = np.array(list(itertools.product((-1, 0, 1), repeat=len(p)))).T
+    grid = grid[:, (grid == 1).any(axis=0) & (grid == -1).any(axis=0)]
+    return float(np.abs(signs_to_coefficients(grid).T @ p).max())
+
+
+class TestExactNode:
+    """The exact pls-pb node search in ``conftest.exact_pls_node``, the best
+    (r, s) split of a node's loading, bounds the nested candidates of
+    Martin-Fernandez et al. (Math. Geosci. 2018) that pls-pb chooses from."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10)),
+                      min_size=2, max_size=8))
+    @example(p=[1.0, 1.0, 1.0])
+    @example(p=[3.0, 1.0, 1.0, 0.0, -2.0, -2.0, -2.0, 5.0])
+    def test_matches_brute_force(self, p):
+        # ties and constant loadings included
+        p = np.array(p)
+        score, signs = exact_pls_node(p)
+        assert score == pytest.approx(brute_force_pls_node(p), rel=1e-12, abs=1e-12)
+        assert abs(signs_to_coefficients(signs) @ p) == pytest.approx(score, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 40),
+        d=st.integers(2, 30),
+        skewed=st.booleans(),
+    )
+    def test_no_chosen_score_beats_the_exact_node(self, seed, n, d, skewed):
+        # every node's chosen score is at most the exact optimum, and equals
+        # it when the optimum is one of the node's nested candidates; a
+        # lognormal beta skews the loadings, where the candidates miss it most.
+        # The optimum is scored as pls-pb scores any balance, |c'g[idx]|: where
+        # two parts' g nearly agree, that product and the (r, s) gap differ
+        # by rounding, on some 2-part nodes by more than 1e-12 relative
+        rng = np.random.default_rng(seed)
+        log = rng.standard_normal((n, d))
+        beta = rng.lognormal(0.0, 1.5, d) if skewed else rng.standard_normal(d)
+        y = log @ beta + 0.5 * rng.standard_normal(n)
+        stats = pb._statistics(log, y)
+        decisions, tree = recorded_decisions(log, y)
+        for node in partition_nodes(tree):
+            idx = np.array(node.part_indices)
+            p = stats.cross[idx] - np.add.reduce(stats.cross[idx]) / len(idx)
+            _, signs = exact_pls_node(p)
+            score = pb._scores(signs_to_coefficients(signs)[:, None], None, stats.cross[idx])[0]
+            oracle = math.ldexp(float(score), stats.exponent)
+            assert node.chosen_value <= oracle * (1 + 1e-12)
+            if not decisions.get(node.part_indices, (False,))[0] or not p.max() > 0 > p.min():
+                continue  # no signal: scored 0, with no candidates
+            nested = candidate_signs(p).T
+            if any(np.array_equal(c, signs) or np.array_equal(c, -signs) for c in nested):
+                assert node.chosen_value >= oracle * (1 - 1e-12)

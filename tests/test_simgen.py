@@ -16,7 +16,7 @@ from plspb import (
     signs_to_coefficients,
     simulate_dataset,
 )
-from plspb.errors import NotPositiveDefinite
+from plspb.errors import DimensionMismatch, NotPositiveDefinite
 from plspb.simgen import (
     CASES,
     CASE_DIFFERENT_BLOCKS,
@@ -51,6 +51,15 @@ class TestScenario:
     def test_noise_sd_finite_and_nonnegative(self, noise_sd):
         with pytest.raises(ValueError, match="noise_sd must be finite and nonnegative"):
             SimScenario(CASE_ONE_BLOCK, noise_sd=noise_sd)
+
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_beta_finite(self, bad):
+        # a NaN beta entry would simulate an all-NaN response
+        with pytest.raises(ValueError, match="beta must be finite"):
+            SimScenario(CASE_ONE_BLOCK, n=5, D=25, beta=(1.0,) * 19 + (bad,))
+        with pytest.raises(ValueError, match="beta must be finite"):
+            SimScenario(CASE_ONE_BLOCK, n=5, D=25, beta=(bad,) * 20)
 
 
 class TestBuildSigma:
@@ -184,6 +193,12 @@ class TestSimulateDataset:
         )
         assert_allclose(y0[:4], [1.0, -2.0, 3.0, -4.0])
         assert_allclose(y0[4:], 0.0)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (5, 0), (4,)])
+    def test_too_few_coordinate_columns(self, shape):
+        # 4 marker coordinates need 4 columns of Z: the error names them
+        with pytest.raises(DimensionMismatch, match="needs 4 marker coordinate columns"):
+            response_from_coordinates(np.zeros(shape), block_sizes=(2, 2), beta=np.ones(4))
 
     def test_response_ignores_noise_coordinates(self):
         sc = SimScenario(CASE_ONE_BLOCK, n=30, D=20, block_sizes=(4,), seed=13)
