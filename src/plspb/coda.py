@@ -94,7 +94,8 @@ class CompositionMatrix:
 def _balance_entries(r, s):
     """The coefficients of a balance's r numerator and s denominator parts:
     sqrt(s / ((r + s) * r)) and -sqrt(r / ((r + s) * s))."""
-    return np.sqrt(s / ((r + s) * r)), -np.sqrt(r / ((r + s) * s))
+    total = r + s
+    return np.sqrt(s / (total * r)), -np.sqrt(r / (total * s))
 
 
 def _check_signs(signs: np.ndarray) -> None:
@@ -342,6 +343,8 @@ def inverse_pivot(Z, total: float = 1.0, part_names=None) -> CompositionMatrix:
     z = np.asarray(Z, dtype=float)
     if z.ndim != 2 or z.shape[1] == 0:
         raise ValueError("coordinates must be a 2-d matrix with at least one column")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("coordinates must be finite")
     clr_values = z @ pivot_basis(z.shape[1] + 1).T
     # Shift rows before exponentiating; row shifts cancel under closure.
     shifted = clr_values - clr_values.max(axis=1, keepdims=True)

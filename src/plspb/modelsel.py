@@ -133,8 +133,8 @@ def one_se_select(mean_error, sd_error) -> int:
         raise ValueError("mean and sd curves must be 1-d with equal length")
     if mean_error.size == 0:
         raise EmptyInput("need at least one candidate size")
-    if not np.all(np.isfinite(mean_error) & np.isfinite(sd_error)):
-        raise ValueError("mean and sd curves must be finite")
+    if not np.all(np.isfinite(mean_error) & np.isfinite(sd_error) & (sd_error >= 0)):
+        raise ValueError("mean and sd curves must be finite, and sd_error nonnegative")
     k_star = int(np.argmin(mean_error))
     threshold = mean_error[k_star] + sd_error[k_star]
     return int(np.flatnonzero(mean_error <= threshold)[0]) + 1

@@ -53,7 +53,8 @@ bound exceeds its parent's beyond rounding, and the kept balances are the
 best by score and preorder whatever order the nodes are expanded in. For
 pca-pb, nodes of 20 to 149 parts take the top eigenpair from repeated
 squaring of H G[idx, idx] H, which is faster there, when it converges within
-16 squarings, and otherwise from eigh. The route changes no output: the
+16 squarings, and otherwise from eigh's LAPACK kernel, called without numpy's
+wrapper but keeping its LinAlgError. The route changes no output: the
 loading matters only through the order and signs of its entries, scores
 come from G, and the squaring's eigenvalue, a Rayleigh quotient, is within
 about 1e-15 of eigh's, far inside the stop slack. Each balance is recorded
@@ -74,6 +75,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .coda import BalanceBasis, CompositionMatrix, _balance_entries, _binary_exponent
 from .coda import _check_integer, _check_response, _readonly, signs_to_coefficients
@@ -90,8 +92,8 @@ _GRAM_NOISE = 1e-8
 # The best-first stop slack, relative to the root's uncentred scale.
 _STOP_RTOL = 1e-9
 # pca-pb's top eigenpair: nodes of these sizes square instead of calling
-# eigh. On one BLAS thread eigh is faster below 20 parts, and from about 150
-# parts on, where the squarings' d^3 products outweigh its own.
+# eigh's LAPACK kernel, faster on one BLAS thread up to 18-19 parts. Squaring
+# stays faster to about 200 parts on 250-sample Gram blocks: 150 is cautious.
 _SQUARING_PARTS = range(20, 150)
 _RANK_ONE_TOL = 1e-8
 # A node not rank one after this many squarings has its top two eigenvalues
@@ -248,8 +250,8 @@ def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
     normalised, is v, with its Rayleigh quotient as the eigenvalue. Other
     sizes, a trace <= 0, a B not rank one after the last squaring and a
     non-positive quotient (a negative eigenvalue of larger magnitude) take
-    ``eigh``.
-    """
+    eigh's pair bit for bit from the LAPACK kernel under ``np.linalg.eigh``,
+    called directly, raising eigh's LinAlgError if the kernel fails."""
     d = gram.shape[0]
     col_means = np.add.reduce(gram) / d
     centred = gram - col_means[:, None] - col_means + np.add.reduce(col_means) / d
@@ -266,8 +268,10 @@ def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
                 if value > 0:
                     return value, vector
                 break
-    eigenvalues, eigenvectors = np.linalg.eigh(centred)
-    return float(eigenvalues[-1]), eigenvectors[:, -1]
+    eigenvalues, eigenvectors = _umath_linalg.eigh_lo(centred, signature="d->dd")
+    if math.isnan(value := float(eigenvalues[-1])):  # the kernel's NaN for a LAPACK failure
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return value, eigenvectors[:, -1]
 
 
 def _has_signal(stats: _Statistics, indices: np.ndarray, gram, loading, bound: float) -> bool:
@@ -423,9 +427,10 @@ def _partition(stats: _Statistics, max_k: int) -> dict:
 
         r = d - 2 - winner  # candidate j leaves d-j-2 parts out
         if r:  # a connecting balance: the r left-out parts against the d - r others
-            column = np.where(signs == 0, *_balance_entries(r, d - r))[:, None]
-            link_score = 0.0 if coeffs is None else float(_scores(column, gram, cross)[0])
-            finish(path + (_CONNECTING,), indices, np.where(signs == 0, 1, -1), link_score)
+            left_out = signs == 0  # entries _balance_entries(r, d - r), on Python floats
+            column = np.where(left_out, math.sqrt((d - r) / (d * r)), -math.sqrt(r / (d * (d - r))))
+            link_score = 0.0 if coeffs is None else float(_scores(column[:, None], gram, cross)[0])
+            finish(path + (_CONNECTING,), indices, np.where(left_out, 1, -1), link_score)
 
         for slot, side in _CHILD_SLOTS:
             _open_node(stats, heap, finish, path + (slot,), indices[signs == side])

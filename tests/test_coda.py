@@ -456,6 +456,14 @@ class TestInversePivot:
         with pytest.raises(ValueError, match="2-d matrix with at least one column"):
             inverse_pivot(np.zeros(shape))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_coordinates_must_be_finite(self, value):
+        # rejected before the back-transform, which would warn on inf - inf
+        Z = np.zeros((3, 4))
+        Z[1, 2] = value
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            inverse_pivot(Z)
+
     def test_rows_closed_to_total(self, rng):
         Z = rng.standard_normal((4, 6))
         X = inverse_pivot(Z, total=100.0)

@@ -164,6 +164,11 @@ class TestOneSeSelect:
         with pytest.raises(ValueError, match="finite"):
             CvResult(np.array(means), np.array(sds), "rmsep", 5, 1)
 
+    def test_negative_sd_rejected(self):
+        # no count would fall under a threshold below the minimum
+        with pytest.raises(ValueError, match="sd_error nonnegative"):
+            one_se_select([1.0, 0.5], [0.0, -0.01])
+
 
 class TestFitOnBalances:
     def test_full_size_fit_agrees_across_bases(self, rng):

@@ -25,6 +25,7 @@ from plspb import (
     signs_to_coefficients,
     simulate_dataset,
 )
+from plspb.coda import _balance_entries
 from plspb.errors import BalanceError, ConstantResponse, DegenerateSplit, OneSidedLoading
 from plspb.errors import TooFewSamples
 from conftest import balance_values, best_balance, exact_pls_node, nested_or_disjoint
@@ -321,17 +322,18 @@ class TestTopEigenpair:
     """For node sizes in ``pb._SQUARING_PARTS``, ``_top_eigenpair`` squares
     H G H instead of calling eigh while that reaches rank one within
     ``pb._MAX_SQUARINGS`` squarings; otherwise it returns eigh's pair bit for
-    bit."""
+    bit, from the LAPACK kernel that ``np.linalg.eigh`` calls."""
 
     SIZES = (pb._SQUARING_PARTS.start, 64, 100, pb._SQUARING_PARTS.stop - 1)
 
     @staticmethod
     def squaring(gram, monkeypatch):
-        def no_eigh(matrix):
+        def no_kernel(matrix, signature):
             raise AssertionError("eigh called on the squaring route")
 
+        # np.linalg.eigh calls this kernel too, so either route to it fails
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "eigh", no_eigh)
+            patch.setattr(pb._umath_linalg, "eigh_lo", no_kernel)
             return pb._top_eigenpair(gram)
 
     @staticmethod
@@ -417,6 +419,41 @@ class TestTopEigenpair:
     def test_other_sizes_are_eigh(self, rng, d):
         gram = pb._statistics(np.log(random_composition(rng, 40, d).values), None).gram
         self.assert_is_eigh(gram, *pb._top_eigenpair(gram))
+
+    @pytest.mark.parametrize("d", [*range(3, pb._SQUARING_PARTS.start),
+                                   *range(pb._SQUARING_PARTS.stop, pb._SQUARING_PARTS.stop + 11)])
+    def test_kernel_is_eigh_bit_for_bit(self, rng, d):
+        # fails on any numpy whose kernel call differs from np.linalg.eigh's
+        spectra = (
+            rng.uniform(0, 1, d - 1),  # random
+            [3.0, *np.zeros(d - 2)],  # rank one
+            [1.0, 1.0, *rng.uniform(0, 0.5, d - 3)],  # equal top
+            [2.0, -3.0, *rng.uniform(0, 1.5, d - 3)],  # dominant negative
+        )
+        for eigenvalues in spectra:
+            gram, _ = gram_with_spectrum(rng, eigenvalues)
+            self.assert_is_eigh(gram, *pb._top_eigenpair(gram))
+
+    def test_kernel_failure_is_linalg_error(self, monkeypatch):
+        # LAPACK's kernel fills NaN where np.linalg.eigh raises
+        def failed_kernel(matrix, signature):
+            return np.full(matrix.shape[:-1], np.nan), np.full(matrix.shape, np.nan)
+
+        monkeypatch.setattr(pb._umath_linalg, "eigh_lo", failed_kernel)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            pb._top_eigenpair(np.eye(4))
+
+
+def test_connecting_entries_are_balance_entries():
+    # _partition takes a connecting column's entries on Python floats: IEEE
+    # division and sqrt are correctly rounded, so they are bit for bit
+    # _balance_entries(r, d - r), here for every 1 <= r < d <= 2000
+    sizes = np.repeat(np.arange(2, 2001), np.arange(1, 2000))
+    left_out = np.concatenate([np.arange(1, size) for size in range(2, 2001)])
+    numerator, denominator = _balance_entries(left_out, sizes - left_out)
+    pairs = list(zip(sizes.tolist(), left_out.tolist()))
+    assert [math.sqrt((d - r) / (d * r)) for d, r in pairs] == numerator.tolist()
+    assert [-math.sqrt(r / (d * (d - r))) for d, r in pairs] == denominator.tolist()
 
 
 @settings(max_examples=60, deadline=None)
