@@ -338,14 +338,20 @@ def inverse_pivot(Z, total: float = 1.0, part_names=None) -> CompositionMatrix:
     """Back-transform pivot coordinates to a composition closed to ``total``.
 
     Round trip: ``pivot_coordinates(inverse_pivot(Z))`` recovers Z within
-    1e-9 for well-scaled inputs.
+    1e-9 for well-scaled inputs. Raises ValueError for coordinates whose
+    parts leave the float range.
     """
     z = np.asarray(Z, dtype=float)
     if z.ndim != 2 or z.shape[1] == 0:
         raise ValueError("coordinates must be a 2-d matrix with at least one column")
     if not np.all(np.isfinite(z)):
         raise ValueError("coordinates must be finite")
-    clr_values = z @ pivot_basis(z.shape[1] + 1).T
-    # Shift rows before exponentiating; row shifts cancel under closure.
-    shifted = clr_values - clr_values.max(axis=1, keepdims=True)
-    return closure(np.exp(shifted), total=total, part_names=part_names)
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range is raised below
+        clr_values = z @ pivot_basis(z.shape[1] + 1).T
+        # Shift rows before exponentiating; row shifts cancel under closure.
+        shifted = clr_values - clr_values.max(axis=1, keepdims=True)
+    parts = np.exp(shifted)
+    if not parts.min() > 0:  # a part below the smallest float, or an overflow's NaN
+        raise ValueError("coordinates out of range: a row's clr values must span less than "
+                         "about 745, the log of the float range, or its parts underflow to 0")
+    return closure(parts, total=total, part_names=part_names)

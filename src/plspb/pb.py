@@ -1,9 +1,14 @@
 """Supervised and unsupervised principal balance construction.
 
-Both builders grow a sequential binary partition of the parts. Every choice
-depends on the data only through statistics computed once per build: with
-Lc the column-centred log data, G = Lc'Lc / (n-1) for pca-pb, and for
-pls-pb g = Lc'(y - mean y) / (n-1); pls-pb never forms G. A node over the
+Both builders grow a sequential binary partition of the parts by one engine,
+``_partition``, which does not know the method: the heap, the stop rule, the
+preorder keys, the connecting balances and the child slots. The method is
+its node step, ``_pca_step`` or ``_pls_step``, which ``_statistics``, the one
+place that reads it, builds once per build (see there).
+
+Every choice depends on the data only through statistics computed once per
+build: with Lc the column-centred log data, G = Lc'Lc / (n-1) for pca-pb, and
+for pls-pb g = Lc'(y - mean y) / (n-1); pls-pb never forms G. A node over the
 parts idx, with H the centring projector on them, takes as loading H g[idx]
 (the one-component SIMPLS direction of its subcomposition) for pls-pb, or
 the top eigenvector of H G[idx, idx] H (its first principal direction) for
@@ -16,17 +21,13 @@ c, whose signs are the columns of ``candidate_signs``; each is scored by
 go to the fewest active parts: candidate j has j+2, so the first tied one wins.
 The node's children are the parts left out of the chosen balance, its
 numerator and its denominator. A 2-part node's only balance is +1 on its
-first part and -1 on its second; it is finished when its parent opens it.
-Its signal is decided on Python floats: a negative off-diagonal entry of H G H
-(pca-pb), unless the constant-subcomposition window leaves it to the full
-checks below, or a two-sided H g[idx] (pls-pb) that passes them.
+first part and -1 on its second; it is finished when its parent opens it,
+and ``pair`` decides its signal on Python floats.
 
 A node without usable signal (constant subcomposition, zero H g[idx], or a
-SIMPLS fit at its rank boundary) keeps its first part against its last, scored 0.
-One check decides it (``_has_signal``): its first step screens by the node's
-own score bound, and a node the screen leaves runs the exact checks, pls-pb's
-on the node's own Gram block B'B / (n-1) from its column-centred log block B,
-with the SIMPLS rank tests on that block and the loading scaled by powers of two.
+SIMPLS fit at its rank boundary) keeps its first part against its last,
+scored 0. Its bound screens first (``_screened``), then the exact checks run:
+``_constant`` on a Gram block and, for pls-pb, ``_rank_boundary``.
 
 When a chosen balance leaves parts out, the subtree below the node would
 only yield d-2 balances; the basis is completed with a connecting balance
@@ -40,32 +41,29 @@ balance, then the subtrees of its zero, numerator and denominator children.
 Each balance carries that position as its preorder key, the path of child
 slots from the root followed by its own slot.
 
-One best-first engine builds both the full basis and its leading k
-balances. It expands nodes from a heap keyed by an upper bound on the score
-of every balance inside the node. Any such balance is a unit zero-sum
-contrast c on the node's parts, so for pls-pb |c'g[idx]| <= ||H g[idx]||
-(Cauchy-Schwarz), and for pca-pb c'G[idx, idx]c is at most the top
-eigenvalue of H G[idx, idx] H. Opened by its parent, a node slices G[idx, idx]
-(pca-pb) or g[idx] (pls-pb) once, computes its bound and loading from it, and
-enters the heap once with all three, keyed by its own bound. That suffices:
-a contrast on a child's parts is also one on its parent's, so no child's
-bound exceeds its parent's beyond rounding, and the kept balances are the
-best by score and preorder whatever order the nodes are expanded in. For
-pca-pb, nodes of 20 to 149 parts take the top eigenpair from repeated
-squaring of H G[idx, idx] H, which is faster there, when it converges within
-16 squarings, and otherwise from eigh's LAPACK kernel, called without numpy's
-wrapper but keeping its LinAlgError. The route changes no output: the
-loading matters only through the order and signs of its entries, scores
-come from G, and the squaring's eigenvalue, a Rayleigh quotient, is within
-about 1e-15 of eigh's, far inside the stop slack. Each balance is recorded
-once, and a min-heap of the k best scores gives the k-th. The engine stops
-once it exceeds the largest open bound by a slack of 1e-9 of the root's
-uncentred scale (||g|| or tr G): that slack covers the rounding of scores
-and bounds, and being strictly positive it keeps a pruned node from holding
-a balance tied with the k-th that comes earlier in preorder. Every node's
-work depends only on its parts, so the first k balances, their order and
-their scores are bit-identical to the full build's. With k = D-1 the heap
-drains whatever the bounds, so the full build expands every node once.
+The engine builds both the full basis and its leading k balances. It expands
+nodes from a heap keyed by an upper bound on the score of every balance
+inside the node. Any such balance is a unit zero-sum contrast c on the
+node's parts, so for pls-pb |c'g[idx]| <= ||H g[idx]|| (Cauchy-Schwarz), and
+for pca-pb c'G[idx, idx]c is at most the top eigenvalue of H G[idx, idx] H.
+Opened by its parent, a node enters the heap once with the bound, loading
+and state of its step's ``open``, keyed by its own bound. That suffices: a
+contrast on a child's parts is also one on its parent's, so no child's bound
+exceeds its parent's beyond rounding, and the kept balances are the best by
+score and preorder whatever order the nodes are expanded in. pca-pb's top
+eigenpair comes from repeated squaring or from eigh's LAPACK kernel
+(``_top_eigenpair``), and the route changes no output: the loading matters
+only through the order and signs of its entries, scores come from G, and the
+squaring's eigenvalue, a Rayleigh quotient, is within about 1e-15 of eigh's,
+far inside the stop slack. Each balance is recorded once, and a min-heap of
+the k best scores gives the k-th. The engine stops once it exceeds the
+largest open bound by a slack of 1e-9 of the root's uncentred scale (||g||
+or tr G): that slack covers the rounding of scores and bounds, and being
+strictly positive it keeps a pruned node from holding a balance tied with
+the k-th that comes earlier in preorder. Every node's work depends only on
+its parts, so the first k balances, their order and their scores are
+bit-identical to the full build's. With k = D-1 the heap drains whatever the
+bounds, so the full build expands every node once.
 """
 
 from __future__ import annotations
@@ -199,45 +197,49 @@ def candidate_signs(p) -> np.ndarray:
     return _readonly(np.sign(_candidates(p, np.abs(p), p.argmax(), p.argmin())).astype(int))
 
 
-def _scores(coeffs: np.ndarray, gram: np.ndarray, cross) -> np.ndarray:
-    """Score of each coefficient column: |cov| with the response when the
-    cross-products are given, else the variance of the balance values."""
-    if cross is not None:
-        return np.abs(coeffs.T @ cross)
-    return np.einsum("ij,ij->j", coeffs, gram @ coeffs)
+def _screened(n: int, log_sq, variances, indices: np.ndarray, beta: float) -> bool:
+    """Whether a node's score bound proves it has signal, given its step's
+    beta (0 proves nothing). Every unit zero-sum contrast u on its parts has
+    u'H G[idx, idx] H u >= beta: the top eigenvalue for pca-pb, and for pls-pb
+    ||p||^2 / v_y with p = H g[idx], by Cauchy-Schwarz on
+    p'u = (Lc H u)'(y - mean y) / (n-1). So energy >= beta, t^2 >= p'p beta and
+    ||H G H p||^2 >= t^2 beta, and once (n-1) beta exceeds twice the window's
+    threshold, at least 1e-8 of tr G[idx, idx] (the 2 absorbs the rounding of
+    traces), neither ``_constant`` nor a rank test, at 1e-20 of the energy, fires."""
+    scale_sq = max(1.0, float(np.add.reduce(log_sq[indices])))
+    trace = float(np.add.reduce(variances[indices]))  # tr G[idx, idx], at least the energy
+    return (n - 1) * beta > 2 * (_CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace)
 
 
-@dataclass(frozen=True)
-class _Statistics:
-    """Everything the recursion reads from the data, computed once per build."""
+def _constant(log: np.ndarray, log_sq, indices: np.ndarray, gram: np.ndarray) -> bool:
+    """Whether a node is a constant subcomposition, given its Gram block
+    ``gram``: the centred clr block, of squared norm (n-1) * tr(H gram H), is
+    at most 1e-12 of its log scale; inside the window the log block decides."""
+    n, d = log.shape[0], indices.shape[0]
+    scale_sq = max(1.0, float(np.add.reduce(log_sq[indices])))
+    trace = gram.trace()
+    energy = float(trace - np.add.reduce(np.add.reduce(gram) / d))  # tr(H G[idx, idx] H)
+    if (n - 1) * energy <= _CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace:
+        block = log[:, indices]
+        block = block - np.add.reduce(block, 1, keepdims=True) / d
+        return np.linalg.norm(block - np.add.reduce(block) / n) <= _CONSTANT_TOL * np.sqrt(scale_sq)
+    return False
 
-    log: np.ndarray  # ln X, read by the exact no-signal checks
-    means: np.ndarray  # its column means
-    log_sq: np.ndarray  # per-part sum over samples of ln^2 X: the log scale
-    variances: np.ndarray  # diag G
-    gram: np.ndarray | None  # G = Lc'Lc / (n-1), unsupervised only
-    cross: np.ndarray | None  # g = Lc'(y - mean y) / (n-1), supervised only
-    response_var: float | None  # v_y = ||y - mean y||^2 / (n-1), supervised only
-    exponent: int  # g and v_y read y as y * 2^-exponent; 0 unsupervised
 
-
-def _statistics(log: np.ndarray, y) -> _Statistics:
-    """The build's statistics: G for pca-pb, g, v_y and diag G for pls-pb,
-    which forms no D x D array and reads y as y * 2^-e, max|y * 2^-e| in
-    [0.5, 1)."""
-    n, means = log.shape[0], log.mean(axis=0)
-    centred = log * log
-    log_sq = np.add.reduce(centred)
-    np.subtract(log, means, out=centred)  # one n x D buffer: a fresh one costs page faults
-    if y is None:
-        gram = centred.T @ centred / (n - 1)
-        return _Statistics(log, means, log_sq, gram.diagonal(), gram, None, None, 0)
-    exponent = _binary_exponent(y)
-    residual = np.ldexp(y, -exponent)
-    residual -= residual.mean()
-    variances = np.einsum("ij,ij->j", centred, centred) / (n - 1)
-    return _Statistics(log, means, log_sq, variances, None, centred.T @ residual / (n - 1),
-                       float(residual @ residual) / (n - 1), exponent)
+def _rank_boundary(gram: np.ndarray, loading: np.ndarray) -> bool:
+    """pls-pb's SIMPLS rank tests on a node's Gram block: whether the score
+    t = Xc p / ||p|| or the x-loading Xc't / ||t|| is at most 1e-10 of ||Xc||,
+    with Xc'Xc = (n-1) H G H. Both are homogeneous in p and in G, so each is
+    scaled by a power of two: exact, and every product in range."""
+    d, trace = gram.shape[0], gram.trace()
+    energy = float(trace - np.add.reduce(np.add.reduce(gram) / d))
+    shift = _binary_exponent(trace)
+    p = np.ldexp(loading, -_binary_exponent(loading))
+    gp = np.ldexp(gram, -shift) @ p
+    gp -= np.add.reduce(gp) / d
+    t_sq = float(p @ gp)
+    tol = _RANK_TOL**2 * math.ldexp(energy, -shift)
+    return t_sq <= tol * float(p @ p) or float(gp @ gp) <= tol * t_sq
 
 
 def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
@@ -274,77 +276,92 @@ def _top_eigenpair(gram: np.ndarray) -> tuple[float, np.ndarray]:
     return value, eigenvectors[:, -1]
 
 
-def _has_signal(stats: _Statistics, indices: np.ndarray, gram, loading, bound: float) -> bool:
-    """Whether a node's ``loading``, H g[idx] for pls-pb (``stats.cross`` set)
-    or the top eigenvector of H G[idx, idx] H for pca-pb, is usable signal:
-    False for a constant subcomposition or a SIMPLS fit at its rank boundary.
+def _pca_step(log, log_sq, gram):
+    """pca-pb's node step over G: a node's state is G[idx, idx], its bound
+    and loading the top eigenpair of H G[idx, idx] H, and c scores c'G[idx, idx]c.
+    A 2-part node decides on Python floats, in the exact checks' operation
+    order: the sign of (H G H)[0, 1], unless the window leaves it to them."""
+    n, variances = log.shape[0], gram.diagonal()
 
-    The node's own score ``bound`` screens first, without G (0 proves
-    nothing). Every unit zero-sum contrast u on the node's parts has
-    u'H G[idx, idx] H u >= beta: for pca-pb beta is the bound, the top
-    eigenvalue; for pls-pb ||p||^2 / v_y with p = H g[idx] and the bound ||p||,
-    by Cauchy-Schwarz on p'u = (Lc H u)'(y - mean y) / (n-1). So energy >= beta,
-    t^2 >= p'p beta and ||H G H p||^2 >= t^2 beta, and once (n-1) beta exceeds
-    twice the window's threshold, at least 1e-8 of tr G[idx, idx] (the 2
-    absorbs the rounding of traces), neither the window nor a rank test, at
-    1e-20 of the energy, can fire. Otherwise the exact checks run on ``gram``,
-    G[idx, idx], or when None (pls-pb has no G) on the node's own Gram block
-    B'B / (n-1), with B its column-centred log block."""
-    n, d = stats.log.shape[0], indices.shape[0]
-    scale_sq = max(1.0, float(np.add.reduce(stats.log_sq[indices])))
-    beta = bound if stats.cross is None else bound * bound / stats.response_var
-    trace = float(np.add.reduce(stats.variances[indices]))  # tr G[idx, idx], at least the energy
-    if (n - 1) * beta > 2 * (_CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace):
-        return True
-    if gram is None:
-        block = stats.log[:, indices] - stats.means[indices]
-        gram = block.T @ block / (n - 1)
-    trace = gram.trace()
-    energy = float(trace - np.add.reduce(np.add.reduce(gram) / d))  # tr(H G[idx, idx] H)
-    # Constant subcomposition: the centred clr block, of squared norm (n-1) *
-    # energy, is at most 1e-12 of its log scale; near zero the block decides.
-    if (n - 1) * energy <= _CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace:
-        block = stats.log[:, indices]
-        block = block - np.add.reduce(block, 1, keepdims=True) / d
-        if np.linalg.norm(block - np.add.reduce(block) / n) <= _CONSTANT_TOL * np.sqrt(scale_sq):
-            return False
-    if stats.cross is None:
-        return True
-    # SIMPLS rank boundary: the score t = Xc p / ||p|| and the x-loading
-    # Xc't / ||t|| must stay above 1e-10 of ||Xc||, where Xc'Xc is (n-1) H G H
-    # and ||Xc||^2 is (n-1) * energy. Both tests are homogeneous in p and in G,
-    # so each is scaled by a power of two: exact, and every product in range.
-    shift = _binary_exponent(trace)
-    p = np.ldexp(loading, -_binary_exponent(loading))
-    gp = np.ldexp(gram, -shift) @ p
-    gp -= np.add.reduce(gp) / d
-    t_sq = float(p @ gp)
-    tol = _RANK_TOL**2 * math.ldexp(energy, -shift)
-    return not (t_sq <= tol * float(p @ p) or float(gp @ gp) <= tol * t_sq)
+    def open_node(indices):
+        block = gram.take(indices, 0).take(indices, 1)
+        return (*_top_eigenpair(block), block)
+
+    def signal(indices, block, loading, bound):
+        screened = _screened(n, log_sq, variances, indices, bound)
+        return screened or not _constant(log, log_sq, indices, block)
+
+    def scores(coeffs, block):
+        return np.einsum("ij,ij->j", coeffs, block @ coeffs)
+
+    def pair(indices):
+        block = gram.take(indices, 0).take(indices, 1)
+        (g00, g01), (g10, g11) = block.tolist()
+        m0, m1 = (g00 + g10) / 2, (g01 + g11) / 2
+        trace, energy = g00 + g11, g00 + g11 - (m0 + m1)  # energy = tr(H G H)
+        h = ((g01 - m0) - m1) + (m0 + m1) / 2  # (H G H)[0, 1], as _top_eigenpair computes it
+        scale_sq = max(1.0, sum(log_sq[indices].tolist()))
+        window = (n - 1) * energy <= _CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace
+        if h < 0 and not (window and _constant(log, log_sq, indices, block)):
+            return float(scores(PAIR, block)[0])
+        return 0.0
+
+    return open_node, signal, scores, pair, gram.trace(), 0
 
 
-def _pair_signal(stats: _Statistics, indices: np.ndarray, gram, cross) -> bool:
-    """Whether a 2-part node's loading is two-sided and ``_has_signal``. For
-    pls-pb the loading H g[idx] decides on Python floats, then ``_has_signal``
-    with its bound ||H g[idx]||. For pca-pb the decision follows G[idx, idx]
-    in the operation order of the full checks (see the module docstring):
-    unless the constant-subcomposition window leaves it to them, the sign of
-    (H G H)[0, 1] decides."""
-    if cross is not None:
-        c0, c1 = cross.tolist()
+def _pls_step(log, log_sq, variances, cross, means, response_var, exponent: int):
+    """pls-pb's node step over g, forming no G: a node's state is g[idx], its
+    loading p = H g[idx] with bound ||p||, and c scores |c'g[idx]|. The exact
+    checks run on the node's own Gram block B'B / (n-1), B its column-centred
+    log block. A 2-part node needs a two-sided p, on Python floats."""
+    n = log.shape[0]
+
+    def open_node(indices):
+        own = cross[indices]
+        loading = own - np.add.reduce(own) / indices.shape[0]
+        return float(np.sqrt(loading @ loading)), loading, own
+
+    def signal(indices, own, loading, bound):
+        if _screened(n, log_sq, variances, indices, bound * bound / response_var):
+            return True
+        block = log[:, indices] - means[indices]
+        block = block.T @ block / (n - 1)
+        return not (_constant(log, log_sq, indices, block) or _rank_boundary(block, loading))
+
+    def scores(coeffs, own):
+        return np.abs(coeffs.T @ own)
+
+    def pair(indices):
+        c0, c1 = (own := cross[indices]).tolist()
         p0, p1 = c0 - (c0 + c1) / 2, c1 - (c0 + c1) / 2
         if not (p0 > 0 > p1 or p1 > 0 > p0):
-            return False
-        return _has_signal(stats, indices, None, np.array([p0, p1]), (p0 * p0 + p1 * p1) ** 0.5)
-    (g00, g01), (g10, g11) = gram.tolist()
-    m0, m1 = (g00 + g10) / 2, (g01 + g11) / 2
-    trace, energy = g00 + g11, g00 + g11 - (m0 + m1)  # energy = tr(H G H)
-    h = ((g01 - m0) - m1) + (m0 + m1) / 2  # (H G H)[0, 1], as _top_eigenpair computes it
-    n, scale_sq = stats.log.shape[0], max(1.0, sum(stats.log_sq[indices].tolist()))
-    window = (n - 1) * energy <= _CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace
-    if not h < 0 or not window:
-        return h < 0
-    return _has_signal(stats, indices, gram, np.array([1.0, h]), 0.0)  # inside the window
+            return 0.0
+        usable = signal(indices, own, np.array([p0, p1]), (p0 * p0 + p1 * p1) ** 0.5)
+        return float(scores(PAIR, own)[0]) if usable else 0.0
+
+    return open_node, signal, scores, pair, np.linalg.norm(cross), exponent
+
+
+def _statistics(log: np.ndarray, y):
+    """The build's node step, the one place that reads which method runs:
+    ``_pca_step`` over G when y is None, else ``_pls_step`` over g, diag G and
+    v_y, reading y as y * 2^-e, max|y * 2^-e| in [0.5, 1); both read ln X and
+    its per-part sum of squares. A step is (open, signal, scores, pair, scale,
+    exponent): ``open(idx)`` slices a node once and returns (bound, loading,
+    state); ``signal(idx, state, loading, bound)``; ``scores(coeffs, state)``;
+    ``pair(idx)``, a 2-part node's score; the root's uncentred scale; 2^e."""
+    n, means = log.shape[0], log.mean(axis=0)
+    centred = log * log
+    log_sq = np.add.reduce(centred)
+    np.subtract(log, means, out=centred)  # one n x D buffer: a fresh one costs page faults
+    if y is None:
+        return _pca_step(log, log_sq, centred.T @ centred / (n - 1))
+    exponent = _binary_exponent(y)
+    residual = np.ldexp(y, -exponent)
+    residual -= residual.mean()
+    variances = np.einsum("ij,ij->j", centred, centred) / (n - 1)
+    return _pls_step(log, log_sq, variances, centred.T @ residual / (n - 1), means,
+                     float(residual @ residual) / (n - 1), exponent)
 
 
 def _embed(signs: np.ndarray, indices: np.ndarray, n_parts: int) -> np.ndarray:
@@ -363,41 +380,26 @@ _CHILD_SLOTS = ((2, 0), (3, 1), (4, -1))  # (slot, side of the chosen signs)
 PAIR = signs_to_coefficients(np.array([[1], [-1]]))
 
 
-def _open_node(stats: _Statistics, heap: list, finish, path: tuple, indices: np.ndarray):
-    """Take a node's slice g[idx] for pls-pb, or G[idx, idx] for pca-pb, and
-    push a node of 3 or more parts once with it and its loading, keyed by its
-    own score bound, which is never above its parent's beyond rounding: for
-    pca-pb the top eigenpair of H G[idx, idx] H gives both, for pls-pb p =
-    H g[idx] is the loading and ||p|| the bound. A 2-part node goes to
-    ``finish`` at once, +1 on its first part (its loading +-(1, -1) is an
-    exact tie), scored 0 without ``_pair_signal``; no eigh."""
+def _open_node(step, heap: list, finish, path: tuple, indices: np.ndarray):
+    """Push a node of 3 or more parts once with its step's ``open``, keyed by
+    its own bound. A 2-part node goes to ``finish`` at once, +1 on its first
+    part (its loading +-(1, -1) is an exact tie), scored by ``pair``; no eigh."""
     d = indices.shape[0]
-    if d < 2:
-        return
-    gram = None if stats.gram is None else stats.gram.take(indices, 0).take(indices, 1)
-    cross = None if stats.cross is None else stats.cross[indices]
     if d == 2:
-        score = _scores(PAIR, gram, cross)[0] if _pair_signal(stats, indices, gram, cross) else 0.0
-        finish(path + (_CHOSEN,), indices, np.array([1, -1]), float(score))
-        return
-    if cross is None:
-        bound, loading = _top_eigenpair(gram)
-    else:
-        loading = cross - np.add.reduce(cross) / d
-        bound = float(np.sqrt(loading @ loading))
-    heapq.heappush(heap, (-bound, path, indices, loading, gram, cross))
+        finish(path + (_CHOSEN,), indices, np.array([1, -1]), step[3](indices))
+    elif d > 2:
+        bound, loading, state = step[0](indices)
+        heapq.heappush(heap, (-bound, path, indices, loading, state))
 
 
-def _partition(stats: _Statistics, max_k: int) -> dict:
-    """Best-first sequential binary partition, its nodes keyed by their own
-    bounds, stopped once its ``max_k`` best balances are known: whatever the
-    expansion order, they are the best by score, then preorder. Returns them
-    in basis order as {preorder key: (indices, signs over them, score)}, each
-    score scaled back by 2^e once. A node at ``path`` was expanded when
-    ``path + (_CHOSEN,)`` is a key; ``path + (_CONNECTING,)`` holds its
-    connecting balance, if any."""
-    n_parts = stats.log.shape[1]
-    scale = stats.gram.trace() if stats.cross is None else np.linalg.norm(stats.cross)
+def _partition(step, n_parts: int, max_k: int) -> dict:
+    """Best-first sequential binary partition of ``n_parts`` parts by a node
+    ``step``, stopped once its ``max_k`` best balances, by score then
+    preorder, are known. Returns them in basis order as {preorder key:
+    (indices, signs over them, score)}, scores scaled back by 2^e. A node at
+    ``path`` was expanded when ``path + (_CHOSEN,)`` is a key;
+    ``path + (_CONNECTING,)`` holds its connecting balance, if any."""
+    _, signal, scores_of, _, scale, exponent = step
     slack = max(_STOP_RTOL * float(scale), np.finfo(float).tiny)
     balances: list = []  # (score, key, indices, signs), in the order finished
     best: list = []  # min-heap of the max_k best scores: the k-th on top
@@ -408,18 +410,17 @@ def _partition(stats: _Statistics, max_k: int) -> dict:
         if len(best) > max_k:
             heapq.heappop(best)
 
-    heap: list = []  # min-heap of (-bound, path, indices, loading, gram, cross)
-    _open_node(stats, heap, finish, (), np.arange(n_parts))
+    heap: list = []  # min-heap of (-bound, path, indices, loading, state)
+    _open_node(step, heap, finish, (), np.arange(n_parts))
 
     while heap and not (len(best) == max_k and best[0] > slack - heap[0][0]):
-        neg_bound, path, indices, loading, gram, cross = heapq.heappop(heap)
+        neg_bound, path, indices, loading, state = heapq.heappop(heap)
         d = indices.shape[0]
-        signal = _has_signal(stats, indices, gram, loading, -neg_bound)
-        coeffs = _node_candidates(loading) if signal else None
+        coeffs = _node_candidates(loading) if signal(indices, state, loading, -neg_bound) else None
         if coeffs is None:  # the first part against the last: d-2 left out, as in candidate 0
             signs, score, winner = np.r_[1, np.zeros(d - 2, dtype=int), -1], 0.0, 0
         else:
-            scores = _scores(coeffs, gram, cross)
+            scores = scores_of(coeffs, state)
             # Candidate j has j+2 active parts, so the first tied is the fewest.
             winner = int((scores >= scores.max() * (1 - _TIE_RTOL)).argmax())
             signs, score = np.sign(coeffs[:, winner]).astype(int), float(scores[winner])
@@ -429,14 +430,14 @@ def _partition(stats: _Statistics, max_k: int) -> dict:
         if r:  # a connecting balance: the r left-out parts against the d - r others
             left_out = signs == 0  # entries _balance_entries(r, d - r), on Python floats
             column = np.where(left_out, math.sqrt((d - r) / (d * r)), -math.sqrt(r / (d * (d - r))))
-            link_score = 0.0 if coeffs is None else float(_scores(column[:, None], gram, cross)[0])
+            link_score = 0.0 if coeffs is None else float(scores_of(column[:, None], state)[0])
             finish(path + (_CONNECTING,), indices, np.where(left_out, 1, -1), link_score)
 
         for slot, side in _CHILD_SLOTS:
-            _open_node(stats, heap, finish, path + (slot,), indices[signs == side])
+            _open_node(step, heap, finish, path + (slot,), indices[signs == side])
 
     balances.sort(key=lambda balance: (-balance[0], balance[1]))
-    return {key: (indices, signs, math.ldexp(score, stats.exponent))
+    return {key: (indices, signs, math.ldexp(score, exponent))
             for score, key, indices, signs in balances[:max_k]}
 
 
@@ -456,13 +457,12 @@ def _tree(balances: dict, n_parts: int, path: tuple = ()):
 def _leading_signs(log: np.ndarray, y, k: int):
     """The D x k sign matrix of the leading k balances of ln X, pls-pb on a
     checked response y or pca-pb when y is None, their scores and
-    ``_partition``'s balances by preorder key: nodes keyed by their own
-    bounds suffice, as no child's exceeds its parent's beyond rounding.
-    Unchecked against ``BalanceBasis``; ``cross_validate`` takes each fold's
-    basis from it, ``_build`` every other."""
+    ``_partition``'s balances by preorder key. Unchecked against
+    ``BalanceBasis``; ``cross_validate`` takes each fold's basis from it,
+    ``_build`` every other."""
     if y is not None and np.ptp(y) == 0.0:
         raise ConstantResponse("response has zero variance")
-    balances = _partition(_statistics(log, y), k)
+    balances = _partition(_statistics(log, y), log.shape[1], k)
     parts, local, scores = zip(*balances.values())
     signs = np.zeros((log.shape[1], k), dtype=int)
     columns = np.repeat(np.arange(k), [indices.shape[0] for indices in parts])

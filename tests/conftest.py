@@ -1,7 +1,9 @@
 """Shared test helpers: random instances and reference checks."""
 
 import hashlib
+import inspect
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -67,11 +69,31 @@ def best_balance(X, y, sign_matrix) -> tuple[np.ndarray, float]:
     signs = np.asarray(sign_matrix)
     if signs.ndim != 2 or signs.shape[0] != X.n_parts or signs.size == 0:
         raise ValueError("sign matrix must be parts x candidates, with a candidate")
-    stats = pb._statistics(np.log(X.values), _check_response(y, X.n_samples))
-    scores = np.ldexp(pb._scores(signs_to_coefficients(signs), None, stats.cross), stats.exponent)
+    open_node, _, scores, _, _, exponent = pb._statistics(np.log(X.values),
+                                                          _check_response(y, X.n_samples))
+    _, _, cross = open_node(np.arange(X.n_parts))  # g over every part
+    scores = np.ldexp(scores(signs_to_coefficients(signs), cross), exponent)
     tied = np.flatnonzero(scores >= scores.max() * (1 - pb._TIE_RTOL))
     winner = int(tied[np.argmin(np.abs(signs[:, tied]).sum(axis=0))])
     return signs_to_coefficients(signs[:, winner]), float(scores[winner])
+
+
+def node_step(log, y, /, **changes):
+    """``pb._statistics(log, y)``, the node step of pca-pb (y None) or pls-pb,
+    and the statistics it was built on, by the names of ``pb._pca_step``'s or
+    ``pb._pls_step``'s parameters. ``changes`` replace statistics by name
+    before the step is built."""
+    name = "_pca_step" if y is None else "_pls_step"
+    factory, found = getattr(pb, name), {}
+
+    def build(*args):
+        found.update(inspect.signature(factory).bind(*args).arguments, **changes)
+        return factory(**found)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pb, name, build)
+        step = pb._statistics(log, y)
+    return step, SimpleNamespace(**found)
 
 
 def exact_pls_node(p) -> tuple[float, np.ndarray]:

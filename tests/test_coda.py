@@ -464,6 +464,19 @@ class TestInversePivot:
         with pytest.raises(ValueError, match="coordinates must be finite"):
             inverse_pivot(Z)
 
+    @pytest.mark.parametrize("coordinates", [[[1e308, 1e308], [0.0, 0.0]],  # clr overflows
+                                             [[700.0, 0.0], [0.0, 0.0]]])  # exp underflows
+    def test_coordinates_out_of_the_float_range(self, coordinates):
+        # the error names the coordinates' range, not the composition: no
+        # overflow warning and no ZeroPart
+        with pytest.raises(ValueError, match="out of range: .* span less than about 745"):
+            inverse_pivot(coordinates)
+
+    def test_subnormal_parts_are_kept(self):
+        # a row spanning 735, inside the range: its small parts stay positive
+        X = inverse_pivot([[600.0, 0.0], [0.0, 0.0]])
+        assert np.all(X.values > 0) and X.values[0, 1] < 1e-300
+
     def test_rows_closed_to_total(self, rng):
         Z = rng.standard_normal((4, 6))
         X = inverse_pivot(Z, total=100.0)

@@ -1,7 +1,7 @@
 """Tests for principal balance construction."""
 
-import dataclasses
 import heapq
+import inspect
 import itertools
 import json
 import math
@@ -29,7 +29,7 @@ from plspb.coda import _balance_entries
 from plspb.errors import BalanceError, ConstantResponse, DegenerateSplit, OneSidedLoading
 from plspb.errors import TooFewSamples
 from conftest import balance_values, best_balance, exact_pls_node, nested_or_disjoint
-from conftest import partition_nodes
+from conftest import node_step, partition_nodes
 from conftest import random_composition, random_instance
 
 
@@ -347,7 +347,7 @@ class TestTopEigenpair:
     @pytest.mark.parametrize("d", SIZES)
     @pytest.mark.parametrize("n", [10, 150])
     def test_random_gram(self, rng, d, n, monkeypatch):
-        gram = pb._statistics(np.log(random_composition(rng, n, d).values), None).gram
+        gram = node_step(np.log(random_composition(rng, n, d).values), None)[1].gram
         self.assert_matches_eigh(gram, *self.squaring(gram, monkeypatch))
 
     @staticmethod
@@ -417,7 +417,7 @@ class TestTopEigenpair:
 
     @pytest.mark.parametrize("d", [pb._SQUARING_PARTS.start - 1, pb._SQUARING_PARTS.stop])
     def test_other_sizes_are_eigh(self, rng, d):
-        gram = pb._statistics(np.log(random_composition(rng, 40, d).values), None).gram
+        gram = node_step(np.log(random_composition(rng, 40, d).values), None)[1].gram
         self.assert_is_eigh(gram, *pb._top_eigenpair(gram))
 
     @pytest.mark.parametrize("d", [*range(3, pb._SQUARING_PARTS.start),
@@ -574,6 +574,32 @@ def assert_leading_columns(full, top, k):
     assert nested_or_disjoint(top.sign_matrix)
 
 
+def every_node(indices):
+    """4: the heap key of every node is 4 x its bound."""
+    return 4.0
+
+
+def odd_first_part(indices):
+    """4 for the nodes whose first part is odd, else 1."""
+    return 4.0 if indices[0] % 2 else 1.0
+
+
+def loosened(step, factor):
+    """A substitute node step whose heap key is ``factor(indices)`` times the
+    node's bound, a power of two at least 1, while its ``signal`` still gets
+    the true bound."""
+    open_node, signal, *rest = step
+
+    def loose_open(indices):
+        bound, loading, state = open_node(indices)
+        return factor(indices) * bound, loading, state
+
+    def true_signal(indices, state, loading, key):
+        return signal(indices, state, loading, key / factor(indices))
+
+    return (loose_open, true_signal, *rest)
+
+
 class TestTopK:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -647,7 +673,7 @@ class TestTopK:
         pushed, eigenpairs, top_eigenpair = [], [], pb._top_eigenpair
 
         def heappush(heap, entry):
-            # a node is (-bound, path, indices, loading, gram, cross), a kept score a float
+            # a node is (-bound, path, indices, loading, state), a kept score a float
             if isinstance(entry, tuple):
                 pushed.append(entry[1])
             heapq.heappush(heap, entry)
@@ -669,7 +695,7 @@ class TestTopK:
         # for pca-pb, g[idx] for pls-pb, which has no G to slice
         X, y = random_instance(rng, 30, 25)
         slices, opened, pushed, built = [], [], [], []
-        sliced = "gram" if builder == "pca-pb" else "cross"
+        name, sliced = ("_pca_step", "gram") if builder == "pca-pb" else ("_pls_step", "cross")
 
         class CountingSlices(np.ndarray):
             def take(self, *args, **kwargs):
@@ -680,37 +706,41 @@ class TestTopK:
                 slices.append(key)
                 return np.asarray(super().__getitem__(key))
 
-        statistics, open_node = pb._statistics, pb._open_node
+            def diagonal(self, *args, **kwargs):
+                # diag G is the bound screen's statistic, sliced at every node
+                return np.asarray(super().diagonal(*args, **kwargs))
 
-        def counting_statistics(log, y):
-            built.append(statistics(log, y))
-            counted = getattr(built[-1], sliced).view(CountingSlices)
-            return dataclasses.replace(built[-1], **{sliced: counted})
+        factory, open_node = getattr(pb, name), pb._open_node
 
-        def counting_open_node(stats, heap, finish, path, indices):
+        def counting_step(*args):
+            built.append(inspect.signature(factory).bind(*args).arguments)
+            counted = built[-1][sliced].view(CountingSlices)
+            return factory(**{**built[-1], sliced: counted})
+
+        def counting_open_node(step, heap, finish, path, indices):
             if indices.shape[0] >= 2:
                 opened.append(path)
-            open_node(stats, heap, finish, path, indices)
+            open_node(step, heap, finish, path, indices)
 
         def heappush(heap, entry):
             if isinstance(entry, tuple):  # a node: (-bound, path, indices, ...)
                 pushed.append(entry)
             heapq.heappush(heap, entry)
 
-        monkeypatch.setattr(pb, "_statistics", counting_statistics)
+        monkeypatch.setattr(pb, name, counting_step)
         monkeypatch.setattr(pb, "_open_node", counting_open_node)
         monkeypatch.setattr(pb, "heapq", SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
         build(builder, X, y, max_k=max_k)
         (stats,) = built
         assert opened and len(slices) == len(opened)
         assert pushed
-        for _, _, indices, _, gram, cross in pushed:
-            if stats.cross is None:
-                assert gram.tobytes() == stats.gram[np.ix_(indices, indices)].tobytes()
-                assert cross is None
+        for _, _, indices, _, state in pushed:
+            if builder == "pca-pb":
+                assert state.tobytes() == stats["gram"][np.ix_(indices, indices)].tobytes()
+                assert "cross" not in stats
             else:
-                assert stats.gram is None and gram is None
-                assert cross.tobytes() == stats.cross[indices].tobytes()
+                assert "gram" not in stats
+                assert state.tobytes() == stats["cross"][indices].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -740,12 +770,45 @@ class TestTopK:
                 patch.setattr(pb, "heapq", SimpleNamespace(heappush=heappush,
                                                            heappop=heapq.heappop))
                 pb._build(log, response)
-            stats = pb._statistics(log, response)
-            scale = stats.gram.trace() if response is None else np.linalg.norm(stats.cross)
+            _, _, _, _, scale, _ = pb._statistics(log, response)  # tr G, or ||g||
             slack = max(pb._STOP_RTOL * float(scale), np.finfo(float).tiny)
             assert () in bounds
             for path, bound in bounds.items():
                 assert not path or bound <= bounds[path[:-1]] + slack
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 40),
+        d=st.integers(2, 30),
+        shape=st.sampled_from(["plain", "duplicated", "proportional"]),
+        builder=st.sampled_from(["pls-pb", "pca-pb"]),
+        factor=st.sampled_from([every_node, odd_first_part]),
+    )
+    def test_any_expansion_order_keeps_every_byte(self, seed, n, d, shape, builder, factor):
+        # a substitute step keys its nodes by 4 x their bound, on every node or
+        # on those whose first part is odd, which reorders the expansions;
+        # signal still gets the true bound. A key at or above the bound keeps
+        # the stop rule sound, so the full and the top-k builds keep their
+        # bytes, also where copied or proportional parts tie scores at 0
+        log, y = screen_table(seed, n, d, shape, False, 0)
+        response = y if builder == "pls-pb" else None
+        for k in [None, *sorted({k for k in (1, 3, d // 2) if 1 <= k <= d - 1})]:
+            want = pb._build(log, response, max_k=k)
+            got = substituted(lambda step: loosened(step, factor),
+                              lambda: pb._build(log, response, max_k=k))
+            assert np.array_equal(got.sign_matrix, want.sign_matrix)
+            assert got.ordering_values.tobytes() == want.ordering_values.tobytes()
+
+    @pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
+    def test_loosened_keys_reorder_the_expansions(self, rng, builder):
+        # the property above is not vacuous: the odd-first-part keys expand
+        # the same nodes of a full build in another order
+        X, y = random_instance(rng, 30, 25)
+        log, response = np.log(X.values), y if builder == "pls-pb" else None
+        real, _ = recorded_decisions(log, response)
+        loose, _ = recorded_decisions(log, response, lambda step: loosened(step, odd_first_part))
+        assert sorted(real) == sorted(loose) and list(real) != list(loose)
 
     @pytest.mark.parametrize("max_k", [0, 6, -1, 2.5])
     def test_max_k_outside_range_rejected(self, rng, max_k):
@@ -848,11 +911,11 @@ class TestTwoPartNodes:
             eps = 10.0 ** rng.uniform(-15, -6)
             logs = np.column_stack([base, base + eps * rng.standard_normal(n)])
             X = CompositionMatrix(np.exp(logs))
-            stats = pb._statistics(np.log(X.values), None)
-            _, vector = pb._top_eigenpair(stats.gram)
-            signal = pb._has_signal(stats, np.arange(2), stats.gram, vector, 0.0)
+            open_node, has_signal, scores, *_ = pb._statistics(np.log(X.values), None)
+            _, vector, gram = open_node(np.arange(2))  # the top eigenpair of H G H, and G
+            signal = has_signal(np.arange(2), gram, vector, 0.0)
             kept = signal and vector.max() > 0 > vector.min()
-            paired = float(pb._scores(pb.PAIR, stats.gram, None)[0])
+            paired = float(scores(pb.PAIR, gram)[0])
             assert pca_pb(X).ordering_values[0] == (paired if kept else 0.0) >= 0.0
             outcomes.add((kept, paired < 0))
         assert outcomes == {(True, False), (False, False), (False, True)}
@@ -876,8 +939,9 @@ class TestTwoPartNodes:
     @example(seed=2105036288, n=14, log_scale=52.04975559505944, cross_scale=70.07713832211101,
              noise=None, tie=False)
     def test_pair_decision_matches_loading(self, seed, n, log_scale, cross_scale, noise, tie):
-        # The 2-part node decides on Python floats what _has_signal's exact
-        # checks (bound 0) decide with numpy: a two-sided loading, or none.
+        # The 2-part node decides on Python floats what its step's exact
+        # checks (bound 0) decide with numpy: a two-sided loading, or none;
+        # its pair scores the node when they find signal, else 0.
         # Log tables at scale 10^log_scale give G from 1e-150 to 1e150 and g
         # at 10^cross_scale; the second part is unrelated (noise None),
         # proportional (0) or near-proportional to the first, so both sides of
@@ -890,23 +954,23 @@ class TestTwoPartNodes:
             second = base + rng.standard_normal() + (noise and 10.0**noise) * rng.standard_normal(n)
         log = 10.0**log_scale * np.column_stack([base, second])
         y = 10.0 ** (cross_scale - log_scale) * rng.standard_normal(n)
-        stats, gram_stats = pb._statistics(log, y), pb._statistics(log, None)
-        if tie:  # g_i = g_j
-            stats = dataclasses.replace(stats, cross=np.full(2, stats.cross[0]))
+        (_, signal, scores, pair, *_), gram_stats = node_step(log, None)
         idx, gram = np.arange(2), gram_stats.gram
         # pca-pb: the 2x2 slice of G decides
         direction = np.array([1.0, centred_070(gram)[0, 1]])
-        signal = pb._has_signal(gram_stats, idx, gram, direction, 0.0)
-        expected = signal and direction.max() > 0 > direction.min()
-        assert pb._pair_signal(gram_stats, idx, gram, None) == expected
-        # pls-pb reads no G: H g[idx] decides, then _has_signal with its bound
-        # ||H g[idx]||, whose exact checks run on the node's own Gram block,
-        # here equal to G
+        expected = signal(idx, gram, direction, 0.0) and direction.max() > 0 > direction.min()
+        assert pair(idx) == (float(scores(pb.PAIR, gram)[0]) if expected else 0.0)
+        # pls-pb reads no G: H g[idx] decides, then its step's signal with the
+        # bound ||H g[idx]||, whose exact checks run on the node's own Gram
+        # block, here equal to G
+        (_, signal, scores, pair, *_), stats = node_step(log, y)
+        if tie:  # g_i = g_j
+            tied = np.full(2, stats.cross[0])
+            (_, signal, scores, pair, *_), stats = node_step(log, y, cross=tied)
         own = stats.cross - np.add.reduce(stats.cross) / 2  # H g[idx]
-        signal = pb._has_signal(stats, idx, gram, own, 0.0)
-        expected = signal and own.max() > 0 > own.min()
-        assert stats.gram is None
-        assert pb._pair_signal(stats, idx, None, stats.cross) == expected
+        expected = signal(idx, stats.cross, own, 0.0) and own.max() > 0 > own.min()
+        assert not hasattr(stats, "gram")
+        assert pair(idx) == (float(scores(pb.PAIR, stats.cross)[0]) if expected else 0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -946,30 +1010,53 @@ def screen_table(seed, n, d, shape, rescale, y_power):
     return log, 10.0**y_power * y
 
 
-def recorded_decisions(log, y):
-    """Each decided node's signal and the score bound it was decided with,
-    by its parts, as one build of the full basis decides them."""
-    decisions = {}
-    has_signal = pb._has_signal
-
-    def recording_has_signal(stats, indices, gram, loading, bound):
-        decision = has_signal(stats, indices, gram, loading, bound)
-        decisions[tuple(indices.tolist())] = decision, bound
-        return decision
-
+def substituted(wrap, run):
+    """``run()`` with every build's node step replaced by ``wrap(step)``."""
+    statistics = pb._statistics
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pb, "_has_signal", recording_has_signal)
-        _, tree = pb._build(log, y, return_tree=True)
+        patch.setattr(pb, "_statistics", lambda log, y: wrap(statistics(log, y)))
+        return run()
+
+
+def recorded_decisions(log, y, wrap=lambda step: step):
+    """Each expanded node's signal and the score bound it was decided with,
+    by its parts in the order asked, as one build of the full basis through
+    the node step ``wrap(step)`` asks its ``signal``. 2-part nodes are decided
+    inside the step's ``pair``, which scores them 0 without signal
+    (``TestTwoPartNodes``)."""
+    decisions = {}
+
+    def recording(step):
+        open_node, signal, *rest = wrap(step)
+
+        def recording_signal(indices, state, loading, bound):
+            decision = signal(indices, state, loading, bound)
+            decisions[tuple(indices.tolist())] = decision, bound
+            return decision
+
+        return (open_node, recording_signal, *rest)
+
+    _, tree = substituted(recording, lambda: pb._build(log, y, return_tree=True))
     return decisions, tree
 
 
-def proven_by_bound(stats, indices, bound):
-    """Whether ``_has_signal``'s first step, the bound screen, proves a
+def exact_checks(stats, indices, gram, loading):
+    """The exact no-signal checks alone, without the bound screen, on a Gram
+    block ``gram`` of the node's parts: ``_constant``, then for pls-pb (whose
+    statistics hold g) the SIMPLS rank tests."""
+    if pb._constant(stats.log, stats.log_sq, indices, gram):
+        return False
+    return not hasattr(stats, "cross") or not pb._rank_boundary(gram, loading)
+
+
+def proven_by_bound(log, y, indices, bound):
+    """Whether the bound screen, the first step of ``signal``, proves a
     node's signal: the exact checks after it find none on a constant log
     table, a zero Gram block and a zero loading."""
-    blind = dataclasses.replace(stats, log=np.zeros_like(stats.log))
+    (_, blind, *_), stats = node_step(log, y, log=np.zeros_like(log))
     d = indices.shape[0]
-    return pb._has_signal(blind, indices, np.zeros((d, d)), np.zeros(d), bound)
+    state = np.zeros((d, d)) if y is None else stats.cross[indices]  # G[idx, idx] or g[idx]
+    return blind(indices, state, np.zeros(d), bound)
 
 
 class TestBoundScreen:
@@ -996,7 +1083,7 @@ class TestBoundScreen:
         centred = log - log.mean(axis=0)
         gram = centred.T @ centred / (n - 1)  # the global G, formed here only
         for response in (y, None):
-            stats = pb._statistics(log, response)
+            _, stats = node_step(log, response)
             decisions, tree = recorded_decisions(log, response)
             expanded = {node.part_indices for node in partition_nodes(tree)}
             assert {parts for parts in expanded if len(parts) >= 3} <= decisions.keys()
@@ -1005,11 +1092,9 @@ class TestBoundScreen:
                 block = gram[np.ix_(idx, idx)]
                 if response is not None:
                     loading = stats.cross[idx] - np.add.reduce(stats.cross[idx]) / len(idx)
-                elif len(idx) == 2:
-                    loading = np.array([1.0, centred_070(block)[0, 1]])
                 else:
                     loading = pb._top_eigenpair(block)[1]
-                assert decision is pb._has_signal(stats, idx, block, loading, 0.0)
+                assert decision is exact_checks(stats, idx, block, loading)
 
     @pytest.mark.parametrize("builder", ["pls-pb", "pca-pb"])
     def test_constant_subcomposition_takes_the_exact_checks(self, builder):
@@ -1018,10 +1103,9 @@ class TestBoundScreen:
         log, y = screen_table(0, 30, 12, "plain", False, 0)
         log[:, 4:8] = log[:, [4]] + np.arange(4)
         response = y if builder == "pls-pb" else None
-        stats = pb._statistics(log, response)
         decisions, _ = recorded_decisions(log, response)
         assert decisions[(4, 5, 6, 7)][0] is False
-        proven = {parts: proven_by_bound(stats, np.array(parts), bound)
+        proven = {parts: proven_by_bound(log, response, np.array(parts), bound)
                   for parts, (_, bound) in decisions.items()}
         assert sum(proven.values()) >= 3
         assert all(proven[parts] or decision is False for parts, (decision, _) in decisions.items())
@@ -1032,11 +1116,12 @@ class TestBoundScreen:
         log, y = rng.standard_normal((40, 3000)), rng.standard_normal(40)
         tracemalloc.start()
         try:
-            stats = pb._statistics(log, y)
+            pb._statistics(log, y)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert stats.gram is None
+        _, stats = node_step(log, y)
+        assert not any(np.shape(value) == (3000, 3000) for value in vars(stats).values())
         assert peak < 10 * 2**20
 
 
@@ -1070,7 +1155,7 @@ class TestResponseScale:
         # the exact checks on G or the loading times 2^+-600, whose products
         # leave the float range unscaled, decide as the build did
         log, y = screen_table(seed, n, d, shape, False, 0)
-        stats = pb._statistics(log, y)
+        _, stats = node_step(log, y)
         decisions, _ = recorded_decisions(log, y)
         for parts, (decision, _) in decisions.items():
             idx = np.array(parts)
@@ -1079,7 +1164,7 @@ class TestResponseScale:
             loading = stats.cross[idx] - np.add.reduce(stats.cross[idx]) / len(idx)
             for gram_power, loading_power in ((power, 0), (0, power)):
                 scaled = np.ldexp(gram, gram_power), np.ldexp(loading, loading_power)
-                assert pb._has_signal(stats, idx, *scaled, 0.0) is decision
+                assert exact_checks(stats, idx, *scaled) is decision
 
 
 def brute_force_pls_node(p) -> float:
@@ -1124,16 +1209,18 @@ class TestExactNode:
         log = rng.standard_normal((n, d))
         beta = rng.lognormal(0.0, 1.5, d) if skewed else rng.standard_normal(d)
         y = log @ beta + 0.5 * rng.standard_normal(n)
-        stats = pb._statistics(log, y)
+        (_, _, scores, *_), stats = node_step(log, y)
         decisions, tree = recorded_decisions(log, y)
         for node in partition_nodes(tree):
             idx = np.array(node.part_indices)
             p = stats.cross[idx] - np.add.reduce(stats.cross[idx]) / len(idx)
             _, signs = exact_pls_node(p)
-            score = pb._scores(signs_to_coefficients(signs)[:, None], None, stats.cross[idx])[0]
+            score = scores(signs_to_coefficients(signs)[:, None], stats.cross[idx])[0]
             oracle = math.ldexp(float(score), stats.exponent)
             assert node.chosen_value <= oracle * (1 + 1e-12)
-            if not decisions.get(node.part_indices, (False,))[0] or not p.max() > 0 > p.min():
+            # a 2-part node's pair decides it, scoring it 0 without signal
+            signal = decisions.get(node.part_indices, (node.chosen_value > 0,))[0]
+            if not signal or not p.max() > 0 > p.min():
                 continue  # no signal: scored 0, with no candidates
             nested = candidate_signs(p).T
             if any(np.array_equal(c, signs) or np.array_equal(c, -signs) for c in nested):
