@@ -294,6 +294,8 @@ def run_rerun(manifest_path: str, out: str, parser: argparse.ArgumentParser) -> 
         raise ValueError(f"{manifest_path}: config must be an object")
     if not isinstance(manifest["outputs"], dict):
         raise ValueError(f"{manifest_path}: outputs must be an object of file names and digests")
+    if not manifest["outputs"]:
+        raise ValueError(f"{manifest_path}: outputs lists no file, so a replay would check nothing")
     for name, digest in manifest["outputs"].items():
         if not _output_ok(name, digest):
             raise ValueError(

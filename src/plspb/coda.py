@@ -98,15 +98,6 @@ def _balance_entries(r, s):
     return np.sqrt(s / (total * r)), -np.sqrt(r / (total * s))
 
 
-def _check_signs(signs: np.ndarray) -> None:
-    """Entries in {-1, 0, +1}, and both groups nonempty in the vector or in
-    every column of the matrix."""
-    if not np.all((signs == 1) | (signs == 0) | (signs == -1)):
-        raise ValueError("sign entries must be in {-1, 0, +1}")
-    if not (np.all(np.any(signs == 1, axis=0)) and np.all(np.any(signs == -1, axis=0))):
-        raise DegenerateSplit("balance needs nonempty numerator and denominator")
-
-
 def signs_to_coefficients(signs) -> np.ndarray:
     """Read-only coefficients of a balance, given its sign vector, or of
     every column of a D x k sign matrix: zero-sum with unit norm.
@@ -126,9 +117,14 @@ def signs_to_coefficients(signs) -> np.ndarray:
     signs = np.asarray(signs)
     if signs.ndim not in (1, 2) or signs.shape[-1] == 0:
         raise ValueError("signs must be a vector or a D x k matrix with k >= 1")
-    _check_signs(signs)
-    pos, neg = _balance_entries((signs == 1).sum(axis=0), (signs == -1).sum(axis=0))
-    return _readonly(np.where(signs == 1, pos, 0.0) + np.where(signs == -1, neg, 0.0))
+    plus, minus = signs == 1, signs == -1
+    if not np.all(plus | minus | (signs == 0)):
+        raise ValueError("sign entries must be in {-1, 0, +1}")
+    r, s = plus.sum(axis=0), minus.sum(axis=0)
+    if not (np.all(r) and np.all(s)):
+        raise DegenerateSplit("balance needs nonempty numerator and denominator")
+    pos, neg = _balance_entries(r, s)
+    return _readonly(np.where(plus, pos, np.where(minus, neg, 0.0)))
 
 
 def _check_response(y, n: int) -> np.ndarray:

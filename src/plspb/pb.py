@@ -197,18 +197,16 @@ def candidate_signs(p) -> np.ndarray:
     return _readonly(np.sign(_candidates(p, np.abs(p), p.argmax(), p.argmin())).astype(int))
 
 
-def _screened(n: int, log_sq, variances, indices: np.ndarray, beta: float) -> bool:
-    """Whether a node's score bound proves it has signal, given its step's
-    beta (0 proves nothing). Every unit zero-sum contrast u on its parts has
-    u'H G[idx, idx] H u >= beta: the top eigenvalue for pca-pb, and for pls-pb
-    ||p||^2 / v_y with p = H g[idx], by Cauchy-Schwarz on
-    p'u = (Lc H u)'(y - mean y) / (n-1). So energy >= beta, t^2 >= p'p beta and
-    ||H G H p||^2 >= t^2 beta, and once (n-1) beta exceeds twice the window's
-    threshold, at least 1e-8 of tr G[idx, idx] (the 2 absorbs the rounding of
+def _screened(n: int, log_sq, indices: np.ndarray, trace, beta: float) -> bool:
+    """Whether a node's score bound proves it has signal, given its tr G[idx, idx] and its
+    step's beta (0 proves nothing). Every unit zero-sum contrast u on its parts has
+    u'H G[idx, idx] H u >= beta: the top eigenvalue for pca-pb, and for pls-pb ||p||^2 / v_y
+    with p = H g[idx], by Cauchy-Schwarz on p'u = (Lc H u)'(y - mean y) / (n-1). So
+    energy >= beta, t^2 >= p'p beta and ||H G H p||^2 >= t^2 beta, and once (n-1) beta exceeds
+    twice the window's threshold, at least 1e-8 of the trace (the 2 absorbs the rounding of
     traces), neither ``_constant`` nor a rank test, at 1e-20 of the energy, fires."""
     scale_sq = max(1.0, float(np.add.reduce(log_sq[indices])))
-    trace = float(np.add.reduce(variances[indices]))  # tr G[idx, idx], at least the energy
-    return (n - 1) * beta > 2 * (_CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * trace)
+    return (n - 1) * beta > 2 * (_CONSTANT_TOL**2 * scale_sq + _GRAM_NOISE * (n - 1) * float(trace))
 
 
 def _constant(log: np.ndarray, log_sq, indices: np.ndarray, gram: np.ndarray) -> bool:
@@ -281,14 +279,14 @@ def _pca_step(log, log_sq, gram):
     and loading the top eigenpair of H G[idx, idx] H, and c scores c'G[idx, idx]c.
     A 2-part node decides on Python floats, in the exact checks' operation
     order: the sign of (H G H)[0, 1], unless the window leaves it to them."""
-    n, variances = log.shape[0], gram.diagonal()
+    n = log.shape[0]
 
     def open_node(indices):
         block = gram.take(indices, 0).take(indices, 1)
         return (*_top_eigenpair(block), block)
 
     def signal(indices, block, loading, bound):
-        screened = _screened(n, log_sq, variances, indices, bound)
+        screened = _screened(n, log_sq, indices, block.trace(), bound)
         return screened or not _constant(log, log_sq, indices, block)
 
     def scores(coeffs, block):
@@ -322,7 +320,8 @@ def _pls_step(log, log_sq, variances, cross, means, response_var, exponent: int)
         return float(np.sqrt(loading @ loading)), loading, own
 
     def signal(indices, own, loading, bound):
-        if _screened(n, log_sq, variances, indices, bound * bound / response_var):
+        if _screened(n, log_sq, indices, np.add.reduce(variances[indices]),
+                     bound * bound / response_var):
             return True
         block = log[:, indices] - means[indices]
         block = block.T @ block / (n - 1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coda import BalanceBasis, CompositionMatrix, _check_integer, inverse_pivot
+from .coda import ALGEBRA_TOL, BalanceBasis, CompositionMatrix, _check_integer, inverse_pivot
 from .errors import DimensionMismatch, NotPositiveDefinite
 
 CASE_ONE_BLOCK = "one-block"
@@ -153,11 +153,17 @@ def build_sigma(scenario: SimScenario) -> np.ndarray:
 
 
 def mvn_sample(sigma: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n rows from N(0, sigma) through a Cholesky factor."""
+    """Draw n rows from N(0, sigma) through a Cholesky factor. Sigma must be
+    finite and symmetric within 1e-12 of its largest |entry|: the factor
+    reads only its lower triangle."""
     _check_integer(n, "n", 0)
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("sigma must be square")
+    if not np.all(np.isfinite(sigma)):
+        raise ValueError("sigma must be finite")
+    if np.abs(sigma - sigma.T).max(initial=0.0) > ALGEBRA_TOL * np.abs(sigma).max(initial=0.0):
+        raise ValueError("sigma must be symmetric")
     try:
         factor = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
@@ -178,6 +184,10 @@ def response_from_coordinates(Z, block_sizes, beta) -> np.ndarray:
         raise ValueError("beta must carry one value per marker coordinate")
     if Z.ndim != 2 or Z.shape[1] < total:
         raise DimensionMismatch(f"Z of shape {Z.shape} needs {total} marker coordinate columns")
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("beta must be finite")
+    if not np.all(np.isfinite(Z[:, :total])):
+        raise ValueError("the marker coordinates of Z must be finite")
     signs = np.concatenate(
         [np.where(np.arange(size) % 2 == 0, 1.0, -1.0) for size in block_sizes]
     )

@@ -21,6 +21,7 @@ from plspb.fileio import (
     read_composition_csv,
     read_response_csv,
     write_composition_csv,
+    write_json,
     write_response_csv,
 )
 from plspb.modelsel import PCA_PB, PLS_PB
@@ -494,7 +495,7 @@ class TestRerun:
 
         def runner(config):
             runs.append(config)
-            return cli._write_outputs(command, config, {})
+            return cli._write_outputs(command, config, {"config.json": (write_json, config)})
 
         with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(cli._RUNNERS, {command: runner}):
             argv += ["--out", tmp]
@@ -650,6 +651,7 @@ class TestRerun:
             (lambda m: m["config"].pop("seed"), "config lacks seed"),
             (lambda m: m.update(config=[1]), "config must be an object"),
             (lambda m: m.update(outputs=["X.csv"]), "outputs must be an object"),
+            (lambda m: m.update(outputs={}), "outputs lists no file"),
             (
                 lambda m: m["outputs"].update({"../sim/X.csv": m["outputs"]["X.csv"]}),
                 "outputs '../sim/X.csv'",
@@ -666,6 +668,7 @@ class TestRerun:
             "missing-config-key",
             "config-not-object",
             "outputs-not-object",
+            "outputs-empty",
             "output-outside-replay",
             "output-is-manifest",
             "output-digest-short",

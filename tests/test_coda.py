@@ -24,8 +24,7 @@ from plspb import (
     pls_regression,
     signs_to_coefficients,
 )
-from plspb.coda import _check_signs
-from plspb.errors import DegenerateSplit, DimensionMismatch, ZeroPart
+from plspb.errors import DegenerateSplit, DimensionMismatch, RankDeficient, ZeroPart
 
 from conftest import random_composition, random_instance
 
@@ -68,6 +67,10 @@ class TestCompositionMatrix:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             CompositionMatrix(np.array([[1.0, 2.0]]))
+
+    def test_one_d_table_rejected(self):
+        with pytest.raises(ValueError, match="^composition values must be a 2-d matrix$"):
+            CompositionMatrix(np.array([1.0, 2.0, 3.0]))
 
     def test_values_read_only(self, rng):
         X = random_composition(rng, 3, 3)
@@ -114,6 +117,23 @@ class TestClr:
             lhs = np.log(X.values) @ a
             rhs = clr(X) @ a
             assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def check_070(signs):
+    """0.7.0's entry and group checks of a sign vector or matrix, on np.isin."""
+    if not np.all(np.isin(signs, (-1, 0, 1))):
+        raise ValueError("sign entries must be in {-1, 0, +1}")
+    if not (np.all(np.any(signs == 1, axis=0)) and np.all(np.any(signs == -1, axis=0))):
+        raise DegenerateSplit("balance needs nonempty numerator and denominator")
+
+
+def sign_outcome(check, signs):
+    """The type and message of the ValueError ``check(signs)`` raises, or None."""
+    try:
+        check(np.asarray(signs))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 class TestSignsToCoefficients:
@@ -169,21 +189,34 @@ class TestSignsToCoefficients:
              "object-str", "str", "matrix"],
     )
     def test_entry_check_matches_isin(self, signs):
-        # _check_signs compares with 1, 0 and -1; 0.7.0 used np.isin, kept here
-        def check_070(s):
-            if not np.all(np.isin(s, (-1, 0, 1))):
-                raise ValueError("sign entries must be in {-1, 0, +1}")
-            if not (np.all(np.any(s == 1, axis=0)) and np.all(np.any(s == -1, axis=0))):
-                raise DegenerateSplit("balance needs nonempty numerator and denominator")
+        # signs_to_coefficients compares with 1, 0 and -1; 0.7.0 used np.isin
+        assert sign_outcome(signs_to_coefficients, signs) == sign_outcome(check_070, signs)
 
-        def outcome(check):
-            try:
-                check(np.asarray(signs))
-            except ValueError as exc:
-                return type(exc), str(exc)
-            return None
-
-        assert outcome(_check_signs) == outcome(check_070)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([int, float, bool, object]),
+           shape=st.one_of(st.tuples(st.integers(1, 6)),
+                           st.tuples(st.integers(1, 6), st.integers(1, 4))),
+           clean=st.booleans())
+    def test_checks_and_coefficients_match_the_reference(self, data, dtype, shape, clean):
+        # entries from {-1, 0, 1} alone leave empty groups in small arrays;
+        # otherwise also 0.5, 2 and NaN, as far as the dtype holds them
+        values = {int: [-1, 0, 1, 2], bool: [False, True]}.get(dtype, [-1, 0, 1, 0.5, 2, np.nan])
+        if clean and dtype is not bool:
+            values = [-1, 0, 1]
+        entries = data.draw(st.lists(st.sampled_from(values), min_size=int(np.prod(shape)),
+                                     max_size=int(np.prod(shape))))
+        signs = np.array(entries, dtype=dtype).reshape(shape)
+        expected = sign_outcome(check_070, signs)
+        if expected is not None:
+            assert sign_outcome(signs_to_coefficients, signs) == expected
+        else:
+            plus, minus = signs == 1, signs == -1  # the reference: two wheres, summed
+            r, s = plus.sum(axis=0), minus.sum(axis=0)
+            pos, neg = np.sqrt(s / ((r + s) * r)), -np.sqrt(r / ((r + s) * s))
+            reference = np.where(plus, pos, 0.0) + np.where(minus, neg, 0.0)
+            b = signs_to_coefficients(signs)
+            assert b.dtype == reference.dtype and b.shape == reference.shape
+            assert b.tobytes() == reference.tobytes()
 
     def test_read_only(self):
         b = signs_to_coefficients([1, -1, 0])
@@ -285,6 +318,13 @@ class TestBalanceChecks:
         with pytest.raises(ValueError, match="^ordering_values must be finite$"):
             BalanceBasis(signs, ordering_values=values)
 
+    def test_increasing_ordering_values_rejected(self):
+        signs = [[1, 1], [-1, 1], [0, -1]]
+        # a rise within 1e-12 is a tie up to rounding
+        assert BalanceBasis(signs, [1.0, 1.0 + 1e-13]).n_balances == 2
+        with pytest.raises(ValueError, match="^ordering_values must be non-increasing$"):
+            BalanceBasis(signs, [1.0, 2.0])
+
     def test_crossing_supports_rejected(self):
         # each column is a valid balance, but the supports neither nest nor
         # stay disjoint, so the columns are not orthogonal
@@ -319,6 +359,22 @@ def test_nan_rejected(build, message):
     # "not all(|x| <= tol)"
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("changes, error, message", [
+    ({"weights": [1.0, -1.0, 0.0]}, DimensionMismatch, "^weights must be a parts x components matrix$"),
+    ({"weights": [[1.0, 0.0, 1.0], [-1.0, 1.0, 0.0], [0.0, -1.0, -1.0]],
+      "latent_coefficients": [1.0] * 3},
+     RankDeficient, "^3 components not representable for 3 parts$"),
+    ({"latent_coefficients": [1.0, 1.0]}, DimensionMismatch, "^latent coefficients must have length k$"),
+    ({"x_mean": [0.0, 0.0]}, DimensionMismatch, "^x_mean must have one entry per part$"),
+], ids=["1-d-weights", "k-equals-D", "coefficients-length", "x_mean-length"])
+def test_latent_model_shapes_checked(changes, error, message):
+    fields = {"weights": [[1.0], [-1.0], [0.0]], "latent_coefficients": [1.0], "x_mean": [0.0] * 3,
+              "y_mean": 0.0}
+    LatentModel(**fields)
+    with pytest.raises(error, match=message):
+        LatentModel(**{**fields, **changes})
 
 
 class TestBalanceValues:

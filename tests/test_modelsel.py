@@ -164,6 +164,20 @@ class TestOneSeSelect:
         with pytest.raises(ValueError, match="finite"):
             CvResult(np.array(means), np.array(sds), "rmsep", 5, 1)
 
+    @pytest.mark.parametrize("means, sds", [([[1.0, 0.5]], [[0.0, 0.0]]), ([1.0, 0.5], [0.0]),
+                                            ([1.0], [[0.0]])], ids=["2-d", "unequal", "mixed"])
+    def test_malformed_curves_rejected(self, means, sds):
+        with pytest.raises(ValueError, match="^mean and sd curves must be 1-d with equal length$"):
+            one_se_select(means, sds)
+        with pytest.raises(ValueError, match="^error curves must be nonempty 1-d with one length$"):
+            CvResult(means, sds, "rmsep", 5, 1)
+
+    def test_empty_curves_rejected(self):
+        with pytest.raises(EmptyInput, match="^need at least one candidate size$"):
+            one_se_select([], [])
+        with pytest.raises(ValueError, match="^error curves must be nonempty 1-d with one length$"):
+            CvResult([], [], "rmsep", 5, 1)
+
     def test_negative_sd_rejected(self):
         # no count would fall under a threshold below the minimum
         with pytest.raises(ValueError, match="sd_error nonnegative"):
@@ -468,6 +482,12 @@ class TestAggregateErrorRuns:
         with pytest.raises(ValueError, match=message):
             aggregate_error_runs(np.ones((2, 3)), **{"metric": "rmsep", "folds": 5, "repeats": 2,
                                                      **kwargs})
+
+    @pytest.mark.parametrize("errors", [np.ones(3), np.ones((0, 3)), np.ones((2, 3, 1))],
+                             ids=["1-d", "no-runs", "3-d"])
+    def test_error_matrix_checked(self, errors):
+        with pytest.raises(ValueError, match="^need a runs x k error matrix$"):
+            aggregate_error_runs(errors, "rmsep", 5, 2)
 
     def test_constructor_checks_the_settings(self):
         with pytest.raises(ValueError, match="^unknown metric 'bogus'$"):

@@ -707,7 +707,9 @@ class TestTopK:
                 return np.asarray(super().__getitem__(key))
 
             def diagonal(self, *args, **kwargs):
-                # diag G is the bound screen's statistic, sliced at every node
+                # a read of diag G counts as a slice: the bound screen takes
+                # its node's trace from the state its open took
+                slices.append(("diagonal", args))
                 return np.asarray(super().diagonal(*args, **kwargs))
 
         factory, open_node = getattr(pb, name), pb._open_node

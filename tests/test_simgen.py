@@ -16,6 +16,7 @@ from plspb import (
     signs_to_coefficients,
     simulate_dataset,
 )
+from plspb.coda import ALGEBRA_TOL
 from plspb.errors import DimensionMismatch, NotPositiveDefinite
 from plspb.simgen import (
     CASES,
@@ -60,6 +61,11 @@ class TestScenario:
             SimScenario(CASE_ONE_BLOCK, n=5, D=25, beta=(1.0,) * 19 + (bad,))
         with pytest.raises(ValueError, match="beta must be finite"):
             SimScenario(CASE_ONE_BLOCK, n=5, D=25, beta=(bad,) * 20)
+
+
+    def test_beta_length(self):
+        with pytest.raises(ValueError, match="^beta must carry one value per marker coordinate$"):
+            SimScenario(CASE_ONE_BLOCK, n=5, D=25, beta=(1.0,) * 19)
 
 
 class TestBuildSigma:
@@ -150,6 +156,26 @@ class TestMvnSample:
         with pytest.raises(NotPositiveDefinite):
             mvn_sample(bad, 5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("sigma, message", [
+        # the Cholesky factor reads the lower triangle: this one drew a sample
+        # covariance of -0.91 off the diagonal
+        ([[1.0, 0.9], [-0.9, 1.0]], "^sigma must be symmetric$"),
+        ([[1.0, 0.9 * (1 + 4 * ALGEBRA_TOL)], [0.9, 1.0]], "^sigma must be symmetric$"),
+        ([[np.nan]], "^sigma must be finite$"),
+        ([[np.inf]], "^sigma must be finite$"),
+        ([[1.0, 0.0], [0.0, -np.inf]], "^sigma must be finite$"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "^sigma must be square$"),
+        ([1.0, 1.0], "^sigma must be square$"),
+    ], ids=["skew", "skew-past-tol", "nan", "inf", "-inf", "2x3", "1-d"])
+    def test_rejects_bad_sigma(self, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            mvn_sample(sigma, 5, np.random.default_rng(0))
+
+    def test_symmetric_within_tolerance_accepted(self):
+        # asymmetry up to 1e-12 of the largest |entry|, here 2, is rounding
+        sigma = np.array([[2.0, 0.9], [0.9 + ALGEBRA_TOL, 1.0]])
+        assert np.isfinite(mvn_sample(sigma, 5, np.random.default_rng(0))).all()
+
 
 class TestSimulateDataset:
     def test_shapes_and_marker_count(self):
@@ -199,6 +225,27 @@ class TestSimulateDataset:
         # 4 marker coordinates need 4 columns of Z: the error names them
         with pytest.raises(DimensionMismatch, match="needs 4 marker coordinate columns"):
             response_from_coordinates(np.zeros(shape), block_sizes=(2, 2), beta=np.ones(4))
+
+    @pytest.mark.parametrize("beta, message", [
+        (np.ones(3), "^beta must carry one value per marker coordinate$"),
+        (np.ones((4, 1)), "^beta must carry one value per marker coordinate$"),
+        (np.array([1.0, np.nan, 1.0, 1.0]), "^beta must be finite$"),
+        (np.array([1.0, 1.0, np.inf, 1.0]), "^beta must be finite$"),
+        (np.array([-np.inf, 1.0, 1.0, 1.0]), "^beta must be finite$"),
+    ], ids=["short", "column", "nan", "inf", "-inf"])
+    def test_bad_beta_rejected(self, beta, message):
+        # a non-finite beta made a NaN response
+        with pytest.raises(ValueError, match=message):
+            response_from_coordinates(np.eye(5), block_sizes=(2, 2), beta=beta)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_marker_coordinates_rejected(self, bad):
+        Z = np.eye(5)
+        Z[2, 4] = bad  # a noise coordinate: the response never reads it
+        assert np.isfinite(response_from_coordinates(Z, (2, 2), np.ones(4))).all()
+        Z[1, 3] = bad
+        with pytest.raises(ValueError, match="^the marker coordinates of Z must be finite$"):
+            response_from_coordinates(Z, (2, 2), np.ones(4))
 
     def test_response_ignores_noise_coordinates(self):
         sc = SimScenario(CASE_ONE_BLOCK, n=30, D=20, block_sizes=(4,), seed=13)
